@@ -5,10 +5,11 @@ The commutant is the rational solution space of Z*S = S*Z intersected with
 the T-compatibility conditions (Z_IJ = 0 unless t_I = t_J). The T filter is
 applied first, so the unknowns are only the label pairs in matching T
 classes; each remaining commutation constraint is expanded over a canonical
-cyclotomic basis into exact rational rows. A float SVD supplies the
-expected nullity so elimination can stop once enough pivots are found; the
-result never rests on floats, because every basis element is re-verified in
-exact arithmetic and any discrepancy forces a full exact scan.
+cyclotomic basis into exact rational rows. Elimination proceeds one row i of
+Z*S - S*Z at a time and stops as soon as every vector of the echelon basis
+commutes with S exactly: the solution space of any subset of the
+constraints contains the commutant, so at that point the two are equal.
+No float takes part.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import lcm
 
 import numpy as np
 
-from .cyclo import ONE, ZERO, CycloNumber, basis_coordinates, embed_complex
+from .cyclo import ZERO, CycloNumber, basis_coordinates
 from .errors import SearchBudgetExceeded, ShapeMismatch
 from .modular import ModularData
 from .nimrep import NimRep, character, multiplicity_profile
@@ -165,6 +166,26 @@ def _as_entries(Z) -> tuple[tuple[int | None, ...], ...]:
     return InvariantMatrix.from_rows(Z).entries
 
 
+def _s_commutation_residual(Z, md: ModularData) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order where Z*S - S*Z is nonzero, or
+    None if Z commutes with S. Only the nonzero entries of Z (integers or
+    Fractions) contribute terms."""
+    r = md.rank
+    S = md.S
+    ZS = [[ZERO] * r for _ in range(r)]
+    SZ = [[ZERO] * r for _ in range(r)]
+    for a in range(r):
+        for b in range(r):
+            z = Z[a][b]
+            if z:
+                for x in range(r):
+                    ZS[a][x] = ZS[a][x] + S[b][x] * z
+                    SZ[x][b] = SZ[x][b] + S[x][a] * z
+    return next(
+        ((i, j) for i in range(r) for j in range(r) if ZS[i][j] != SZ[i][j]), None
+    )
+
+
 def verify_invariant(Z, md: ModularData) -> Verdict:
     """Four independent checks: integer entries (known, non-negative),
     Z_{00} = 1, exact commutation with S-tilde, and the T predicate
@@ -197,32 +218,8 @@ def verify_invariant(Z, md: ModularData) -> Verdict:
     )
 
     if all(x is not None for row in entries for x in row):
-        S = md.S
-        ZS = [[ZERO] * r for _ in range(r)]
-        SZ = [[ZERO] * r for _ in range(r)]
-        for i in range(r):
-            for k in range(r):
-                z = entries[i][k]
-                if z:
-                    row_k = S[k]
-                    target = ZS[i]
-                    for j in range(r):
-                        target[j] = target[j] + row_k[j] * z
-        for k in range(r):
-            for j in range(r):
-                z = entries[k][j]
-                if z:
-                    for i in range(r):
-                        SZ[i][j] = SZ[i][j] + S[i][k] * z
-        witness = next(
-            (
-                f"(Z*S - S*Z) nonzero at ({i},{j})"
-                for i in range(r)
-                for j in range(r)
-                if ZS[i][j] != SZ[i][j]
-            ),
-            None,
-        )
+        at = _s_commutation_residual(entries, md)
+        witness = None if at is None else f"(Z*S - S*Z) nonzero at ({at[0]},{at[1]})"
         checks.append(
             passed("s-commutation") if witness is None else failed("s-commutation", witness)
         )
@@ -319,60 +316,6 @@ def _exact_rows(terms: dict[int, CycloNumber]):
             yield row
 
 
-def _solve_commutant(md: ModularData, unknowns, float_target: int | None):
-    """RREF pivots for the commutation system over the unknown positions.
-    When float_target is given, stop as soon as that many pivots exist."""
-    unknown_index = {pos: u for u, pos in enumerate(unknowns)}
-    pivots: dict[int, dict[int, Fraction]] = {}
-    r = md.rank
-    for i in range(r):
-        for j in range(r):
-            if float_target is not None and len(pivots) >= float_target:
-                return pivots
-            terms = _constraint_terms(md, unknown_index, i, j)
-            if not terms:
-                continue
-            for row in _exact_rows(terms):
-                _rref_insert(row, pivots)
-                if float_target is not None and len(pivots) >= float_target:
-                    return pivots
-    return pivots
-
-
-def _float_nullity(md: ModularData, unknowns) -> int:
-    unknown_index = {pos: u for u, pos in enumerate(unknowns)}
-    r = md.rank
-    emb: dict[int, complex] = {}
-
-    def fval(x: CycloNumber) -> complex:
-        got = emb.get(id(x))
-        if got is None:
-            got = complex(embed_complex(x, 17))
-            emb[id(x)] = got
-        return got
-
-    rows = []
-    for i in range(r):
-        for j in range(r):
-            row = np.zeros(len(unknowns), dtype=complex)
-            touched = False
-            for k in range(r):
-                u = unknown_index.get((i, k))
-                if u is not None and not md.S[k][j].is_zero:
-                    row[u] += fval(md.S[k][j])
-                    touched = True
-                u = unknown_index.get((k, j))
-                if u is not None and not md.S[i][k].is_zero:
-                    row[u] -= fval(md.S[i][k])
-                    touched = True
-            if touched:
-                rows.append(row)
-    if not rows:
-        return len(unknowns)
-    stack = np.vstack([np.real(rows), np.imag(rows)])
-    return len(unknowns) - int(np.linalg.matrix_rank(stack))
-
-
 def _basis_from_pivots(pivots, unknowns):
     free = [u for u in range(len(unknowns)) if u not in pivots]
     vectors = []
@@ -394,49 +337,29 @@ def _vector_to_matrix(x, unknowns, rank: int):
     return tuple(tuple(row) for row in rows)
 
 
-def _commutes_exactly(mat, md: ModularData) -> bool:
-    r = md.rank
-    S = md.S
-    ZS = [[ZERO] * r for _ in range(r)]
-    SZ = [[ZERO] * r for _ in range(r)]
-    for i in range(r):
-        for k in range(r):
-            z = mat[i][k]
-            if z:
-                row_k = S[k]
-                target = ZS[i]
-                for j in range(r):
-                    target[j] = target[j] + row_k[j] * z
-    for k in range(r):
-        for j in range(r):
-            z = mat[k][j]
-            if z:
-                for i in range(r):
-                    SZ[i][j] = SZ[i][j] + S[i][k] * z
-    return all(ZS[i][j] == SZ[i][j] for i in range(r) for j in range(r))
-
-
 @lru_cache(maxsize=None)
 def commutant_basis(md: ModularData) -> CommutantBasis:
-    """Exact rational basis of {Z : Z S = S Z, Z_IJ = 0 unless t_I = t_J}."""
+    """Exact rational basis of {Z : Z S = S Z, Z_IJ = 0 unless t_I = t_J}.
+
+    The rows of Z*S - S*Z are eliminated one row index i at a time; after
+    each, the echelon basis of what has been eliminated so far is returned
+    if every member commutes with S, since it then spans the commutant."""
     r = md.rank
     unknowns = [(i, j) for i in range(r) for j in range(r) if md.t[i] == md.t[j]]
-    nullity = _float_nullity(md, unknowns)
-    target = len(unknowns) - nullity
-    pivots = _solve_commutant(md, unknowns, target)
-    free, vectors = _basis_from_pivots(pivots, unknowns)
-    mats = [_vector_to_matrix(x, unknowns, r) for x in vectors]
-    if len(mats) != nullity or not all(_commutes_exactly(m, md) for m in mats):
-        # the float guide was wrong; redo with the full exact scan
-        pivots = _solve_commutant(md, unknowns, None)
+    unknown_index = {pos: u for u, pos in enumerate(unknowns)}
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for i in range(r):
+        for j in range(r):
+            for row in _exact_rows(_constraint_terms(md, unknown_index, i, j)):
+                _rref_insert(row, pivots)
         free, vectors = _basis_from_pivots(pivots, unknowns)
         mats = [_vector_to_matrix(x, unknowns, r) for x in vectors]
-        if not all(_commutes_exactly(m, md) for m in mats):
-            raise AssertionError("exact commutant elimination is inconsistent")
-    return CommutantBasis(
-        basis=tuple(mats),
-        freePositions=tuple(unknowns[f] for f in free),
-    )
+        if all(_s_commutation_residual(m, md) is None for m in mats):
+            return CommutantBasis(
+                basis=tuple(mats),
+                freePositions=tuple(unknowns[f] for f in free),
+            )
+    raise AssertionError("exact commutant elimination is inconsistent")
 
 
 def _search_cap(explicit: int | None) -> int:

@@ -398,7 +398,9 @@ def catalog_names() -> tuple[str, ...]:
 
 
 def load_catalog(name: str) -> ModularData:
-    """Resolve a catalog id like 'su2:10', 'fibonacci', 'ising', 'zn:5'."""
+    """Resolve a catalog id like 'su2:10', 'fibonacci', 'ising', 'zn:5'.
+    Levels above SU2_CATALOG_MAX_LEVEL and n above ZN_CATALOG_MAX_N are
+    refused: their cost grows about cubically with the rank."""
     if name == "fibonacci":
         return fibonacci_modular_data()
     if name == "ising":
@@ -409,11 +411,8 @@ def load_catalog(name: str) -> ModularData:
             k = int(tail)
         except ValueError:
             raise SchemaError(f"catalog id {name!r} has a non-integer parameter") from None
-        if head == "su2":
-            if k < 0:
-                raise SchemaError(f"catalog id {name!r}: level must be non-negative")
-            return su2_modular_data(k)
-        if k < 1:
-            raise SchemaError(f"catalog id {name!r}: n must be positive")
-        return zn_modular_data(k)
+        low, top = (0, SU2_CATALOG_MAX_LEVEL) if head == "su2" else (1, ZN_CATALOG_MAX_N)
+        if not low <= k <= top:
+            raise SchemaError(f"catalog id {name!r}: parameter must be in {low}..{top}")
+        return su2_modular_data(k) if head == "su2" else zn_modular_data(k)
     raise SchemaError(f"unknown catalog id {name!r}")

@@ -221,6 +221,18 @@ def test_argparse_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_catalog_limits_exit_two(capsys):
+    for data in ("su2:29", "zn:9"):
+        code, report = run(JobSpec(command="spectrum", data=data, fmt="structured"))
+        assert code == 2, data
+        assert report["error"]["category"] == "input"
+        assert report["error"]["type"] == "SchemaError"
+        assert "must be in" in report["error"]["message"]
+        code, doc = structured(capsys, ["invariant", "search", "--data", data])
+        assert code == 2, data
+        assert doc["error"]["type"] == "SchemaError"
+
+
 def test_run_api_directly():
     code, report = run(JobSpec(command="verify-fusion", data="fibonacci", fmt="structured"))
     assert code == 0

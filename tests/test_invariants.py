@@ -155,6 +155,24 @@ def test_verify_partial_matrix_cannot_commute():
     assert "unknown" in checks["s-commutation"].witness
 
 
+def test_verify_s_commutation_witness():
+    # the D4 block with Z[2,2] = 1 instead of 2; Z*S - S*Z is antisymmetric,
+    # so (2,0) is nonzero too and the witness pins the row-major scan
+    md = su2_modular_data(4)
+    rows = [
+        [1, 0, 0, 0, 1],
+        [0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 1],
+    ]
+    v = verify_invariant(InvariantMatrix.from_rows(rows), md)
+    checks = {c.name: c for c in v.checks}
+    assert checks["integrality"].passed and checks["t-compatibility"].passed
+    assert not checks["s-commutation"].passed
+    assert checks["s-commutation"].witness == "(Z*S - S*Z) nonzero at (0,2)"
+
+
 def test_verify_t_compatibility_witness():
     md = su2_modular_data(2)
     rows = [[1, 1, 0], [1, 0, 0], [0, 0, 1]]
@@ -171,6 +189,7 @@ def test_commutant_dimensions_small():
     assert commutant_basis(su2_modular_data(0)).dimension == 1
     assert commutant_basis(su2_modular_data(4)).dimension == 2
     assert commutant_basis(su2_modular_data(10)).dimension == 3
+    assert commutant_basis(su2_modular_data(16)).dimension == 3
     assert commutant_basis(load_catalog("fibonacci")).dimension == 1
     assert commutant_basis(load_catalog("ising")).dimension == 1
     assert commutant_basis(load_catalog("zn:5")).dimension == 2
@@ -178,7 +197,7 @@ def test_commutant_dimensions_small():
 
 
 def test_commutant_basis_members_verify():
-    for name in ("su2:4", "su2:10", "zn:8"):
+    for name in ("su2:4", "su2:10", "su2:16", "zn:8"):
         md = load_catalog(name)
         cb = commutant_basis(md)
         assert len(cb.freePositions) == cb.dimension
@@ -200,6 +219,18 @@ def test_commutant_basis_members_verify():
         for k, (i, j) in enumerate(cb.freePositions):
             for l, mat in enumerate(cb.basis):
                 assert mat[i][j] == (1 if l == k else 0), name
+
+
+def test_commutant_path_uses_no_float(monkeypatch):
+    def no_float(*args, **kwargs):
+        raise AssertionError("a float routine was called")
+
+    mds = [load_catalog("su2:16"), load_catalog("zn:8")]
+    expected = [commutant_basis(md) for md in mds]
+    monkeypatch.setattr("fuselab.invariants.np.linalg.matrix_rank", no_float)
+    monkeypatch.setattr("fuselab.cyclo.embed_complex", no_float)
+    commutant_basis.cache_clear()
+    assert [commutant_basis(md) for md in mds] == expected
 
 
 def test_e6_pattern_in_commutant_span():

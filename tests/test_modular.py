@@ -238,3 +238,7 @@ def test_catalog_names_and_loader():
         load_catalog("e8")
     with pytest.raises(SchemaError):
         load_catalog("zn:0")
+    # the documented limits: su2 levels up to 28, zn up to n = 8
+    for name in ("su2:29", "zn:9", "su2:-1"):
+        with pytest.raises(SchemaError, match="must be in"):
+            load_catalog(name)
