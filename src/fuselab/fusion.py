@@ -1,9 +1,9 @@
 """Fusion rings: basis labels, duality, structure constants, and the
-regular representation.
+regular representation, whose homomorphism identity is associativity.
 
 Index 0 is always the unit. The tensor is stored dense, N[a][b][c] being the
 multiplicity of label c inside a*b; at this scale (rank <= ~64) density is
-simpler than sparsity and the verifier loops stay transparent.
+simpler than sparsity.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ class FusionRing:
 
     def __post_init__(self):
         r = len(self.labels)
+        if r == 0:
+            raise ShapeMismatch("a fusion ring needs at least the unit label at index 0")
         if len(self.dual) != r:
             raise ShapeMismatch(f"dual has length {len(self.dual)}, expected {r}")
         if sorted(self.dual) != list(range(r)):
@@ -38,7 +40,7 @@ class FusionRing:
                 if len(row) != r:
                     raise ShapeMismatch(f"N[{a}][{b}] has length {len(row)}, expected {r}")
                 for c, v in enumerate(row):
-                    if not isinstance(v, int):
+                    if not isinstance(v, int) or isinstance(v, bool):
                         raise ShapeMismatch(f"N[{a}][{b}][{c}] = {v!r} is not an integer")
 
     @property
@@ -121,15 +123,11 @@ def verify_axioms(ring: FusionRing) -> Verdict:
                 return Verdict(tuple(checks))
     checks.append(passed("duality"))
 
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                for d in range(r):
-                    left = sum(N[a][b][e] * N[e][c][d] for e in range(r))
-                    right = sum(N[b][c][f] * N[a][f][d] for f in range(r))
-                    if left != right:
-                        checks.append(failed("associativity", f"(a,b,c,d)=({a},{b},{c},{d})"))
-                        return Verdict(tuple(checks))
+    if bad := homomorphism_failure(N, regular_matrices(ring)):
+        a, b, got, want = bad
+        c, d = np.argwhere((got != want).T)[0]  # got[d, c] is x_d in a(bc), want[d, c] in (ab)c
+        checks.append(failed("associativity", f"(a,b,c,d)=({a},{b},{c},{d})"))
+        return Verdict(tuple(checks))
     checks.append(passed("associativity"))
 
     for a in range(r):
@@ -189,19 +187,39 @@ def multiply(ring: FusionRing, x: FusionElement, y: FusionElement) -> FusionElem
     return FusionElement(tuple(out))
 
 
+def exact_ints(values, inner: int = 1) -> np.ndarray:
+    """Read-only integer array, int64 when inner * top**2 < 2**62 for its
+    largest absolute entry top and Python ints otherwise, so that no sum of
+    ``inner`` products of entries of two such arrays wraps."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":  # object, or float from huge and negative ints
+        arr = np.asarray(values, dtype=object)
+        if not all(type(x) is int for x in arr.flat):
+            raise ShapeMismatch("matrix entries must be integers")
+    top = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+    out = arr.astype(np.int64 if inner * top * top < 2**62 else object)
+    out.setflags(write=False)
+    return out
+
+
+def homomorphism_failure(N, mats):
+    """First (a, b) in row-major order with M(a) M(b) != sum_c N_ab^c M(c), as
+    (a, b, left, right), or None; an entry sums at most max(size, rank) products."""
+    inner = max(len(N), len(mats[0]))
+    T, M = exact_ints(N, inner), exact_ints(mats, inner)
+    flat = M.reshape(len(M), -1)
+    for a in range(len(T)):
+        got, want = M[a] @ M, (T[a] @ flat).reshape(M.shape)
+        bad = np.flatnonzero((got != want).any(axis=(1, 2)))
+        if len(bad):
+            return a, bad[0], got[bad[0]], want[bad[0]]
+    return None
+
+
 def regular_matrices(ring: FusionRing) -> tuple[np.ndarray, ...]:
     """Matrices of the regular action, (N_a)_{cb} = N_{ab}^c.
 
-    Returned as read-only integer arrays; they satisfy
+    Returned as read-only exact_ints arrays; they satisfy
     N_a N_b = sum_c N_{ab}^c N_c whenever the ring axioms hold.
     """
-    r = ring.rank
-    mats = []
-    for a in range(r):
-        m = np.zeros((r, r), dtype=np.int64)
-        for b in range(r):
-            for c in range(r):
-                m[c, b] = ring.N[a][b][c]
-        m.setflags(write=False)
-        mats.append(m)
-    return tuple(mats)
+    return tuple(exact_ints(ring.N, ring.rank).transpose(0, 2, 1))

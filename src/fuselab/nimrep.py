@@ -23,7 +23,7 @@ from .errors import (
     NotANimRep,
     ShapeMismatch,
 )
-from .fusion import FusionRing, su2_fusion_ring
+from .fusion import FusionRing, exact_ints, homomorphism_failure, su2_fusion_ring
 from .modular import ModularData, idempotent_family
 from .verdict import Check, Verdict, failed, passed
 
@@ -31,13 +31,9 @@ _ADE_FAMILIES = ("A", "D", "E")
 
 
 def _int_matrix(rows) -> np.ndarray:
-    arr = np.asarray(rows)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    out = exact_ints(rows)
+    if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ShapeMismatch("matrix must be square")
-    if arr.dtype.kind not in "iu":
-        raise ShapeMismatch("matrix entries must be integers")
-    out = arr.astype(np.int64)
-    out.setflags(write=False)
     return out
 
 
@@ -166,8 +162,8 @@ class NimRep:
 
 def verify_nimrep(ring: FusionRing, mats) -> Verdict:
     """Exact NIM-rep axioms: non-negative integer entries, N(0) = identity,
-    the homomorphism identity against the ring's N-tensor, and duality
-    N(dual(a)) = N(a) transposed. Stops at the first failed axiom."""
+    duality N(dual(a)) = N(a) transposed, and the homomorphism identity
+    against the ring's N-tensor. Stops at the first failed axiom."""
     r = ring.rank
     if len(mats) != r:
         raise ShapeMismatch(f"expected {r} matrices, got {len(mats)}")
@@ -196,25 +192,11 @@ def verify_nimrep(ring: FusionRing, mats) -> Verdict:
             )
     checks.append(passed("duality"))
 
-    for a in range(r):
-        for b in range(r):
-            want = np.zeros((size, size), dtype=np.int64)
-            for c in range(r):
-                k = ring.N[a][b][c]
-                if k:
-                    want = want + k * ms[c]
-            got = ms[a] @ ms[b]
-            if not np.array_equal(got, want):
-                j, i = next(zip(*np.nonzero(got != want)))
-                return Verdict(
-                    (
-                        *checks,
-                        failed(
-                            "homomorphism",
-                            f"(N({a})N({b}))[{j},{i}] = {got[j, i]} != {want[j, i]}",
-                        ),
-                    )
-                )
+    if bad := homomorphism_failure(ring.N, ms):
+        a, b, got, want = bad
+        j, i = next(zip(*np.nonzero(got != want)))
+        witness = f"(N({a})N({b}))[{j},{i}] = {got[j, i]} != {want[j, i]}"
+        return Verdict((*checks, failed("homomorphism", witness)))
     checks.append(passed("homomorphism"))
     return Verdict(tuple(checks))
 
@@ -226,12 +208,12 @@ def su2_nimrep_from_graph(g: BoundaryGraph, level: int) -> NimRep:
     if level < 0:
         raise ShapeMismatch("level must be non-negative")
     ring = su2_fusion_ring(level)
-    A = g.matrix()
-    mats = [np.eye(g.size, dtype=np.int64)]
+    A = exact_ints(g.matrix(), g.size)
+    mats = [np.eye(g.size, dtype=A.dtype)]
     if level >= 1:
         mats.append(A)
     for i in range(1, level):
-        nxt = A @ mats[i] - mats[i - 1]
+        nxt = A @ exact_ints(mats[i], g.size) - mats[i - 1]
         if (nxt < 0).any():
             j, k = next(zip(*np.nonzero(nxt < 0)))
             raise NotANimRep(f"recurrence for N(x_{i + 1}) gives entry {nxt[j, k]} at ({j},{k})")

@@ -164,6 +164,14 @@ def test_wrong_kind_is_input_error(capsys, tmp_path):
     assert doc["error"]["type"] == "SchemaError"
 
 
+def test_rank_zero_fusion_ring_is_input_error(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"kind": "fusion-ring", "labels": [], "dual": [], "N": []}))
+    code, doc = structured(capsys, ["verify-fusion", "--data", str(path)])
+    assert code == 2
+    assert doc["error"]["type"] == "SchemaError"
+
+
 def test_non_su2_data_for_graph_command(capsys):
     # zn:3 has rank 3 but its table differs from the level-2 one.
     code, doc = structured(capsys, ["nimrep", "check", "--data", "zn:3", "--graph", "A:3"])

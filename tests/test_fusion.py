@@ -1,6 +1,7 @@
 """Fusion ring axioms, the truncated su(2) family, and the regular
 representation."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,8 @@ from fuselab.fusion import (
     su2_fusion_ring,
     verify_axioms,
 )
+from fuselab.modular import catalog_names, load_catalog
+from fuselab.verdict import Verdict, failed, passed
 
 
 def test_su2_level_two_passes():
@@ -59,7 +62,103 @@ def test_dropped_channel_fails_associativity():
     v = verify_axioms(_retabled(ring, edit))
     assert not v.ok
     assert v.first_failure.name == "associativity"
-    assert v.first_failure.witness
+    assert v.first_failure.witness == "(a,b,c,d)=(1,1,2,0)"
+
+
+def test_rank_zero_and_bool_tables_are_rejected():
+    with pytest.raises(ShapeMismatch):
+        FusionRing(labels=(), dual=(), N=())
+    with pytest.raises(ShapeMismatch):
+        FusionRing(labels=("1",), dual=(0,), N=(((True,),),))
+
+
+def _loop_verify_axioms(ring):
+    """Test oracle: the axioms as plain nested loops over Python ints,
+    associativity as (ab)c = a(bc) coefficient by coefficient."""
+    r, N, dual = ring.rank, ring.N, ring.dual
+    checks = []
+
+    def fail(name, witness):
+        return Verdict((*checks, failed(name, witness)))
+
+    for a in range(r):
+        for b in range(r):
+            for c in range(r):
+                if N[a][b][c] < 0:
+                    return fail("non-negativity", f"N[{a}][{b}][{c}] = {N[a][b][c]}")
+    checks.append(passed("non-negativity"))
+    for b in range(r):
+        for c in range(r):
+            want = 1 if b == c else 0
+            if N[0][b][c] != want or N[b][0][c] != want:
+                return fail("unit", f"(b,c)=({b},{c})")
+    checks.append(passed("unit"))
+    if dual[0] != 0:
+        return fail("duality", "dual(0) != 0")
+    for a in range(r):
+        if dual[dual[a]] != a:
+            return fail("duality", f"dual(dual({a})) = {dual[dual[a]]}")
+        for b in range(r):
+            want = 1 if b == dual[a] else 0
+            if N[a][b][0] != want:
+                return fail("duality", f"N[{a}][{b}][0] = {N[a][b][0]}, expected {want}")
+    checks.append(passed("duality"))
+    for a in range(r):
+        for b in range(r):
+            for c in range(r):
+                for d in range(r):
+                    left = sum(N[a][b][e] * N[e][c][d] for e in range(r))
+                    right = sum(N[b][c][f] * N[a][f][d] for f in range(r))
+                    if left != right:
+                        return fail("associativity", f"(a,b,c,d)=({a},{b},{c},{d})")
+    checks.append(passed("associativity"))
+    for a in range(r):
+        for b in range(a + 1, r):
+            for c in range(r):
+                if N[a][b][c] != N[b][a][c]:
+                    return fail("commutativity", f"(a,b,c)=({a},{b},{c})")
+    checks.append(passed("commutativity"))
+    return Verdict(tuple(checks))
+
+
+def test_verify_axioms_matches_loop_oracle_on_perturbed_rings():
+    # Values of 2**40 and beyond push the check off int64 onto Python ints;
+    # 2**63 and 2**64 do not fit int64 at all.
+    values = (0, 1, 2, 3, 2**40, 2**63, 2**64)
+    rng = random.Random(20261018)
+    small = [n for n in catalog_names() if not n.startswith("su2:") or int(n[4:]) < 8]
+    rings = [load_catalog(n).ring for n in small]
+    assert max(ring.rank for ring in rings) == 8
+    outcomes = set()
+    for trial in range(300):
+        ring = rings[trial % len(rings)]
+        r = ring.rank
+        # mostly away from the unit row and column, so associativity is reached
+        low = 1 if r > 1 and rng.random() < 0.8 else 0
+        edits = [
+            (tuple(rng.randrange(low, r) for _ in range(3)), rng.choice(values))
+            for _ in range(rng.randint(1, 3))
+        ]
+
+        def edit(N):
+            for (a, b, c), v in edits:
+                N[a][b][c] = v
+
+        tampered = _retabled(ring, edit)
+        got = verify_axioms(tampered).describe()
+        assert got == _loop_verify_axioms(tampered).describe(), (trial, edits)
+        outcomes.add(got.split(" at ")[0])
+    assert "fail: associativity" in outcomes
+
+
+def test_regular_matrices_exact_beyond_int64():
+    def edit(N):
+        N[1][2][2] = 2**64
+
+    mats = regular_matrices(_retabled(su2_fusion_ring(2), edit))
+    assert mats[1][2, 2] == 2**64
+    assert mats[1].dtype == object
+    assert (mats[1] @ mats[1])[2, 2] == 2**128 + 1
 
 
 def test_broken_pairing_fails_duality():

@@ -119,6 +119,53 @@ def test_rank_one_module():
     assert verify_nimrep(ring, (np.ones((1, 1), dtype=np.int64),)).ok
 
 
+def _py_matmul(X, Y):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+def test_recurrence_exact_past_int64_on_k10():
+    # The complete graph K10 at level 28: N(x_k) grows like 9**k, far past
+    # int64. The exact recurrence stays non-negative, so the module fails
+    # the homomorphism identity at N(1)N(28) = N(27) with the exact values.
+    n = 10
+    A = [[int(i != j) for j in range(n)] for i in range(n)]
+    mats = [[[int(i == j) for j in range(n)] for i in range(n)], A]
+    for _ in range(27):
+        AX = _py_matmul(A, mats[-1])
+        mats.append([[x - y for x, y in zip(r, s)] for r, s in zip(AX, mats[-2])])
+    assert all(x >= 0 for m in mats for row in m for x in row)
+    assert mats[28][0][0] > 2**63
+    got, want = _py_matmul(A, mats[28]), mats[27]
+    j, i = next((j, i) for j in range(n) for i in range(n) if got[j][i] != want[j][i])
+    g = BoundaryGraph(vertices=tuple(map(str, range(n))), adjacency=tuple(map(tuple, A)))
+    with pytest.raises(NotANimRep) as info:
+        su2_nimrep_from_graph(g, 28)
+    assert str(info.value) == (
+        f"homomorphism: (N(1)N(28))[{j},{i}] = {got[j][i]} != {want[j][i]}"
+    )
+
+
+def test_recurrence_exact_with_huge_adjacency(capsys, tmp_path):
+    # A^2 - I = (2**64 - 1) I, which int64 would report as -1
+    from fuselab.cli import main
+    from fuselab.io import write_data_file
+
+    path = tmp_path / "heavy.json"
+    write_data_file(path, BoundaryGraph(vertices=("a", "b"), adjacency=((0, 2**32), (2**32, 0))))
+    code = main(["nimrep", "check", "--data", "su2:2", "--graph", f"custom:{path}"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert f"homomorphism: (N(1)N(2))[0,1] = {(2**64 - 1) * 2**32} != {2**32}" in out
+
+
+def test_homomorphism_witness_exact_past_int64():
+    ring = su2_fusion_ring(2)
+    want = "fail: homomorphism at (N(1)N(1))[0,0] = 18446744073709551616 != 6"
+    assert verify_nimrep(ring, ([[1]], [[2**32]], [[5]])).describe() == want
+    as_arrays = tuple(np.array([[x]], dtype=np.int64) for x in (1, 2**32, 5))
+    assert verify_nimrep(ring, as_arrays).describe() == want
+
+
 def test_duality_transpose_checked():
     # zn:3 has dual(1) = 2; the regular module must pair them by transpose
     md = load_catalog("zn:3")
