@@ -421,6 +421,12 @@ def render_report(report: dict, job: JobSpec) -> str:
     return _render_human(report, job.digits)
 
 
+def _positive(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -430,7 +436,7 @@ def _parser() -> argparse.ArgumentParser:
         default="human",
         help="report rendering (default: human)",
     )
-    common.add_argument("--digits", type=int, default=6, help="float digits in human mode")
+    common.add_argument("--digits", type=_positive, default=6, help="float digits in human mode")
     data_arg = argparse.ArgumentParser(add_help=False)
     data_arg.add_argument(
         "--data",

@@ -22,8 +22,9 @@ from functools import lru_cache
 from math import gcd, lcm
 
 import mpmath
+import numpy as np
 
-from .errors import DegenerateScalar
+from .errors import DegenerateScalar, ShapeMismatch
 
 Rational = int | Fraction
 
@@ -408,13 +409,107 @@ def basis_coordinates(x: CycloNumber, order: int) -> dict[int, Fraction]:
     """
     if not isinstance(order, int) or order < 1 or order % x._order:
         raise ValueError(f"order must be a positive multiple of {x._order}, got {order!r}")
-    k = order // x._order
-    table = _expansion(order)
-    acc: dict[int, int] = {}
-    for e, c in x._num.items():
-        for b, s in table[(e * k) % order]:
-            acc[b] = acc.get(b, 0) + s * c
-    return {b: Fraction(c, x._den) for b, c in acc.items() if c}
+    t = FieldTensor.of([x])._framed(order, x._den)
+    return {int(b): Fraction(int(c), x._den) for b, c in zip(t.exps, t.layers[:, 0]) if c}
+
+
+def exact_ints(values, inner: int = 1) -> np.ndarray:
+    """Read-only integer array, int64 when inner * top**2 < 2**62 for its
+    largest absolute entry top and Python ints otherwise, so that no sum of
+    ``inner`` products of entries of two such arrays wraps."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":  # object, or float from huge and negative ints
+        arr = np.asarray(values, dtype=object)
+        if not all(type(x) is int for x in arr.flat):
+            raise ShapeMismatch("matrix entries must be integers")
+    top = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+    out = arr.astype(np.int64 if inner * top * top < 2**62 else object)
+    out.setflags(write=False)
+    return out
+
+
+def _reduced(n: int, exps, layers: np.ndarray):
+    """Basis coordinates at order n of sum_k layers[k] * zeta_n^exps[k] for
+    distinct exps, as (exponents, layers) with at least one layer. Each
+    exponent is spread through its row of _expansion(n) on its own."""
+    table = _expansion(n)
+    flat = layers.reshape(len(layers), -1)
+    rows = [(k, table[exps[k]]) for k in np.flatnonzero((flat != 0).any(axis=1))]
+    flat = exact_ints(flat, sum(abs(s) for _, terms in rows for _, s in terms))
+    out = np.zeros((n, flat.shape[1]), dtype=flat.dtype)
+    for k, terms in rows:
+        out[[b for b, _ in terms]] += np.array([s for _, s in terms])[:, None] * flat[k]
+    keep = np.flatnonzero((out != 0).any(axis=1))
+    keep = keep if len(keep) else np.zeros(1, dtype=int)
+    return keep, out[keep].reshape((len(keep),) + layers.shape[1:])
+
+
+class FieldTensor:
+    """An exact array over Q(zeta_n): entry x is sum_k layers[k][x] *
+    zeta_n^exps[k] / den, integer layers in basis coordinates, so equal
+    entries have equal layers. Products are cyclic convolutions over the
+    exponent axis and one reduction, in int64 where exact_ints allows."""
+
+    __slots__ = ("order", "den", "exps", "layers")
+
+    def __init__(self, order: int, den: int, exps, layers: np.ndarray):
+        self.order, self.den, self.exps, self.layers = order, den, np.asarray(exps), layers
+
+    @classmethod
+    def of(cls, values) -> "FieldTensor":
+        """The tensor of an array of cyclotomic or rational entries."""
+        grid = np.asarray(values, dtype=object)
+        pool: dict[CycloNumber, int] = {}
+        index = [pool.setdefault(_coerce(x), len(pool)) for x in grid.flat]
+        n, den = lcm(*(x._order for x in pool)), lcm(*(x._den for x in pool))
+        lifted = [[0] * len(pool) for _ in range(n)]
+        for u, x in enumerate(pool):
+            for e, c in x._num.items():
+                lifted[e * (n // x._order)][u] = c * (den // x._den)
+        exps, coords = _reduced(n, range(n), exact_ints(lifted))
+        return cls(n, den, exps, coords[:, index].reshape((len(exps),) + grid.shape))
+
+    def __getitem__(self, rows) -> "FieldTensor":
+        return FieldTensor(self.order, self.den, self.exps, self.layers[:, rows])
+
+    def _framed(self, order: int, den: int) -> "FieldTensor":
+        """The same entries over a multiple of the order and of den."""
+        g = den // self.den
+        layers = self.layers if g == 1 else exact_ints(self.layers, g) * g
+        if order == self.order:
+            return FieldTensor(order, den, self.exps, layers)
+        return FieldTensor(order, den, *_reduced(order, self.exps * (order // self.order), layers))
+
+    def convolve(self, other: "FieldTensor", op, inner: int) -> "FieldTensor":
+        """Entries sum op(x_e1, y_e2) zeta^(e1+e2) for a bilinear op(layer,
+        stack of layers) that sums at most `inner` products per entry."""
+        n = lcm(self.order, other.order)
+        a, b = self._framed(n, self.den), other._framed(n, other.den)
+        inner *= min(len(a.exps), len(b.exps))
+        A, B = exact_ints(a.layers, inner), exact_ints(b.layers, inner)
+        parts = [op(x, B) for x in A]
+        acc = np.zeros((n,) + parts[0].shape[1:], dtype=parts[0].dtype)
+        for e, part in zip(a.exps, parts):
+            acc[(e + b.exps) % n] += part
+        return FieldTensor(n, a.den * b.den, *_reduced(n, range(n), acc))
+
+    def apply(self, fn, inner: int) -> "FieldTensor":
+        """fn(layers) for a linear fn over exact_ints operands, `inner` products per entry."""
+        return FieldTensor(self.order, self.den, self.exps, fn(exact_ints(self.layers, inner)))
+
+    def differs(self, other: "FieldTensor") -> np.ndarray:
+        """Boolean array of the entries where two tensors of one shape differ."""
+        n, den = lcm(self.order, other.order), lcm(self.den, other.den)
+        a, b = self._framed(n, den), other._framed(n, den)
+        dense = np.zeros((2, n) + a.layers.shape[1:], dtype=np.result_type(a.layers, b.layers))
+        dense[0][a.exps], dense[1][b.exps] = a.layers, b.layers
+        return (dense[0] != dense[1]).any(axis=0)
+
+    def scalar(self, index) -> CycloNumber:
+        """One entry as a CycloNumber."""
+        column = self.layers[(slice(None), *index)]
+        num = {int(e): int(c) for e, c in zip(self.exps, column) if c}
+        return CycloNumber._raw(self.order, num, self.den)
 
 
 def embed_complex(x: CycloNumber, digits: int) -> mpmath.mpc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import ZERO, CycloNumber, _coerce
+from .cyclo import ZERO, CycloNumber, _coerce, exact_ints
 from .errors import ShapeMismatch
 from .verdict import Check, Verdict, failed, passed
 
@@ -185,21 +185,6 @@ def multiply(ring: FusionRing, x: FusionElement, y: FusionElement) -> FusionElem
                 if k:
                     out[c] = out[c] + (prod if k == 1 else prod * k)
     return FusionElement(tuple(out))
-
-
-def exact_ints(values, inner: int = 1) -> np.ndarray:
-    """Read-only integer array, int64 when inner * top**2 < 2**62 for its
-    largest absolute entry top and Python ints otherwise, so that no sum of
-    ``inner`` products of entries of two such arrays wraps."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":  # object, or float from huge and negative ints
-        arr = np.asarray(values, dtype=object)
-        if not all(type(x) is int for x in arr.flat):
-            raise ShapeMismatch("matrix entries must be integers")
-    top = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
-    out = arr.astype(np.int64 if inner * top * top < 2**62 else object)
-    out.setflags(write=False)
-    return out
 
 
 def homomorphism_failure(N, mats):

@@ -2,14 +2,12 @@
 enumeration, the TM dimension formulas, and the diagonal-matching verdict.
 
 The commutant is the rational solution space of Z*S = S*Z intersected with
-the T-compatibility conditions (Z_IJ = 0 unless t_I = t_J). The T filter is
-applied first, so the unknowns are only the label pairs in matching T
-classes; each remaining commutation constraint is expanded over a canonical
-cyclotomic basis into exact rational rows. Elimination proceeds one row i of
-Z*S - S*Z at a time and stops as soon as every vector of the echelon basis
-commutes with S exactly: the solution space of any subset of the
-constraints contains the commutant, so at that point the two are equal.
-No float takes part.
+the T-compatibility conditions (Z_IJ = 0 unless t_I = t_J), over the label
+pairs in matching T classes; each layer of the integer tensor md.tensor
+gives exact rows. Elimination takes one row i of Z*S - S*Z at a time and
+stops once every echelon basis vector commutes with S exactly, a check on
+the same tensor: the solutions of any subset of the constraints contain the
+commutant, so the two are then equal. No float takes part.
 """
 
 from __future__ import annotations
@@ -23,9 +21,9 @@ from math import lcm
 
 import numpy as np
 
-from .cyclo import ZERO, CycloNumber, basis_coordinates
+from .cyclo import ZERO, CycloNumber, exact_ints
 from .errors import SearchBudgetExceeded, ShapeMismatch
-from .modular import ModularData
+from .modular import ModularData, _first
 from .nimrep import NimRep, character, multiplicity_profile
 from .verdict import Check, Verdict, failed, passed
 
@@ -167,23 +165,12 @@ def _as_entries(Z) -> tuple[tuple[int | None, ...], ...]:
 
 
 def _s_commutation_residual(Z, md: ModularData) -> tuple[int, int] | None:
-    """The first (i, j) in row-major order where Z*S - S*Z is nonzero, or
-    None if Z commutes with S. Only the nonzero entries of Z (integers or
-    Fractions) contribute terms."""
-    r = md.rank
-    S = md.S
-    ZS = [[ZERO] * r for _ in range(r)]
-    SZ = [[ZERO] * r for _ in range(r)]
-    for a in range(r):
-        for b in range(r):
-            z = Z[a][b]
-            if z:
-                for x in range(r):
-                    ZS[a][x] = ZS[a][x] + S[b][x] * z
-                    SZ[x][b] = SZ[x][b] + S[x][a] * z
-    return next(
-        ((i, j) for i in range(r) for j in range(r) if ZS[i][j] != SZ[i][j]), None
-    )
+    """The first (i, j) in row-major order where Z*S - S*Z is nonzero, or None.
+    Z is rational, so both products apply it to each layer of md.tensor."""
+    den = lcm(*(x.denominator for row in Z for x in row))
+    Zi = exact_ints([[int(x * den) for x in row] for row in Z], md.rank)
+    S = md.tensor
+    return _first(S.apply(lambda L: Zi @ L, md.rank).differs(S.apply(lambda L: L @ Zi, md.rank)))
 
 
 def verify_invariant(Z, md: ModularData) -> Verdict:
@@ -283,37 +270,19 @@ def _rref_insert(row: dict[int, Fraction], pivots: dict[int, dict[int, Fraction]
     return True
 
 
-def _constraint_terms(md: ModularData, unknown_index, i: int, j: int):
-    """The (i,j) entry of Z*S - S*Z as cyclotomic coefficients over the
-    unknown positions: coeff S_kj on Z_ik, coeff -S_ik on Z_kj."""
-    r = md.rank
-    S = md.S
-    terms: dict[int, CycloNumber] = {}
-    for k in range(r):
-        u = unknown_index.get((i, k))
-        if u is not None:
-            c = S[k][j]
-            if not c.is_zero:
-                prev = terms.get(u)
-                terms[u] = c if prev is None else prev + c
-        u = unknown_index.get((k, j))
-        if u is not None:
-            c = S[i][k]
-            if not c.is_zero:
-                prev = terms.get(u)
-                terms[u] = -c if prev is None else prev - c
-    return {u: c for u, c in terms.items() if not c.is_zero}
-
-
-def _exact_rows(terms: dict[int, CycloNumber]):
-    """Expand one cyclotomic constraint into exact rational rows."""
-    order = lcm(*(c.order for c in terms.values())) if terms else 1
-    coords = {u: basis_coordinates(c, order) for u, c in terms.items()}
-    exponents = sorted({e for d in coords.values() for e in d})
-    for e in exponents:
-        row = {u: d[e] for u, d in coords.items() if e in d}
-        if row:
-            yield row
+def _constraint_rows(md: ModularData, unknowns, i: int):
+    """Row i of Z*S - S*Z as integer rows over the unknowns, one per column j
+    and layer L of md.tensor (den times basis coordinates): L_kj on Z_ik and
+    -L_ik on Z_kj."""
+    L = md.tensor.layers
+    rows = np.zeros((len(L), md.rank, len(unknowns)), dtype=L.dtype)
+    for u, (a, b) in enumerate(unknowns):
+        if a == i:
+            rows[:, :, u] += L[:, b, :]
+        rows[:, b, u] -= L[:, i, a]
+    for row in rows.reshape(-1, len(unknowns)):
+        if row.any():
+            yield {int(u): Fraction(int(row[u])) for u in np.flatnonzero(row)}
 
 
 def _basis_from_pivots(pivots, unknowns):
@@ -346,12 +315,10 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     if every member commutes with S, since it then spans the commutant."""
     r = md.rank
     unknowns = [(i, j) for i in range(r) for j in range(r) if md.t[i] == md.t[j]]
-    unknown_index = {pos: u for u, pos in enumerate(unknowns)}
     pivots: dict[int, dict[int, Fraction]] = {}
     for i in range(r):
-        for j in range(r):
-            for row in _exact_rows(_constraint_terms(md, unknown_index, i, j)):
-                _rref_insert(row, pivots)
+        for row in _constraint_rows(md, unknowns, i):
+            _rref_insert(row, pivots)
         free, vectors = _basis_from_pivots(pivots, unknowns)
         mats = [_vector_to_matrix(x, unknowns, r) for x in vectors]
         if all(_s_commutation_residual(m, md) is None for m in mats):

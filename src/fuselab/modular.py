@@ -5,6 +5,8 @@ Conventions:
   * S is unnormalized, so S[0][I] = d(I) and the global dimension is
     d(C) = sum_I d(I)^2 with (S^2)_{IJ} = d(C) * delta_{J, dual(I)}.
   * T data is a vector of RationalPhase exponents, never a complex matrix.
+  * md.tensor holds S as one exact FieldTensor; S^2, the Verlinde identity
+    and sum, and Z*S - S*Z in invariants are integer products on it.
   * lambda_I(S) = S_{IS} / d(I) is the point of Spec(F) attached to I; the
     pairing is <a, b> = sum_S a(S) * b(dual(S)).
 
@@ -16,43 +18,16 @@ agreement is the decategorified content of "e_{lambda_I} = 1_I".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import ONE, ZERO, CycloNumber, RationalPhase, sin_ratio, zeta
+import numpy as np
+
+from .cyclo import ONE, ZERO, CycloNumber, FieldTensor, RationalPhase, exact_ints, sin_ratio, zeta
 from .errors import DegenerateScalar, NonIntegralVerlinde, SchemaError, ShapeMismatch
 from .fusion import FusionElement, FusionRing, su2_fusion_ring
 from .verdict import Check, Verdict, failed, passed
-
-
-class _ProductCache:
-    """Memoizes products of interned scalars by object identity.
-
-    Catalog S matrices repeat a handful of distinct entries thousands of
-    times; caching by id turns the O(rank^3) verification sums into mostly
-    dictionary hits. Values are kept in the cache so the ids stay valid.
-    """
-
-    __slots__ = ("_store",)
-
-    def __init__(self):
-        self._store: dict = {}
-
-    def mul(self, a: CycloNumber, b: CycloNumber) -> CycloNumber:
-        ka, kb = id(a), id(b)
-        key = (ka, kb) if ka <= kb else (kb, ka)
-        hit = self._store.get(key)
-        if hit is None:
-            hit = (a, b, a * b)
-            self._store[key] = hit
-        return hit[2]
-
-
-def _interned(S) -> tuple[tuple[CycloNumber, ...], ...]:
-    """Collapse value-equal entries to shared objects (helps _ProductCache)."""
-    pool: dict[CycloNumber, CycloNumber] = {}
-    return tuple(tuple(pool.setdefault(x, x) for x in row) for row in S)
 
 
 @dataclass(frozen=True)
@@ -62,11 +37,16 @@ class ModularData:
     t: tuple[RationalPhase, ...]
     d: tuple[CycloNumber, ...]
     globalDim: CycloNumber
+    # S as one exact integer tensor, made with the datum; not part of its value
+    tensor: FieldTensor = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tensor", FieldTensor.of(self.S))
 
     @classmethod
     def build(cls, ring: FusionRing, S, t) -> "ModularData":
         r = ring.rank
-        S = _interned(tuple(tuple(row) for row in S))
+        S = tuple(tuple(row) for row in S)
         t = tuple(RationalPhase(x) for x in t)
         if len(S) != r or any(len(row) != r for row in S):
             raise ShapeMismatch(f"S must be {r}x{r}")
@@ -92,18 +72,28 @@ class SpectrumPoint:
     normSq: CycloNumber
 
 
-def verify_modular_data(md: ModularData) -> Verdict:
-    """Exact check of all ModularData invariants.
+def _rows(x, Y):
+    """Convolution op for entry [c][m] = x[c][m] * y[m]."""
+    return x * Y[:, None, :]
 
-    The Verlinde consistency clause is verified through the equivalent
-    identity sum_c N_ab^c (S_cm S_0m) = S_am S_bm for all a, b, m: together
-    with the S^2 identity and nonzero dimensions it forces the Verlinde sum
-    to reproduce N exactly (pair with S_{dual(c'),m}/(S_0m d(C)) and sum
-    over m), while avoiding the O(rank^4) tensor at high rank.
+
+def _first(mask) -> tuple[int, ...] | None:
+    """The first True index of a boolean array in row-major order."""
+    hits = np.argwhere(mask)
+    return tuple(int(v) for v in hits[0]) if len(hits) else None
+
+
+def verify_modular_data(md: ModularData) -> Verdict:
+    """Exact check of all ModularData invariants, the S-matrix ones on md.tensor.
+
+    The Verlinde clause is verified through the equivalent identity
+    sum_c N_ab^c (S_cm S_0m) = S_am S_bm for all a, b, m: together with the
+    S^2 identity and nonzero dimensions it forces the Verlinde sum to
+    reproduce N exactly (pair with S_{dual(c'),m}/(S_0m d(C)) and sum over
+    m). It runs one row a at a time, rank^2 entries per exponent.
     """
     r = md.rank
     S, dual, N = md.S, md.ring.dual, md.ring.N
-    cache = _ProductCache()
     checks: list[Check] = []
 
     bad = next(
@@ -113,7 +103,7 @@ def verify_modular_data(md: ModularData) -> Verdict:
     if bad is None and md.d[0] == ONE:
         total = ZERO
         for x in md.d:
-            total = total + cache.mul(x, x)
+            total = total + x * x
         if total == md.globalDim:
             checks.append(passed("dimension-row"))
         else:
@@ -130,65 +120,29 @@ def verify_modular_data(md: ModularData) -> Verdict:
         else failed("nonzero-dimensions", f"d[{zero_d}] = 0")
     )
 
-    sym = next(
-        ((i, j) for i in range(r) for j in range(i + 1, r) if S[i][j] != S[j][i]), None
-    )
+    T = md.tensor
+    sym = _first(np.triu(T.differs(T.apply(lambda L: L.transpose(0, 2, 1), 1)), 1))
     checks.append(passed("symmetry") if sym is None else failed("symmetry", f"(I,J)={sym}"))
 
-    dsym = next(
-        (
-            (i, j)
-            for i in range(r)
-            for j in range(r)
-            if S[i][j] != S[dual[i]][dual[j]]
-        ),
-        None,
-    )
+    dsym = _first(T.differs(T.apply(lambda L: L[:, list(dual)][:, :, list(dual)], 1)))
     checks.append(
         passed("dual-symmetry") if dsym is None else failed("dual-symmetry", f"(I,J)={dsym}")
     )
 
-    ssq_fail = None
-    for i in range(r):
-        for j in range(i, r):
-            total = ZERO
-            for m in range(r):
-                total = total + cache.mul(S[i][m], S[m][j])
-            want = md.globalDim if j == dual[i] else ZERO
-            if total != want:
-                ssq_fail = (i, j)
-                break
-        if ssq_fail:
-            break
+    square = T.convolve(T, lambda x, Y: x @ Y, r)
+    want = [[md.globalDim if j == dual[i] else ZERO for j in range(r)] for i in range(r)]
+    ssq_fail = _first(np.triu(square.differs(FieldTensor.of(want))))
     checks.append(
         passed("s-squared") if ssq_fail is None else failed("s-squared", f"(I,J)={ssq_fail}")
     )
 
     ver_fail = None
-    scaled = [[cache.mul(S[c][m], S[0][m]) for m in range(r)] for c in range(r)]
+    scaled, Nint = T.convolve(T[0], _rows, 1), exact_ints(N, r)
     for a in range(r):
-        for b in range(a, r):
-            row = N[a][b]
-            lhs = [ZERO] * r
-            for c in range(r):
-                k = row[c]
-                if k:
-                    col = scaled[c]
-                    if k == 1:
-                        for m in range(r):
-                            lhs[m] = lhs[m] + col[m]
-                    else:
-                        for m in range(r):
-                            lhs[m] = lhs[m] + col[m] * k
-            for m in range(r):
-                if lhs[m] != cache.mul(S[a][m], S[b][m]):
-                    ver_fail = (a, b, m)
-                    break
-            if ver_fail is None and N[a][b] != N[b][a]:
-                ver_fail = (a, b, "asymmetric N")
-            if ver_fail:
-                break
-        if ver_fail:
+        wrong = scaled.apply(lambda L: Nint[a] @ L, r).differs(T.convolve(T[a], _rows, 1))
+        b = next((b for b in range(a, r) if wrong[b].any() or N[a][b] != N[b][a]), None)
+        if b is not None:
+            ver_fail = (a, b, int(wrong[b].argmax()) if wrong[b].any() else "asymmetric N")
             break
     checks.append(
         passed("verlinde-consistency")
@@ -271,28 +225,22 @@ def verlinde(md: ModularData) -> tuple:
     out[a][b][c] = sum_m S_am S_bm S_{dual(c) m} / (S_0m * d(C)).
 
     Every entry must come out a non-negative rational integer; anything else
-    raises NonIntegralVerlinde. Exact and O(rank^4), so intended for
-    desk-scale ranks; the identity verified by verify_modular_data covers
-    the same ground at any rank.
+    raises NonIntegralVerlinde. Exact: two products on md.tensor per row a,
+    rank^2 entries per exponent each.
     """
     r = md.rank
-    S, dual = md.S, md.ring.dual
+    T, dual = md.tensor, md.ring.dual
     if md.globalDim.is_zero:
         raise DegenerateScalar("global dimension is zero")
     inv_dc = md.globalDim.inverse()
-    inv_s0 = _inverse_dims(md)
-    w = [inv_s0[m] * inv_dc for m in range(r)]
-    U = [[S[dual[c]][m] * w[m] for m in range(r)] for c in range(r)]
-    cache = _ProductCache()
-    out = [[[None] * r for _ in range(r)] for _ in range(r)]
+    w = FieldTensor.of([x * inv_dc for x in _inverse_dims(md)])
+    U = T[list(dual)].convolve(w, _rows, 1)
+    out = []
     for a in range(r):
-        for b in range(a, r):
-            pab = [cache.mul(S[a][m], S[b][m]) for m in range(r)]
-            for c in range(r):
-                uc = U[c]
-                total = ZERO
-                for m in range(r):
-                    total = total + pab[m] * uc[m]
+        V = T.convolve(T[a], _rows, 1).convolve(U, lambda x, Y: x @ Y.transpose(0, 2, 1), r)
+        plane = tuple(tuple(V.scalar((b, c)) for c in range(r)) for b in range(r))
+        for b in range(a, r):  # a row b < a repeats the entries (b, a, c) checked before
+            for c, total in enumerate(plane[b]):
                 if not total.is_rational:
                     raise NonIntegralVerlinde(f"entry ({a},{b},{c}) is irrational: {total}")
                 q = total.as_rational()
@@ -300,9 +248,8 @@ def verlinde(md: ModularData) -> tuple:
                     raise NonIntegralVerlinde(
                         f"entry ({a},{b},{c}) = {q} is not a non-negative integer"
                     )
-                out[a][b][c] = total
-                out[b][a][c] = total
-    return tuple(tuple(tuple(row) for row in plane) for plane in out)
+        out.append(plane)
+    return tuple(out)
 
 
 # -- built-in catalog -----------------------------------------------------

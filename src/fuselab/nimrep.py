@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import ONE, ZERO, CycloNumber
+from .cyclo import ONE, ZERO, CycloNumber, exact_ints
 from .errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -23,7 +23,7 @@ from .errors import (
     NotANimRep,
     ShapeMismatch,
 )
-from .fusion import FusionRing, exact_ints, homomorphism_failure, su2_fusion_ring
+from .fusion import FusionRing, homomorphism_failure, su2_fusion_ring
 from .modular import ModularData, idempotent_family
 from .verdict import Check, Verdict, failed, passed
 

@@ -229,6 +229,19 @@ def test_argparse_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_digits_must_be_positive(capsys):
+    # the value reaches embed_complex only when the report is rendered, after
+    # run()'s error handling, so the parser has to refuse it
+    for digits in ("0", "-2", "x", "1.5"):
+        assert main(["spectrum", "--data", "fibonacci", "--digits", digits]) == 2, digits
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert "--digits: expected a positive integer" in captured.err
+    assert main(["spectrum", "--data", "fibonacci", "--digits", "1"]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+
+
 def test_catalog_limits_exit_two(capsys):
     for data in ("su2:29", "zn:9"):
         code, report = run(JobSpec(command="spectrum", data=data, fmt="structured"))

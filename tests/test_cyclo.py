@@ -12,6 +12,7 @@ from fuselab.cyclo import (
     ONE,
     ZERO,
     CycloNumber,
+    FieldTensor,
     RationalPhase,
     basis_coordinates,
     cyclo_arith,
@@ -167,6 +168,34 @@ def test_basis_coordinates_linear_and_injective(a, b):
 def test_basis_coordinates_rejects_non_multiple():
     with pytest.raises(ValueError):
         basis_coordinates(zeta(8), 12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(cyclos(), min_size=4, max_size=4), st.lists(cyclos(), min_size=4, max_size=4),
+       st.sampled_from([1, 2**40, 2**70]))
+def test_field_tensor_products_match_scalar_arithmetic(xs, ys, scale):
+    # scale 2**40 and 2**70 push the integer layers off int64 onto Python ints
+    A = [[xs[0] * scale, xs[1]], [xs[2], xs[3]]]
+    B = [[ys[0], ys[1]], [ys[2] * scale, ys[3]]]
+    TA, TB = FieldTensor.of(A), FieldTensor.of(B)
+    for i in range(2):
+        for j in range(2):
+            assert TA.scalar((i, j)) == A[i][j]
+    prod = TA.convolve(TB, lambda x, Y: x @ Y, 2)
+    want = [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)] for i in range(2)]
+    assert [[prod.scalar((i, j)) for j in range(2)] for i in range(2)] == want
+    assert not prod.differs(FieldTensor.of(want)).any()
+    other = [[want[0][0], want[0][1] + zeta(7)], want[1]]
+    assert prod.differs(FieldTensor.of(other)).tolist() == [[False, True], [False, False]]
+
+
+def test_field_tensor_product_leaves_int64_when_sums_could_wrap():
+    # each entry of A @ A sums 2 * 8 products of 2**60 over the exponents,
+    # past int64 although one product of 2 * 2**60 would still fit
+    x = CycloNumber(16, {e: 2**30 for e in range(8)})
+    A = FieldTensor.of([[x, x], [x, x]])
+    prod = A.convolve(A, lambda u, V: u @ V, 2)
+    assert prod.scalar((0, 1)) == 2 * x * x
 
 
 def test_rational_phase_normalizes_mod_one():

@@ -1,13 +1,19 @@
 """Modular data: catalog invariants, the spectrum, idempotent families, and
 the Verlinde recovery of fusion coefficients."""
 
+import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from fuselab.cyclo import ONE, ZERO, CycloNumber, RationalPhase, sin_ratio, zeta
-from fuselab.errors import NonIntegralVerlinde, SchemaError
-from fuselab.fusion import multiply
+from fuselab.errors import DegenerateScalar, NonIntegralVerlinde, SchemaError, ValidationFailed
+from fuselab.fusion import FusionRing, multiply
+from fuselab.invariants import verify_invariant
+from fuselab.io import data_to_json, parse_data
+from fuselab.verdict import Verdict, failed, passed
 from fuselab.modular import (
     ModularData,
     catalog_names,
@@ -242,3 +248,216 @@ def test_catalog_names_and_loader():
     for name in ("su2:29", "zn:9", "su2:-1"):
         with pytest.raises(SchemaError, match="must be in"):
             load_catalog(name)
+
+
+# -- the tensor checks against the scalar loops they replaced ---------------
+
+
+def _loop_s_squared(md):
+    """Test oracle: the first (i, j >= i) with (S^2)_ij != d(C) delta_{j,dual i},
+    as scalar sums."""
+    r, S, dual = md.rank, md.S, md.ring.dual
+    for i in range(r):
+        for j in range(i, r):
+            total = ZERO
+            for m in range(r):
+                total = total + S[i][m] * S[m][j]
+            if total != (md.globalDim if j == dual[i] else ZERO):
+                return (i, j)
+    return None
+
+
+def _loop_verlinde_consistency(md):
+    """Test oracle: the first failure of sum_c N_ab^c S_cm S_0m = S_am S_bm,
+    scanning a, then b >= a, then m, and N's symmetry per (a, b)."""
+    r, S, N = md.rank, md.S, md.ring.N
+    for a in range(r):
+        for b in range(a, r):
+            for m in range(r):
+                lhs = ZERO
+                for c in range(r):
+                    if N[a][b][c]:
+                        lhs = lhs + S[c][m] * S[0][m] * N[a][b][c]
+                if lhs != S[a][m] * S[b][m]:
+                    return (a, b, m)
+            if N[a][b] != N[b][a]:
+                return (a, b, "asymmetric N")
+    return None
+
+
+def _loop_verlinde(md):
+    """Test oracle: the literal Verlinde sum as scalar sums, raising on the
+    first entry (a, b >= a, c) that is irrational or not a non-negative integer."""
+    r, S, dual = md.rank, md.S, md.ring.dual
+    inv_dc = md.globalDim.inverse()
+    w = [md.d[m].inverse() * inv_dc for m in range(r)]
+    out = [[[None] * r for _ in range(r)] for _ in range(r)]
+    for a in range(r):
+        for b in range(a, r):
+            for c in range(r):
+                total = ZERO
+                for m in range(r):
+                    total = total + S[a][m] * S[b][m] * S[dual[c]][m] * w[m]
+                if not total.is_rational:
+                    raise NonIntegralVerlinde(f"entry ({a},{b},{c}) is irrational: {total}")
+                q = total.as_rational()
+                if q.denominator != 1 or q < 0:
+                    raise NonIntegralVerlinde(
+                        f"entry ({a},{b},{c}) = {q} is not a non-negative integer"
+                    )
+                out[a][b][c] = out[b][a][c] = total
+    return tuple(tuple(tuple(row) for row in plane) for plane in out)
+
+
+def _loop_s_commutation(Z, md):
+    """Test oracle: the first (i, j) where (Z*S - S*Z)_ij != 0, as scalar sums."""
+    r, S = md.rank, md.S
+    for i in range(r):
+        for j in range(r):
+            total = ZERO
+            for k in range(r):
+                total = total + S[k][j] * Z[i][k] - S[i][k] * Z[k][j]
+            if total != ZERO:
+                return (i, j)
+    return None
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (NonIntegralVerlinde, DegenerateScalar) as err:
+        return type(err).__name__, str(err)
+
+
+def _perturbed(md, kind, rng):
+    """md with one seeded corruption: a symmetric S pair raised by 1, one S
+    entry plus zeta_7, one N entry raised by 1, or a symmetric S pair times
+    2**40 zeta_3."""
+    r = md.rank
+    S = [list(row) for row in md.S]
+    N = [[list(row) for row in plane] for plane in md.ring.N]
+    i, j = rng.randrange(r), rng.randrange(r)
+    if kind == "pair+1":
+        S[i][j] = S[i][j] + 1
+        S[j][i] = S[i][j]
+    elif kind == "entry+zeta7":
+        S[i][j] = S[i][j] + zeta(7)
+    elif kind == "N+1":
+        N[i][j][rng.randrange(r)] += 1
+    else:
+        S[i][j] = S[i][j] * CycloNumber(3, {1: 2**40})
+        S[j][i] = S[i][j]
+    N = tuple(tuple(tuple(row) for row in plane) for plane in N)
+    ring = FusionRing(labels=md.ring.labels, dual=md.ring.dual, N=N)
+    return ModularData.build(ring, S, [t.value for t in md.t])
+
+
+def _loop_verdict(md, kept):
+    """Test oracle: the parent's verdict, with the two dimension checks taken
+    from `kept` (their scalar code is unchanged) and the S-matrix checks
+    recomputed by the scalar loops above."""
+    r, S, dual = md.rank, md.S, md.ring.dual
+    sym = next(((i, j) for i in range(r) for j in range(i + 1, r) if S[i][j] != S[j][i]), None)
+    dsym = next(
+        ((i, j) for i in range(r) for j in range(r) if S[i][j] != S[dual[i]][dual[j]]), None
+    )
+    ssq, ver = _loop_s_squared(md), _loop_verlinde_consistency(md)
+    checks = list(kept)
+    for name, fmt, at in (
+        ("symmetry", "(I,J)", sym),
+        ("dual-symmetry", "(I,J)", dsym),
+        ("s-squared", "(I,J)", ssq),
+        ("verlinde-consistency", "(a,b,m)", ver),
+    ):
+        checks.append(passed(name) if at is None else failed(name, f"{fmt}={at}"))
+    return Verdict(tuple(checks))
+
+
+def test_tensor_checks_match_scalar_oracles_on_perturbed_data():
+    # a seeded sweep over catalog data of rank <= 13; the 2**40 * zeta_3
+    # pairs take the Python-int path of the integer products
+    rng = random.Random(4)
+    names = [n for n in catalog_names() if load_catalog(n).rank <= 13]
+    kinds = ("pair+1", "entry+zeta7", "N+1", "pair*2**40*zeta3")
+    seen = set()
+    for step in range(48):
+        kind = kinds[step % 4]
+        source = load_catalog(rng.choice(names))
+        md = _perturbed(source, kind, rng)
+        v = verify_modular_data(md)
+        want = _loop_verdict(md, v.checks[:2])
+        assert v.describe() == want.describe()
+        assert v.as_dict() == want.as_dict()
+        seen.add((kind, "asymmetric N" in want.checks[-1].witness))
+        if md.rank <= 8:
+            assert _outcome(lambda: verlinde(md)) == _outcome(lambda: _loop_verlinde(md))
+        r = md.rank
+        for Z in (
+            [[1 if a == b else 0 for b in range(r)] for a in range(r)],
+            [[rng.randint(0, 1) for _ in range(r)] for _ in range(r)],
+        ):
+            at = _loop_s_commutation(Z, md)
+            got = {c.name: c for c in verify_invariant(Z, md).checks}["s-commutation"]
+            assert got.witness == ("" if at is None else f"(Z*S - S*Z) nonzero at ({at[0]},{at[1]})")
+    assert ("N+1", True) in seen  # the sweep reaches `asymmetric N`
+    assert {k for k, _ in seen} == set(kinds)
+
+
+def test_tensor_check_witnesses_pinned():
+    md = su2_modular_data(4)
+    S = [list(row) for row in md.S]
+    S[1][2] = S[2][1] = S[1][2] + 1
+    bad = ModularData.build(md.ring, S, [t.value for t in md.t])
+    assert verify_modular_data(bad).describe() == "fail: s-squared at (I,J)=(0, 1)"
+    assert {c.name: c.witness for c in verify_modular_data(bad).checks}[
+        "verlinde-consistency"
+    ] == "(a,b,m)=(1, 1, 1)"
+
+    # row 0 of S^2 stays intact, so the first failure is (1, 1), not (1, 0)
+    md2 = su2_modular_data(2)
+    S = [list(row) for row in md2.S]
+    S[1][0], S[2][0] = S[1][0] + 1, S[2][0] - sin_ratio(2, 4)
+    lower = ModularData.build(md2.ring, S, [t.value for t in md2.t])
+    assert {c.name: c.witness for c in verify_modular_data(lower).checks}[
+        "s-squared"
+    ] == "(I,J)=(1, 1)"
+
+    ising = ising_modular_data()
+    N = [[list(row) for row in plane] for plane in ising.ring.N]
+    N[2][1][1] += 1
+    N = tuple(tuple(tuple(row) for row in plane) for plane in N)
+    ring = FusionRing(labels=ising.ring.labels, dual=ising.ring.dual, N=N)
+    flipped = ModularData.build(ring, ising.S, [t.value for t in ising.t])
+    assert {c.name: c.witness for c in verify_modular_data(flipped).checks}[
+        "verlinde-consistency"
+    ] == "(a,b,m)=(1, 2, 'asymmetric N')"
+
+    md1 = su2_modular_data(1)
+    odd = ModularData.build(md1.ring, ((ONE, ONE), (ONE, zeta(3))), [t.value for t in md1.t])
+    with pytest.raises(NonIntegralVerlinde) as err:
+        verlinde(odd)
+    assert str(err.value) == "entry (0,0,1) is irrational: (1 + z3)/2"
+    Z = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+    witness = {c.name: c.witness for c in verify_invariant(Z, su2_modular_data(2)).checks}
+    assert witness["s-commutation"] == "(Z*S - S*Z) nonzero at (0,0)"
+
+
+def test_large_order_entry_rejected_at_s_squared():
+    # S[1][1] = -1 + zeta_4099 puts the common order at 5 * 4099
+    doc = data_to_json(fibonacci_modular_data())
+    coeffs = [[0, 1]] * 4099
+    coeffs[0], coeffs[1] = [-1, 1], [1, 1]
+    doc["S"][1][1] = {"order": 4099, "coeffs": coeffs}
+    start = time.perf_counter()
+    with pytest.raises(ValidationFailed) as err:
+        parse_data(doc)
+    assert str(err.value) == "modular-data fails s-squared: (I,J)=(0, 1)"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_catalog_round_trip_keeps_datum_identity():
+    for name in catalog_names():
+        source = load_catalog(name)
+        md = parse_data(json.loads(json.dumps(data_to_json(source))))
+        assert md == source and hash(md) == hash(source), name
+        assert "tensor" not in repr(md) and "FieldTensor" not in repr(md), name
