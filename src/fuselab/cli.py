@@ -451,7 +451,7 @@ def _parser() -> argparse.ArgumentParser:
         "--bound", type=int, default=None, help="largest allowed matrix entry"
     )
     search_args.add_argument(
-        "--cap", type=int, default=None, help="lattice-point budget for enumeration"
+        "--cap", type=_positive, default=None, help="lattice-point budget for enumeration"
     )
 
     p = argparse.ArgumentParser(

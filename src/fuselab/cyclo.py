@@ -400,6 +400,15 @@ def sin_ratio(k: int, h: int) -> CycloNumber:
     return CycloNumber._raw(n, num, 1)
 
 
+def rational_ratio(x: CycloNumber, y: CycloNumber) -> Fraction | None:
+    """The rational q with x = q*y for nonzero y, or None when x/y is
+    irrational: canonical forms are unique and linear over Q, so the only
+    candidate is the ratio of one coordinate. No inverse is taken."""
+    e = next(iter(y._num))
+    q = Fraction(x._num.get(e, 0) * y._den, x._den * y._num[e])
+    return q if y * q == x else None
+
+
 def basis_coordinates(x: CycloNumber, order: int) -> dict[int, Fraction]:
     """Coordinates of x over the canonical basis of the order-`order` field.
 
@@ -428,20 +437,33 @@ def exact_ints(values, inner: int = 1) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _reduction(n: int):
+    """_expansion(n) as arrays sorted by basis exponent: source exponents,
+    coefficients, the start of each basis exponent's run, the basis
+    exponents, and the largest sum of |coefficients| over one run."""
+    terms = sorted((b, e, s) for e in range(n) for b, s in _expansion(n)[e])
+    dst, src, coeff = map(np.array, zip(*terms))
+    basis, starts = np.unique(dst, return_index=True)
+    return src, coeff[:, None], starts, basis, int(np.add.reduceat(abs(coeff), starts).max())
+
+
 def _reduced(n: int, exps, layers: np.ndarray):
     """Basis coordinates at order n of sum_k layers[k] * zeta_n^exps[k] for
-    distinct exps, as (exponents, layers) with at least one layer. Each
-    exponent is spread through its row of _expansion(n) on its own."""
-    table = _expansion(n)
-    flat = layers.reshape(len(layers), -1)
-    rows = [(k, table[exps[k]]) for k in np.flatnonzero((flat != 0).any(axis=1))]
-    flat = exact_ints(flat, sum(abs(s) for _, terms in rows for _, s in terms))
-    out = np.zeros((n, flat.shape[1]), dtype=flat.dtype)
-    for k, terms in rows:
-        out[[b for b, _ in terms]] += np.array([s for _, s in terms])[:, None] * flat[k]
-    keep = np.flatnonzero((out != 0).any(axis=1))
+    distinct exps, as (exponents, layers) with at least one layer: one
+    gather through the rows of _expansion(n) and one sum per basis exponent."""
+    if n == 1:  # the rational field: nothing to rewrite
+        return np.zeros(1, dtype=int), layers
+    src, coeff, starts, basis, inner = _reduction(n)
+    flat = exact_ints(layers.reshape(len(layers), -1), inner)
+    if not isinstance(exps, range):
+        full = np.zeros((n, flat.shape[1]), dtype=flat.dtype)
+        full[np.asarray(exps)] = flat
+        flat = full
+    out = np.add.reduceat(coeff * flat[src], starts)
+    keep = np.flatnonzero(out.any(axis=1))
     keep = keep if len(keep) else np.zeros(1, dtype=int)
-    return keep, out[keep].reshape((len(keep),) + layers.shape[1:])
+    return basis[keep], out[keep].reshape((len(keep),) + layers.shape[1:])
 
 
 class FieldTensor:
@@ -469,8 +491,10 @@ class FieldTensor:
         exps, coords = _reduced(n, range(n), exact_ints(lifted))
         return cls(n, den, exps, coords[:, index].reshape((len(exps),) + grid.shape))
 
-    def __getitem__(self, rows) -> "FieldTensor":
-        return FieldTensor(self.order, self.den, self.exps, self.layers[:, rows])
+    def __getitem__(self, index) -> "FieldTensor":
+        """The tensor of a numpy index into the entries."""
+        index = index if isinstance(index, tuple) else (index,)
+        return FieldTensor(self.order, self.den, self.exps, self.layers[(slice(None), *index)])
 
     def _framed(self, order: int, den: int) -> "FieldTensor":
         """The same entries over a multiple of the order and of den."""
@@ -498,10 +522,11 @@ class FieldTensor:
         return FieldTensor(self.order, self.den, self.exps, fn(exact_ints(self.layers, inner)))
 
     def differs(self, other: "FieldTensor") -> np.ndarray:
-        """Boolean array of the entries where two tensors of one shape differ."""
+        """Boolean array of the entries where two tensors (shapes broadcast) differ."""
         n, den = lcm(self.order, other.order), lcm(self.den, other.den)
         a, b = self._framed(n, den), other._framed(n, den)
-        dense = np.zeros((2, n) + a.layers.shape[1:], dtype=np.result_type(a.layers, b.layers))
+        shape = np.broadcast_shapes(a.layers.shape[1:], b.layers.shape[1:])
+        dense = np.zeros((2, n) + shape, dtype=np.result_type(a.layers, b.layers))
         dense[0][a.exps], dense[1][b.exps] = a.layers, b.layers
         return (dense[0] != dense[1]).any(axis=0)
 

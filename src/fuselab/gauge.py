@@ -6,14 +6,21 @@ checks tying E back to N.
 J is a union of cliques once validated (reflexive + symmetric +
 composition-closed), so solving is spanning-star propagation from the
 lowest-index node of each component; no general cohomology machinery.
+
+The encircling module is one size x size FieldTensor of the ratios
+R[j][i] = lambda_i / lambda_j: E(a) = R * N(a) entrywise, so N(a) is only
+an integer mask and the isomorphism checks are integer products on R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import ONE, ZERO, CycloNumber
+import numpy as np
+
+from .cyclo import ONE, CycloNumber, FieldTensor, exact_ints
 from .errors import DegenerateScalar, GaugeInconsistent, MissingPair, ShapeMismatch
+from .modular import _first
 from .verdict import Check, Verdict, failed, passed
 
 
@@ -152,65 +159,52 @@ def solve_gauge(gp: GaugeProblem) -> GaugeSolution:
     return GaugeSolution(lam=tuple(lam), components=comps)
 
 
-def encircling_matrices(nr, lam) -> tuple[tuple[tuple[CycloNumber, ...], ...], ...]:
-    """E(a)_{ji} = (lambda_i / lambda_j) N(a)_{ji}, one matrix per label."""
-    size = nr.size
-    if len(lam) != size:
+def _encircling(nr, lam) -> tuple[FieldTensor, FieldTensor]:
+    """The tensors of lambda and of the ratio R[j][i] = lambda_i / lambda_j,
+    so that E(a) = R * N(a) entrywise."""
+    if len(lam) != nr.size:
         raise ShapeMismatch("lambda length must match the boundary rank")
     for i, x in enumerate(lam):
         if x.is_zero:
             raise DegenerateScalar(f"lambda[{i}] is zero")
-    inv = [x.inverse() for x in lam]
-    ratio = [[lam[i] * inv[j] for i in range(size)] for j in range(size)]
-    out = []
-    for mat in nr.mats:
-        rows = []
-        for j in range(size):
-            row = []
-            for i in range(size):
-                k = int(mat[j, i])
-                row.append(ratio[j][i] * k if k else ZERO)
-            rows.append(tuple(row))
-        out.append(tuple(rows))
-    return tuple(out)
+    both = FieldTensor.of([*lam, *(x.inverse() for x in lam)])
+    lam_t, inv = both[:nr.size], both[nr.size:]
+    return lam_t, inv.convolve(lam_t, lambda x, Y: x[None, :, None] * Y[:, None, :], 1)
+
+
+def encircling_matrices(nr, lam) -> tuple[tuple[tuple[CycloNumber, ...], ...], ...]:
+    """E(a)_{ji} = (lambda_i / lambda_j) N(a)_{ji}, one matrix per label."""
+    _, R = _encircling(nr, lam)
+    mats = exact_ints(np.stack(nr.mats))
+    E = R.apply(lambda L: L[:, None] * mats, 1)
+    size = nr.size
+    return tuple(
+        tuple(tuple(E.scalar((a, j, i)) for i in range(size)) for j in range(size))
+        for a in range(len(nr.mats))
+    )
 
 
 def verify_phi_isomorphism(nr, lam, md) -> Verdict:
     """(a) "intertwiner": Lambda E(a) = N(a) Lambda for every a, the module
-    map phi^i -> lambda_i i. (b) "d-eigenvector": every E(a) has constant
-    row sums d(a), i.e. the all-ones vector is a d-eigenvector of E. Both
-    parts are always evaluated; (b) fails exactly when lambda is not a
+    map phi^i -> lambda_i i, i.e. lambda_j R_ji = lambda_i wherever
+    N(a)_ji != 0. (b) "d-eigenvector": every E(a) has constant row sums
+    d(a) = md.tensor[0][a], i.e. the all-ones vector is a d-eigenvector of E;
+    the sums are one integer contraction of R with the module matrices.
+    Both checks are always evaluated, with the first (a, j, i) and (a, j) in
+    row-major order as witnesses; (b) fails exactly when lambda is not a
     d-eigenvector of N."""
-    size = nr.size
-    E = encircling_matrices(nr, lam)
-    checks: list[Check] = []
+    lam_t, R = _encircling(nr, lam)
+    if md.rank != nr.ring.rank:
+        raise ShapeMismatch("modular data rank differs from the ring rank")
+    mats = exact_ints(np.stack(nr.mats), nr.size)
+    left = lam_t.convolve(R, lambda x, Y: x[None, :, None] * Y, 1)
+    bad = _first((mats != 0) & left.differs(lam_t[None]))
+    witness = None if bad is None else "(a,j,i)=({},{},{})".format(*bad)
+    checks = [passed("intertwiner") if bad is None else failed("intertwiner", witness)]
 
-    witness = None
-    for a, mat in enumerate(nr.mats):
-        for j in range(size):
-            for i in range(size):
-                if lam[j] * E[a][j][i] != lam[i] * int(mat[j, i]):
-                    witness = f"(a,j,i)=({a},{j},{i})"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(passed("intertwiner") if witness is None else failed("intertwiner", witness))
-
-    witness = None
-    for a in range(nr.ring.rank):
-        da = md.d[a]
-        for j in range(size):
-            total = ZERO
-            for i in range(size):
-                total = total + E[a][j][i]
-            if total != da:
-                witness = f"row {j} of E({a}) sums to {total}, not d({a})"
-                break
-        if witness:
-            break
-    checks.append(
-        passed("d-eigenvector") if witness is None else failed("d-eigenvector", witness)
-    )
+    sums = R.apply(lambda L: (L[:, None] * mats).sum(axis=3), nr.size)
+    bad = _first(sums.differs(md.tensor[0][:, None]))
+    if bad is not None:
+        witness = f"row {bad[1]} of E({bad[0]}) sums to {sums.scalar(bad)}, not d({bad[0]})"
+    checks.append(passed("d-eigenvector") if bad is None else failed("d-eigenvector", witness))
     return Verdict(tuple(checks))

@@ -330,12 +330,13 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
 
 
 def _search_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
+    """The explicit cap, else FUSELAB_SEARCH_CAP, else the default; one below 1 is bad input."""
     env = os.environ.get(SEARCH_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEARCH_CAP
+    default = DEFAULT_SEARCH_CAP if env is None else int(env)
+    source, cap = ("cap", explicit) if explicit is not None else (SEARCH_CAP_ENV, default)
+    if cap < 1:
+        raise ValueError(f"{source} must be a positive integer, got {cap}")
+    return cap
 
 
 def enumerate_invariants(

@@ -4,9 +4,12 @@ and the exact Perron-Frobenius eigenvector.
 
 Profiles are exact: m[I] is the trace of the spectral projector for
 lambda_I pushed through the representation, which by linearity of the trace
-is sum_S coeff_S(e_{lambda_I}) * chi[S] with integer characters chi. The
-float eigen-decomposition never feeds a result here; it lives in the test
-suite as an independent oracle.
+is sum_S coeff_S(e_{lambda_I}) * chi[S] with integer characters chi. Each
+e_{lambda_I} is a scalar multiple of row I of S with its columns permuted
+by the duality, so the traces are one integer contraction of md.tensor with
+chi, and the lambda_0 projector column of d_eigenvector one contraction of
+md.tensor[0] with the module matrices. The float eigen-decomposition never
+feeds a result here; it lives in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import ONE, ZERO, CycloNumber, exact_ints
+from .cyclo import CycloNumber, exact_ints, rational_ratio
 from .errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -24,7 +27,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fusion import FusionRing, homomorphism_failure, su2_fusion_ring
-from .modular import ModularData, idempotent_family
+from .modular import ModularData, _first, idempotent_family
 from .verdict import Check, Verdict, failed, passed
 
 _ADE_FAMILIES = ("A", "D", "E")
@@ -131,20 +134,13 @@ def disjoint_union(*graphs: BoundaryGraph) -> BoundaryGraph:
     """Block-diagonal union; vertices prefixed by component index."""
     if not graphs:
         raise ShapeMismatch("union of zero graphs")
-    vertices: list[str] = []
-    for k, g in enumerate(graphs):
-        vertices += [f"{k}:{v}" for v in g.vertices]
-    total = len(vertices)
-    adj = [[0] * total for _ in range(total)]
-    offset = 0
+    vertices = tuple(f"{k}:{v}" for k, g in enumerate(graphs) for v in g.vertices)
+    rows: list[tuple[int, ...]] = []
     for g in graphs:
-        for i in range(g.size):
-            for j in range(g.size):
-                adj[offset + i][offset + j] = g.adjacency[i][j]
-        offset += g.size
-    return BoundaryGraph(
-        vertices=tuple(vertices), adjacency=tuple(tuple(row) for row in adj)
-    )
+        before = len(rows)
+        after = len(vertices) - before - g.size
+        rows += [(0,) * before + row + (0,) * after for row in g.adjacency]
+    return BoundaryGraph(vertices=vertices, adjacency=tuple(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,20 +236,20 @@ def character(nr: NimRep) -> tuple[int, ...]:
 
 def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
     """m[I] = trace of the lambda_I spectral projector inside the rep,
-    expanded as sum_S coeff_S(e_{lambda_I}) * chi[S]."""
+    sum_S e_{lambda_I}(S) * chi[S]. As e_{lambda_I}(S) = c_I * S[I][dual(S)]
+    for one nonzero scalar c_I, m[I] is the rational ratio of e_{lambda_I}(S)
+    t_I to S[I][dual(S)], where t is one integer contraction of md.tensor
+    with chi."""
     if md.ring.rank != nr.ring.rank:
         raise ShapeMismatch("modular data rank differs from the ring rank")
-    chi = character(nr)
+    chi, dual, family = character(nr), md.ring.dual, idempotent_family(md)
+    traces = md.tensor.apply(lambda L: L @ exact_ints([chi[t] for t in dual], md.rank), md.rank)
     out: list[int] = []
-    for I, e in enumerate(idempotent_family(md)):
-        val = ZERO
-        for s, c in enumerate(e.coeffs):
-            k = chi[s]
-            if k and not c.is_zero:
-                val = val + c * k
-        if not val.is_rational:
+    for I, e in enumerate(family):
+        s = next(s for s, c in enumerate(e.coeffs) if not c.is_zero)
+        q = rational_ratio(e.coeffs[s] * traces.scalar((I,)), md.S[I][dual[s]])
+        if q is None:
             raise NonIntegralMultiplicity(f"projector trace for label {I} is irrational")
-        q = val.as_rational()
         if q.denominator != 1 or q < 0:
             raise NonIntegralMultiplicity(
                 f"projector trace for label {I} is {q}, not a non-negative integer"
@@ -270,43 +266,27 @@ def d_eigenvector(nr: NimRep, md: ModularData) -> tuple[CycloNumber, ...]:
     """The vector with N(a) v = d(a) v, normalized to v[0] = 1.
 
     Exists uniquely (up to scale) when the unit character has multiplicity
-    one; found by pushing a standard basis vector through the lambda_0
-    projector and keeping the first nonzero image column.
+    one: the first nonzero column x of the lambda_0 projector pushed through
+    the rep, c * sum_S d(dual(S)) N(S) for a nonzero c that the normalization
+    cancels, so one integer contraction of md.tensor[0] with the matrices.
+    N(a) x = d(a) x is checked before x is normalized.
     """
     m = multiplicity_profile(nr, md)
     if m[0] != 1:
         raise MultiplicityNotOne(f"unit character has multiplicity {m[0]}")
-    e0 = idempotent_family(md)[0]
-    size = nr.size
-    col: list[CycloNumber] | None = None
-    for i in range(size):
-        cand = [ZERO] * size
-        for s, c in enumerate(e0.coeffs):
-            if c.is_zero:
-                continue
-            mat = nr.mats[s]
-            for j in range(size):
-                k = int(mat[j, i])
-                if k:
-                    cand[j] = cand[j] + c * k
-        if any(not x.is_zero for x in cand):
-            col = cand
-            break
-    if col is None or col[0].is_zero:
+    d, size, r = md.tensor[0], nr.size, md.rank
+    mats = exact_ints(np.stack(nr.mats), max(r, size))
+    columns = d[list(md.ring.dual)].apply(  # columns[i][j] = sum_S d(dual(S)) N(S)[j, i]
+        lambda L: (L @ mats.reshape(r, -1)).reshape(-1, size, size).transpose(0, 2, 1), r
+    )
+    nonzero = np.flatnonzero(columns.layers.any(axis=(0, 2)))
+    if not len(nonzero) or not columns.layers[:, nonzero[0], 0].any():
         raise DegenerateScalar("projector image has no usable column")
-    scale = col[0].inverse()
-    v = tuple(x * scale for x in col)
-    for a in range(nr.ring.rank):
-        mat = nr.mats[a]
-        da = md.d[a]
-        for j in range(size):
-            total = ZERO
-            for i in range(size):
-                k = int(mat[j, i])
-                if k:
-                    total = total + v[i] * k
-            if total != da * v[j]:
-                raise AssertionError(
-                    f"projector column is not a d-eigenvector at (a, j) = ({a},{j})"
-                )
-    return v
+    x = columns[nonzero[0]]
+    image = x.apply(lambda L: (mats @ L.T).transpose(2, 0, 1), size)
+    bad = _first(image.differs(d.convolve(x, lambda u, Y: u[None, :, None] * Y[:, None, :], 1)))
+    if bad is not None:
+        a, j = bad
+        raise AssertionError(f"projector column is not a d-eigenvector at (a, j) = ({a},{j})")
+    scale = x.scalar((0,)).inverse()
+    return tuple(x.scalar((j,)) * scale for j in range(size))

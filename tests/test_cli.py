@@ -242,6 +242,24 @@ def test_digits_must_be_positive(capsys):
     assert "result: PASS" in capsys.readouterr().out
 
 
+def test_non_positive_cap_exits_two(capsys, monkeypatch):
+    # a cap below 1 is bad input, never a SearchBudgetExceeded failure
+    for cap in ("0", "-5"):
+        assert main(["invariant", "search", "--data", "su2:4", "--cap", cap]) == 2, cap
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--cap: expected a positive integer" in captured.err
+    monkeypatch.setenv("FUSELAB_SEARCH_CAP", "-3")
+    code, doc = structured(capsys, ["invariant", "search", "--data", "su2:4"])
+    assert code == 2
+    assert doc["error"]["category"] == "input"
+    assert doc["error"]["type"] == "ValueError"
+    assert "FUSELAB_SEARCH_CAP must be a positive integer" in doc["error"]["message"]
+    monkeypatch.setenv("FUSELAB_SEARCH_CAP", "16")
+    code, doc = structured(capsys, ["invariant", "search", "--data", "su2:4"])
+    assert code == 0
+
+
 def test_catalog_limits_exit_two(capsys):
     for data in ("su2:29", "zn:9"):
         code, report = run(JobSpec(command="spectrum", data=data, fmt="structured"))

@@ -17,6 +17,7 @@ from fuselab.cyclo import (
     basis_coordinates,
     cyclo_arith,
     embed_complex,
+    rational_ratio,
     sin_ratio,
     zeta,
 )
@@ -163,6 +164,18 @@ def test_basis_coordinates_linear_and_injective(a, b):
     assert cs == {k: v for k, v in combined.items() if v}
     if ca == cb:
         assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclos(), cyclos(), st.fractions(max_denominator=50))
+def test_rational_ratio_finds_exactly_the_rational_multiples(x, y, q):
+    if y.is_zero:
+        return
+    assert rational_ratio(y * q, y) == q
+    got = rational_ratio(x, y)
+    assert (got is not None) == (x / y).is_rational
+    if got is not None:
+        assert got == (x / y).as_rational()
 
 
 def test_basis_coordinates_rejects_non_multiple():

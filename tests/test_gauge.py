@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuselab.cyclo import ONE, ZERO, CycloNumber, sin_ratio, zeta
+from fuselab.cyclo import ONE, ZERO, CycloNumber, FieldTensor, sin_ratio, zeta
 from fuselab.errors import (
     DegenerateScalar,
     GaugeInconsistent,
@@ -21,7 +21,8 @@ from fuselab.gauge import (
     verify_phi_isomorphism,
 )
 from fuselab.modular import su2_modular_data
-from fuselab.nimrep import a_graph, su2_nimrep_from_graph
+from fuselab.nimrep import a_graph, ade_graph, d_eigenvector, su2_nimrep_from_graph
+from fuselab.verdict import Verdict, failed, passed
 
 
 def rat(x) -> CycloNumber:
@@ -230,3 +231,118 @@ def test_phi_intertwiner_without_eigenvector():
     assert checks["intertwiner"].passed
     assert not checks["d-eigenvector"].passed
     assert not v.ok
+
+
+# -- the encircling checks against the scalar loops they replaced -----------
+
+
+def scalar_encircling(nr, lam):
+    """Reference: E(a)_{ji} = (lambda_i / lambda_j) N(a)_{ji}, entry by entry."""
+    size = nr.size
+    if len(lam) != size:
+        raise ShapeMismatch("lambda length must match the boundary rank")
+    for i, x in enumerate(lam):
+        if x.is_zero:
+            raise DegenerateScalar(f"lambda[{i}] is zero")
+    inv = [x.inverse() for x in lam]
+    ratio = [[lam[i] * inv[j] for i in range(size)] for j in range(size)]
+    return tuple(
+        tuple(
+            tuple(ratio[j][i] * int(mat[j, i]) if mat[j, i] else ZERO for i in range(size))
+            for j in range(size)
+        )
+        for mat in nr.mats
+    )
+
+
+def scalar_phi(nr, lam, md) -> Verdict:
+    """Reference: both checks as scalar loops, witnesses in row-major order."""
+    size = nr.size
+    E = scalar_encircling(nr, lam)
+    checks = []
+    witness = next(
+        (
+            f"(a,j,i)=({a},{j},{i})"
+            for a, mat in enumerate(nr.mats)
+            for j in range(size)
+            for i in range(size)
+            if lam[j] * E[a][j][i] != lam[i] * int(mat[j, i])
+        ),
+        None,
+    )
+    checks.append(passed("intertwiner") if witness is None else failed("intertwiner", witness))
+    witness = None
+    for a in range(nr.ring.rank):
+        for j in range(size):
+            total = sum(E[a][j], ZERO)
+            if total != md.d[a]:
+                witness = f"row {j} of E({a}) sums to {total}, not d({a})"
+                break
+        if witness:
+            break
+    checks.append(
+        passed("d-eigenvector") if witness is None else failed("d-eigenvector", witness)
+    )
+    return Verdict(tuple(checks))
+
+
+def connected_ade(max_level: int):
+    cases = [(f"A:{lvl + 1}", lvl) for lvl in range(1, max_level + 1)]
+    cases += [(f"D:{n}", 2 * n - 4) for n in range(4, max_level // 2 + 3)]
+    return cases + [("E:6", 10), ("E:7", 16)]
+
+
+def test_phi_matches_scalar_oracle_on_perturbed_lambda():
+    rng = random.Random(1505)
+    cases = connected_ade(16)
+    seen = set()
+    for _ in range(36):
+        tag, lvl = rng.choice(cases)
+        md = su2_modular_data(lvl)
+        nr = su2_nimrep_from_graph(ade_graph(tag), lvl)
+        lam = list(d_eigenvector(nr, md))
+        for _ in range(rng.randint(0, 2)):
+            j = rng.randrange(nr.size)
+            lam[j] = lam[j] * zeta(5) if rng.random() < 0.5 else lam[j] + Fraction(1, 3)
+        lam = tuple(lam)
+        v = verify_phi_isomorphism(nr, lam, md)
+        assert v == scalar_phi(nr, lam, md), (tag, lvl, lam)
+        if nr.size <= 6:
+            assert encircling_matrices(nr, lam) == scalar_encircling(nr, lam), (tag, lvl)
+        seen.add(tuple(c.passed for c in v.checks))
+    assert seen == {(True, True), (True, False)}
+
+
+def test_phi_witness_pinned_for_shifted_lambda():
+    nr = su2_nimrep_from_graph(a_graph(3), 2)
+    md = su2_modular_data(2)
+    lam = d_eigenvector(nr, md)
+    v = verify_phi_isomorphism(nr, (lam[0] + Fraction(1, 3), *lam[1:]), md)
+    assert [(c.name, c.passed) for c in v.checks] == [("intertwiner", True), ("d-eigenvector", False)]
+    assert v.first_failure.witness == "row 0 of E(1) sums to (3*z8 - 3*z8^3)/4, not d(1)"
+
+
+def test_phi_on_huge_lambda_takes_python_ints():
+    nr = su2_nimrep_from_graph(ade_graph("D:10"), 16)
+    md = su2_modular_data(16)
+    lam = tuple(x * 2**70 for x in d_eigenvector(nr, md))
+    assert FieldTensor.of(lam).layers.dtype == object
+    v = verify_phi_isomorphism(nr, lam, md)
+    assert [(c.name, c.passed) for c in v.checks] == [("intertwiner", True), ("d-eigenvector", True)]
+
+
+def test_phi_shape_checked_before_zero_lambda():
+    nr = su2_nimrep_from_graph(a_graph(3), 2)
+    md = su2_modular_data(2)
+    with pytest.raises(ShapeMismatch):
+        verify_phi_isomorphism(nr, (ZERO, ONE), md)
+    with pytest.raises(DegenerateScalar, match=r"lambda\[1\] is zero"):
+        verify_phi_isomorphism(nr, (ONE, ZERO, ZERO), md)
+
+
+def test_phi_refuses_modular_data_of_another_rank():
+    nr = su2_nimrep_from_graph(a_graph(3), 2)
+    lam = d_eigenvector(nr, su2_modular_data(2))
+    for level in (1, 4):
+        with pytest.raises(ShapeMismatch, match="modular data rank differs"):
+            verify_phi_isomorphism(nr, lam, su2_modular_data(level))

@@ -290,6 +290,16 @@ def test_enumerate_bound_validation():
         enumerate_invariants(su2_modular_data(1), 0)
 
 
+def test_search_cap_must_be_positive(monkeypatch):
+    md = su2_modular_data(4)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="cap must be a positive integer"):
+            enumerate_invariants(md, 2, cap=cap)
+    monkeypatch.setenv("FUSELAB_SEARCH_CAP", "-3")
+    with pytest.raises(ValueError, match="FUSELAB_SEARCH_CAP must be a positive integer"):
+        enumerate_invariants(md, 2)
+
+
 def test_search_cap_explicit():
     md = su2_modular_data(10)  # commutant dimension 3, so 2^3 = 8 points at bound 1
     with pytest.raises(SearchBudgetExceeded):

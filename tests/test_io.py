@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuselab.cyclo import CycloNumber, zeta
 from fuselab.errors import MissingPair, SchemaError, ValidationFailed
@@ -162,3 +164,64 @@ def test_invariant_partial_entries_round_trip():
     back = parse_data(data_to_json(Z))
     assert back == Z
     assert back.provenance == "diagonal-built"
+
+
+# -- fuzzing: mutated documents fail only with the loader's own errors ------
+
+_FUZZ_DOCS = [
+    data_to_json(obj)
+    for obj in (
+        su2_modular_data(3),
+        load_catalog("fibonacci"),
+        load_catalog("zn:3"),
+        su2_modular_data(2).ring,
+        *all_kinds()[2:],
+    )
+]
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.sampled_from([2**63, -(2**63) - 1, 2**70])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(data, doc):
+    """One random edit at one random place in a copy of a JSON document:
+    replace a value, drop a key or an element, or repeat an element."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return doc
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        action = data.draw(st.sampled_from(["replace", "drop", "repeat"]))
+        if action == "replace":
+            node[key] = data.draw(_JSON_VALUES)
+        elif action == "drop":
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, node[key])
+        return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_documents_fail_only_with_loader_errors(data):
+    doc = data.draw(st.sampled_from(_FUZZ_DOCS))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, doc)
+    try:
+        parse_data(doc)
+    except (SchemaError, MissingPair, ValidationFailed):
+        pass

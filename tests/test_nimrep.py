@@ -2,20 +2,24 @@
 profiles with a floating eigen-decomposition oracle, and d-eigenvectors."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from fuselab.cyclo import ONE, CycloNumber, sin_ratio
+from fuselab.cyclo import ONE, ZERO, CycloNumber, sin_ratio
 from fuselab.errors import (
+    DegenerateScalar,
     MultiplicityNotOne,
+    NonIntegralMultiplicity,
     NotANimRep,
     ShapeMismatch,
 )
 from fuselab.fusion import su2_fusion_ring
-from fuselab.modular import load_catalog, su2_modular_data
+from fuselab.modular import idempotent_family, load_catalog, su2_modular_data
 from fuselab.nimrep import (
     BoundaryGraph,
+    NimRep,
     a_graph,
     ade_graph,
     character,
@@ -268,3 +272,128 @@ def test_union_profile_adds():
     pa = multiplicity_profile(su2_nimrep_from_graph(a_graph(5), 4), md)
     pd = multiplicity_profile(su2_nimrep_from_graph(d_graph(4), 4), md)
     assert multiplicity_profile(nr, md) == tuple(x + y for x, y in zip(pa, pd))
+
+
+# -- projector traces and the d-eigenvector against the scalar loops --------
+
+
+def scalar_profile(nr, md):
+    """Reference: m[I] = sum_S coeff_S(e_I) * chi[S] in scalar arithmetic."""
+    chi = character(nr)
+    out = []
+    for I, e in enumerate(idempotent_family(md)):
+        val = sum((c * chi[s] for s, c in enumerate(e.coeffs) if chi[s]), ZERO)
+        if not val.is_rational:
+            raise NonIntegralMultiplicity(f"projector trace for label {I} is irrational")
+        q = val.as_rational()
+        if q.denominator != 1 or q < 0:
+            raise NonIntegralMultiplicity(
+                f"projector trace for label {I} is {q}, not a non-negative integer"
+            )
+        out.append(int(q))
+    if sum(out) != nr.size:
+        raise NonIntegralMultiplicity(
+            f"profile sums to {sum(out)}, expected {nr.size} boundary labels"
+        )
+    return tuple(out)
+
+
+def scalar_d_eigenvector(nr, md):
+    """Reference: the first nonzero column of sum_S e_0(S) N(S), scaled to
+    v[0] = 1, with the N(a) v = d(a) v check entry by entry."""
+    m = scalar_profile(nr, md)
+    if m[0] != 1:
+        raise MultiplicityNotOne(f"unit character has multiplicity {m[0]}")
+    e0, size = idempotent_family(md)[0], nr.size
+    col = None
+    for i in range(size):
+        cand = [
+            sum((c * int(nr.mats[s][j, i]) for s, c in enumerate(e0.coeffs)), ZERO)
+            for j in range(size)
+        ]
+        if any(not x.is_zero for x in cand):
+            col = cand
+            break
+    if col is None or col[0].is_zero:
+        raise DegenerateScalar("projector image has no usable column")
+    v = tuple(x / col[0] for x in col)
+    for a in range(nr.ring.rank):
+        for j in range(size):
+            total = sum((v[i] * int(nr.mats[a][j, i]) for i in range(size)), ZERO)
+            if total != md.d[a] * v[j]:
+                raise AssertionError(
+                    f"projector column is not a d-eigenvector at (a, j) = ({a},{j})"
+                )
+    return v
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (NonIntegralMultiplicity, MultiplicityNotOne, DegenerateScalar, AssertionError) as err:
+        return type(err).__name__, str(err)
+
+
+def raw_module(nr, mats) -> NimRep:
+    """Integer matrices wrapped as a module without the NIM-rep checks."""
+    size = len(mats[0])
+    return NimRep(
+        ring=nr.ring,
+        boundaryLabels=tuple(str(k) for k in range(size)),
+        mats=tuple(np.array(m, dtype=object) for m in mats),
+    )
+
+
+def test_profile_and_eigenvector_match_scalar_oracles():
+    cases = [(f"A:{lev + 1}", lev) for lev in range(1, 17)]
+    cases += [(f"D:{n}", 2 * n - 4) for n in range(4, 11)] + [("E:6", 10), ("E:7", 16)]
+    modules = [(su2_nimrep_from_graph(ade_graph(tag), lev), su2_modular_data(lev)) for tag, lev in cases]
+    for name in ("su2:1", "su2:2", "su2:6", "fibonacci", "ising", "zn:4", "zn:5"):
+        md = load_catalog(name)
+        modules.append((regular_nimrep(md.ring), md))
+    rng = random.Random(1506)
+    for _ in range(24):
+        lev = rng.randint(1, 8)
+        tags = [tag for tag, level in cases if level == lev]
+        union = disjoint_union(ade_graph(rng.choice(tags)), ade_graph(rng.choice(tags)))
+        nr, md = su2_nimrep_from_graph(union, lev), su2_modular_data(lev)
+        modules.append((nr, md))
+        mats = [[[int(x) for x in row] for row in m] for m in nr.mats]
+        size = len(mats[0])
+        kind = rng.choice(["bump", "huge", "random"])
+        if kind == "random":
+            mats = [[[rng.randint(0, 2) for _ in range(size)] for _ in range(size)] for _ in mats]
+        else:
+            a, j, i = rng.randrange(1, len(mats)), rng.randrange(size), rng.randrange(size)
+            mats[a][j][i] += 2**70 if kind == "huge" else rng.randint(1, 2)
+        modules.append((raw_module(nr, mats), md))
+        # the same bump on one connected component keeps the unit multiplicity one
+        single = su2_nimrep_from_graph(ade_graph(rng.choice(tags)), lev)
+        mats = [[[int(x) for x in row] for row in m] for m in single.mats]
+        a, j = rng.randrange(1, len(mats)), rng.randrange(single.size)
+        mats[a][j][rng.randrange(single.size)] += rng.choice([1, 2**70])
+        modules.append((raw_module(single, mats), md))
+    kinds = set()
+    for nr, md in modules:
+        got = outcome(multiplicity_profile, nr, md)
+        assert got == outcome(scalar_profile, nr, md)
+        vec = outcome(d_eigenvector, nr, md)
+        assert vec == outcome(scalar_d_eigenvector, nr, md)
+        kinds.update({got[0] + ":" + str(got[1])[:20], vec[0]})
+    assert {"ok", "MultiplicityNotOne", "AssertionError"} <= kinds
+    assert any(k.startswith("NonIntegralMultiplicity:projector trace") for k in kinds)
+
+
+def test_profiles_pinned_at_low_levels():
+    md1, md2 = su2_modular_data(1), su2_modular_data(2)
+    assert multiplicity_profile(regular_nimrep(md1.ring), md1) == (1, 1)
+    assert multiplicity_profile(regular_nimrep(md2.ring), md2) == (1, 1, 1)
+    assert multiplicity_profile(su2_nimrep_from_graph(a_graph(3), 2), md2) == (1, 1, 1)
+    two = su2_nimrep_from_graph(disjoint_union(a_graph(3), a_graph(3)), 2)
+    assert multiplicity_profile(two, md2) == (2, 2, 2)
+    nr = su2_nimrep_from_graph(a_graph(2), 1)
+    with pytest.raises(NonIntegralMultiplicity, match="label 0 is 3/2, not a non-negative integer"):
+        multiplicity_profile(raw_module(nr, [[[1, 0], [0, 1]], [[1, 0], [0, 0]]]), md1)
+    nr = su2_nimrep_from_graph(a_graph(3), 2)
+    with pytest.raises(NonIntegralMultiplicity, match="label 0 is irrational"):
+        multiplicity_profile(raw_module(nr, [[[1]], [[1]], [[0]]]), md2)
