@@ -9,6 +9,7 @@ simpler than sparsity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,12 +142,15 @@ def verify_axioms(ring: FusionRing) -> Verdict:
     return Verdict(tuple(checks))
 
 
+@lru_cache(maxsize=None, typed=True)
 def su2_fusion_ring(level: int) -> FusionRing:
     """Truncated Clebsch-Gordan rules at height h = level + 2.
 
     N_{ab}^c = 1 iff |a-b| <= c <= min(a+b, 2*level-a-b) and c = a+b mod 2.
+    Built once per level and shared by every caller. The cache is typed, so
+    1.0 never reaches the entry of level 1: a bad level always raises.
     """
-    if not isinstance(level, int) or level < 0:
+    if not isinstance(level, int) or isinstance(level, bool) or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level!r}")
     r = level + 1
     N = tuple(

@@ -173,6 +173,16 @@ def test_broken_pairing_fails_duality():
     assert v.first_failure.witness
 
 
+def test_su2_fusion_ring_built_once_per_level():
+    for k in range(29):
+        ring = su2_fusion_ring(k)
+        assert su2_fusion_ring(k) is ring
+        assert ring == su2_fusion_ring.__wrapped__(k)
+    for bad in (-1, 1.0, "1", None, True):  # the cache is warm for 1 by now
+        with pytest.raises(ValueError, match="level must be a non-negative integer"):
+            su2_fusion_ring(bad)
+
+
 def test_su2_small_products():
     r1 = su2_fusion_ring(1)
     assert r1.N[1][1] == (1, 0)  # x1*x1 = x0

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from fuselab.cyclo import ONE, ZERO, CycloNumber, sin_ratio
+from fuselab.cyclo import ONE, ZERO, CycloNumber, exact_ints, sin_ratio
 from fuselab.errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -83,6 +83,14 @@ def test_graph_structural_checks():
         BoundaryGraph(vertices=("a", "b"), adjacency=((0, -1), (-1, 0)))
     with pytest.raises(ShapeMismatch):
         BoundaryGraph(vertices=("a",), adjacency=((0, 1), (1, 0)))
+
+
+def test_bool_adjacency_rejected():
+    # bool is an int subclass; both shapes used to slip past the check
+    for adjacency in (((0, True), (True, 0)), ((False,),)):
+        vertices = tuple(str(k) for k in range(len(adjacency)))
+        with pytest.raises(ShapeMismatch, match=r"adjacency\[0\]\[\d\] must be a non-negative integer"):
+            BoundaryGraph(vertices=vertices, adjacency=adjacency)
 
 
 def test_a2_level_one():
@@ -397,3 +405,63 @@ def test_profiles_pinned_at_low_levels():
     nr = su2_nimrep_from_graph(a_graph(3), 2)
     with pytest.raises(NonIntegralMultiplicity, match="label 0 is irrational"):
         multiplicity_profile(raw_module(nr, [[[1]], [[1]], [[0]]]), md2)
+
+
+# -- the truncation identity against the generic homomorphism check --------
+
+
+def generic_nimrep_from_graph(g, level):
+    """Reference: the Chebyshev recurrence, then every axiom of verify_nimrep
+    against the level's fusion ring, as the construction ran before."""
+    A = exact_ints(g.matrix(), g.size)
+    mats = [np.eye(g.size, dtype=A.dtype), A][: level + 1]
+    for i in range(1, level):
+        nxt = A @ exact_ints(mats[i], g.size) - mats[i - 1]
+        if (nxt < 0).any():
+            j, k = next(zip(*np.nonzero(nxt < 0)))
+            raise NotANimRep(f"recurrence for N(x_{i + 1}) gives entry {nxt[j, k]} at ({j},{k})")
+        mats.append(nxt)
+    v = verify_nimrep(su2_fusion_ring.__wrapped__(level), mats)
+    if not v.ok:
+        raise NotANimRep(f"{v.first_failure.name}: {v.first_failure.witness}")
+    return mats
+
+
+def construction_outcome(fn, g, level):
+    try:
+        return "ok", [[[int(x) for x in row] for row in m] for m in fn(g, level)]
+    except NotANimRep as err:
+        return "NotANimRep", str(err)
+
+
+def random_multigraph(rng: random.Random) -> BoundaryGraph:
+    n = rng.randint(1, 7)
+    top = rng.choice([1, 2, 3, 2**33])  # 2**33 takes the recurrence onto Python ints
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.4:
+                adj[i][j] = adj[j][i] = rng.randint(1, top)
+    return BoundaryGraph(vertices=tuple(map(str, range(n))), adjacency=tuple(map(tuple, adj)))
+
+
+def test_truncation_identity_matches_generic_check():
+    cases = [(f"A:{lvl + 1}", lvl) for lvl in range(1, 29)]
+    cases += [(f"D:{n}", 2 * n - 4) for n in range(4, 17)] + [("E:6", 10), ("E:7", 16), ("E:8", 28)]
+    inputs = [(ade_graph(tag), lvl) for tag, lvl in cases]
+    small = [f"A:{n}" for n in range(1, 9)] + [f"D:{n}" for n in range(4, 9)] + ["E:6", "E:7", "E:8"]
+    inputs += [(ade_graph(tag), lvl) for tag in small for lvl in range(13)]
+    rng = random.Random(6101)
+    inputs += [(random_multigraph(rng), rng.randint(0, 12)) for _ in range(150)]
+    kinds, python_ints = set(), 0
+    for g, lvl in inputs:
+        got = construction_outcome(lambda g, k: su2_nimrep_from_graph(g, k).mats, g, lvl)
+        assert got == construction_outcome(generic_nimrep_from_graph, g, lvl), (g, lvl)
+        kinds.add(got[0] if got[0] == "ok" else got[1].split(" ")[0])
+        python_ints += exact_ints(g.matrix(), g.size).dtype == object
+    assert kinds == {"ok", "recurrence", "homomorphism:"}
+    assert python_ints >= 10
+
+
+def test_nimrep_shares_the_catalog_ring():
+    assert su2_nimrep_from_graph(ade_graph("E:6"), 10).ring is su2_modular_data(10).ring
