@@ -28,6 +28,18 @@ from .errors import DegenerateScalar, ShapeMismatch
 
 Rational = int | Fraction
 
+# Tables and arrays for Q(zeta_n) have n rows, so work and memory grow about
+# linearly in n; no field of larger order is built. The budget admits
+# 5 * 4099 and every catalog order (at most 60).
+MAX_FIELD_ORDER = 2**15
+
+
+def _budgeted(n: int) -> int:
+    """n, or ShapeMismatch when Q(zeta_n) is over MAX_FIELD_ORDER."""
+    if n > MAX_FIELD_ORDER:
+        raise ShapeMismatch(f"field order {n} exceeds the budget of {MAX_FIELD_ORDER}")
+    return n
+
 
 @lru_cache(maxsize=None)
 def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
@@ -51,7 +63,7 @@ def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def _expansion(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """expansion[e] = ((basis_exponent, coefficient), ...) for zeta_n^e."""
-    pps = _prime_powers(n)
+    pps = _prime_powers(_budgeted(n))
     memo: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def expand(e: int) -> tuple[tuple[int, int], ...]:
@@ -483,7 +495,7 @@ class FieldTensor:
         grid = np.asarray(values, dtype=object)
         pool: dict[CycloNumber, int] = {}
         index = [pool.setdefault(_coerce(x), len(pool)) for x in grid.flat]
-        n, den = lcm(*(x._order for x in pool)), lcm(*(x._den for x in pool))
+        n, den = _budgeted(lcm(*(x._order for x in pool))), lcm(*(x._den for x in pool))
         lifted = [[0] * len(pool) for _ in range(n)]
         for u, x in enumerate(pool):
             for e, c in x._num.items():

@@ -12,7 +12,8 @@ class FuselabError(Exception):
 
 
 class ShapeMismatch(FuselabError, ValueError):
-    """Ragged or dimensionally inconsistent input."""
+    """Ragged or dimensionally inconsistent input, or a field order over
+    cyclo.MAX_FIELD_ORDER."""
 
 
 class DegenerateScalar(FuselabError, ZeroDivisionError):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .cyclo import ZERO, CycloNumber, exact_ints
 from .errors import SearchBudgetExceeded, ShapeMismatch
-from .modular import ModularData, _first
+from .modular import ModularData, _first, _per_datum
 from .nimrep import NimRep, character, multiplicity_profile
 from .verdict import Check, Verdict, failed, passed
 
@@ -49,7 +48,7 @@ class InvariantMatrix:
             raise ShapeMismatch("invariant matrix must be square")
         for i, row in enumerate(self.entries):
             for j, x in enumerate(row):
-                if x is not None and not isinstance(x, int):
+                if x is not None and (not isinstance(x, int) or isinstance(x, bool)):
                     raise ShapeMismatch(f"entry ({i},{j}) must be an integer or unknown")
         if self.provenance not in _PROVENANCE:
             raise ShapeMismatch(f"unknown provenance {self.provenance!r}")
@@ -306,7 +305,7 @@ def _vector_to_matrix(x, unknowns, rank: int):
     return tuple(tuple(row) for row in rows)
 
 
-@lru_cache(maxsize=None)
+@_per_datum
 def commutant_basis(md: ModularData) -> CommutantBasis:
     """Exact rational basis of {Z : Z S = S Z, Z_IJ = 0 unless t_I = t_J}.
 

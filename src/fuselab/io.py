@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cyclo import CycloNumber, RationalPhase
+from .cyclo import MAX_FIELD_ORDER, CycloNumber, RationalPhase
 from .errors import SchemaError, ShapeMismatch, ValidationFailed
 from .fusion import FusionRing, verify_axioms
 from .gauge import GaugeProblem, validate_mu
@@ -62,10 +62,12 @@ def cyclo_from_json(obj, where: str) -> CycloNumber:
     order = _int(_require(obj, "order", where), f"{where}.order")
     if order < 1:
         raise SchemaError(f"{where}.order: must be positive")
+    if order > MAX_FIELD_ORDER:
+        raise SchemaError(f"{where}.order: {order} exceeds the budget of {MAX_FIELD_ORDER}")
     coeffs = _require(obj, "coeffs", where)
     if not isinstance(coeffs, list) or len(coeffs) != order:
         raise SchemaError(f"{where}.coeffs: expected {order} [num, den] pairs")
-    values = []
+    values = {}
     for k, pair in enumerate(coeffs):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{where}.coeffs[{k}]: expected a [num, den] pair")
@@ -73,7 +75,8 @@ def cyclo_from_json(obj, where: str) -> CycloNumber:
         den = _int(pair[1], f"{where}.coeffs[{k}][1]")
         if den == 0:
             raise SchemaError(f"{where}.coeffs[{k}]: zero denominator")
-        values.append(Fraction(num, den))
+        if num:
+            values[k] = Fraction(num, den)
     return CycloNumber(order, values)
 
 
@@ -219,11 +222,11 @@ def parse_data(doc):
             mu_map[(i, j)] = cyclo_from_json(triple[2], f"gauge.mu[{k}][2]")
         try:
             gp = GaugeProblem.build(nodes, mu_map)
+            # structural J validation happens now (raises MissingPair); the value
+            # identities are reported by gauge solve with witnesses instead
+            validate_mu(gp)
         except ShapeMismatch as err:
             raise SchemaError(f"gauge: {err}") from None
-        # structural J validation happens now (raises MissingPair); the value
-        # identities are reported by gauge solve with witnesses instead
-        validate_mu(gp)
         return gp
     if kind == "invariant":
         Z_raw = _require(doc, "Z", "invariant")

@@ -7,6 +7,9 @@ Conventions:
   * T data is a vector of RationalPhase exponents, never a complex matrix.
   * md.tensor holds S as one exact FieldTensor; S^2, the Verlinde identity
     and sum, and Z*S - S*Z in invariants are integer products on it.
+  * Values derived from one datum (inverse dimensions, spectrum, idempotent
+    family, and the commutant in invariants) are computed once and held on
+    that object, so they go away with it.
   * lambda_I(S) = S_{IS} / d(I) is the point of Spec(F) attached to I; the
     pairing is <a, b> = sum_S a(S) * b(dual(S)).
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -39,6 +42,8 @@ class ModularData:
     globalDim: CycloNumber
     # S as one exact integer tensor, made with the datum; not part of its value
     tensor: FieldTensor = field(init=False, repr=False, compare=False)
+    # the results of _per_datum functions on this object, not part of its value
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tensor", FieldTensor.of(self.S))
@@ -61,6 +66,20 @@ class ModularData:
     @property
     def rank(self) -> int:
         return self.ring.rank
+
+
+def _per_datum(fn):
+    """Memoize fn(md) on the datum object itself: computed on first use,
+    freed with the datum, and found without hashing S or N."""
+
+    @wraps(fn)
+    def memo(md: ModularData):
+        got = md._derived.get(fn)
+        if got is None:
+            got = md._derived[fn] = fn(md)
+        return got
+
+    return memo
 
 
 @dataclass(frozen=True)
@@ -153,7 +172,7 @@ def verify_modular_data(md: ModularData) -> Verdict:
     return Verdict(tuple(checks))
 
 
-@lru_cache(maxsize=None)
+@_per_datum
 def _inverse_dims(md: ModularData) -> tuple[CycloNumber, ...]:
     for i, x in enumerate(md.d):
         if x.is_zero:
@@ -161,7 +180,7 @@ def _inverse_dims(md: ModularData) -> tuple[CycloNumber, ...]:
     return tuple(x.inverse() for x in md.d)
 
 
-@lru_cache(maxsize=None)
+@_per_datum
 def spectrum(md: ModularData) -> tuple[SpectrumPoint, ...]:
     """One point lambda_I per label; normSq is computed from the pairing."""
     inv_d = _inverse_dims(md)
@@ -213,9 +232,9 @@ def tube_idempotent(md: ModularData, label: int) -> FusionElement:
     return FusionElement(tuple(lam.values[dual[s]] * pref for s in range(md.rank)))
 
 
-@lru_cache(maxsize=None)
+@_per_datum
 def idempotent_family(md: ModularData) -> tuple[FusionElement, ...]:
-    """All spectral idempotents e_{lambda_I}, cached per modular datum."""
+    """All spectral idempotents e_{lambda_I}, held on the datum."""
     return tuple(spectral_idempotent(md, p) for p in spectrum(md))
 
 

@@ -18,7 +18,7 @@ from fuselab.invariants import (
     tm_dimension_report,
     verify_invariant,
 )
-from fuselab.modular import load_catalog, su2_modular_data
+from fuselab.modular import ModularData, load_catalog, su2_modular_data
 from fuselab.nimrep import (
     a_graph,
     d_graph,
@@ -229,8 +229,8 @@ def test_commutant_path_uses_no_float(monkeypatch):
     expected = [commutant_basis(md) for md in mds]
     monkeypatch.setattr("fuselab.invariants.np.linalg.matrix_rank", no_float)
     monkeypatch.setattr("fuselab.cyclo.embed_complex", no_float)
-    commutant_basis.cache_clear()
-    assert [commutant_basis(md) for md in mds] == expected
+    fresh = [ModularData.build(md.ring, md.S, md.t) for md in mds]
+    assert [commutant_basis(md) for md in fresh] == expected
 
 
 def test_e6_pattern_in_commutant_span():
@@ -346,5 +346,8 @@ def test_invariant_matrix_structure():
         InvariantMatrix.from_rows([[1, 0], [0]])
     with pytest.raises(ShapeMismatch):
         InvariantMatrix.from_rows([[1, 0], [0, "x"]])
+    # bool is an int subclass; this Z used to pass all four checks at su2:1
+    with pytest.raises(ShapeMismatch, match=r"entry \(0,0\) must be an integer"):
+        InvariantMatrix.from_rows([[True, False], [False, True]])
     with pytest.raises(ShapeMismatch):
         InvariantMatrix.from_rows([[1]], provenance="guessed")

@@ -1,17 +1,20 @@
 """Modular data: catalog invariants, the spectrum, idempotent families, and
 the Verlinde recovery of fusion coefficients."""
 
+import gc
 import json
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from fuselab.cli import main
 from fuselab.cyclo import ONE, ZERO, CycloNumber, RationalPhase, sin_ratio, zeta
 from fuselab.errors import DegenerateScalar, NonIntegralVerlinde, SchemaError, ValidationFailed
 from fuselab.fusion import FusionRing, multiply
-from fuselab.invariants import verify_invariant
+from fuselab.invariants import commutant_basis, verify_invariant
 from fuselab.io import data_to_json, parse_data
 from fuselab.verdict import Verdict, failed, passed
 from fuselab.modular import (
@@ -455,9 +458,59 @@ def test_large_order_entry_rejected_at_s_squared():
     assert time.perf_counter() - start < 1.0
 
 
+def _zeta_json(n):
+    coeffs = [[0, 1]] * n
+    coeffs[1 % n] = [1, 1]
+    return {"order": n, "coeffs": coeffs}
+
+
+def test_field_order_over_budget_is_refused(tmp_path, capsys):
+    # zeta_101, zeta_103 and zeta_107 have the common order 1,113,121
+    doc = data_to_json(fibonacci_modular_data())
+    doc["S"][0][1], doc["S"][1][0], doc["S"][1][1] = map(_zeta_json, (101, 103, 107))
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="field order 1113121 exceeds the budget of 32768"):
+        parse_data(doc)
+    assert time.perf_counter() - start < 1.0
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["spectrum", "--data", str(path)]) == 2
+    assert "SchemaError" in capsys.readouterr().out
+
+    with pytest.raises(SchemaError, match=r"order: 32769 exceeds the budget"):
+        parse_data({**doc, "S": [[_zeta_json(32769)]]})
+    one = {"order": 1, "coeffs": [[1, 1]]}
+    gauge = {"kind": "gauge", "nodes": ["a", "b"], "mu": [
+        [0, 0, one], [1, 1, one], [0, 1, _zeta_json(1009)], [1, 0, _zeta_json(1013)]
+    ]}
+    with pytest.raises(SchemaError, match="field order 1022117 exceeds the budget"):
+        parse_data(gauge)
+
+
 def test_catalog_round_trip_keeps_datum_identity():
     for name in catalog_names():
         source = load_catalog(name)
         md = parse_data(json.loads(json.dumps(data_to_json(source))))
         assert md == source and hash(md) == hash(source), name
         assert "tensor" not in repr(md) and "FieldTensor" not in repr(md), name
+
+
+def test_derived_values_go_away_with_the_datum():
+    md = parse_data(data_to_json(su2_modular_data(4)))
+    ref = weakref.ref(md)
+    spectrum(md), idempotent_family(md), commutant_basis(md), verlinde(md)
+    del md
+    gc.collect()
+    assert ref() is None
+
+
+def test_derived_values_are_found_without_rehashing(monkeypatch):
+    md = su2_modular_data(6)
+    derived = (spectrum, idempotent_family, commutant_basis)
+    first = [fn(md) for fn in derived]
+
+    def no_hash(self):
+        raise AssertionError("the datum was hashed")
+
+    monkeypatch.setattr(ModularData, "__hash__", no_hash)
+    assert all(fn(md) is got for fn, got in zip(derived, first))
