@@ -8,6 +8,12 @@ gives exact rows. Elimination takes one row i of Z*S - S*Z at a time and
 stops once every echelon basis vector commutes with S exactly, a check on
 the same tensor: the solutions of any subset of the constraints contain the
 commutant, so the two are then equal. No float takes part.
+
+The bounded enumeration walks the integer lattice of commutant coordinates
+in blocks of _BLOCK points: one exact integer matrix product per block
+(int64 where exact_ints allows, Python ints otherwise), so its memory stays
+bounded whatever the cap, and only the points that survive the integer,
+range and Z_00 filters become matrices for verify_invariant.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 import numpy as np
@@ -29,6 +34,9 @@ from .verdict import Check, Verdict, failed, passed
 DEFAULT_ENTRY_BOUND = 3
 DEFAULT_SEARCH_CAP = 10_000_000
 SEARCH_CAP_ENV = "FUSELAB_SEARCH_CAP"
+# lattice points per integer matrix product in enumerate_invariants: the
+# walk's working memory is _BLOCK times the basis support, whatever the cap
+_BLOCK = 4096
 
 _PROVENANCE = ("user", "enumerated", "diagonal-built")
 
@@ -328,14 +336,49 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     raise AssertionError("exact commutant elimination is inconsistent")
 
 
+def _positive(name: str, value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def _search_cap(explicit: int | None) -> int:
-    """The explicit cap, else FUSELAB_SEARCH_CAP, else the default; one below 1 is bad input."""
+    """The explicit cap, else FUSELAB_SEARCH_CAP, else the default; anything
+    but an integer of at least 1 (a bool included) is bad input."""
+    if explicit is not None:
+        return _positive("cap", explicit)
     env = os.environ.get(SEARCH_CAP_ENV)
-    default = DEFAULT_SEARCH_CAP if env is None else int(env)
-    source, cap = ("cap", explicit) if explicit is not None else (SEARCH_CAP_ENV, default)
-    if cap < 1:
-        raise ValueError(f"{source} must be a positive integer, got {cap}")
-    return cap
+    if env is None:
+        return DEFAULT_SEARCH_CAP
+    try:
+        return _positive(SEARCH_CAP_ENV, int(env))
+    except ValueError:
+        raise ValueError(f"{SEARCH_CAP_ENV} must be a positive integer, got {env!r}") from None
+
+
+def _lattice_survivors(scaled: np.ndarray, den: int, bound: int) -> list:
+    """The points c of [0, bound]^dim, in itertools.product order, whose
+    values c @ scaled / den are integers in [0, bound] with value 1 in
+    column 0, as those value rows.
+
+    scaled comes from exact_ints(..., dim * bound), so no sum in c @ scaled
+    wraps. The walk takes _BLOCK points at a time and derives their
+    coordinates from the point index by mixed radix, in Python ints once
+    the point count reaches 2**63."""
+    dim = len(scaled)
+    radix = bound + 1
+    points = radix**dim
+    index = np.int64 if points < 2**63 else object
+    powers = np.array([radix ** (dim - 1 - k) for k in range(dim)], dtype=index)
+    survivors = []
+    for start in range(0, points, _BLOCK):
+        at = np.arange(start, min(start + _BLOCK, points), dtype=index)
+        coords = (at[:, None] // powers % radix).astype(scaled.dtype)
+        coords = coords[coords @ scaled[:, 0] == den]
+        vals = coords @ scaled
+        keep = ((vals % den == 0) & (vals >= 0) & (vals <= bound * den)).all(axis=1)
+        survivors.extend(vals[keep] // den)
+    return survivors
 
 
 def enumerate_invariants(
@@ -346,11 +389,14 @@ def enumerate_invariants(
 
     Because the basis is echelon over the free positions, the integer
     coordinate vectors are exactly the candidate values of Z at those
-    positions, so the lattice walk ranges over [0, entryBound]^dim. Every
-    survivor is re-verified through verify_invariant before being returned.
+    positions, so the lattice walk ranges over [0, entryBound]^dim. The
+    basis, restricted to its support and scaled by the lcm den of its
+    denominators, is one integer matrix; the walk multiplies blocks of
+    _BLOCK coordinate vectors by it and keeps the rows that are multiples
+    of den in [0, entryBound * den] with Z_00 = 1. Every survivor is
+    re-verified through verify_invariant before being returned.
     """
-    if not isinstance(entryBound, int) or entryBound < 1:
-        raise ValueError(f"entryBound must be a positive integer, got {entryBound!r}")
+    _positive("entryBound", entryBound)
     cap = _search_cap(cap)
     cb = commutant_basis(md)
     dim = cb.dimension
@@ -360,23 +406,17 @@ def enumerate_invariants(
             f"{points} lattice points exceed the cap of {cap}"
         )
     r = md.rank
-    positions = sorted({pos for mat in cb.basis for pos in _support(mat)})
+    # (0, 0) first, so that column 0 of the walk holds Z_00
+    positions = sorted({(0, 0)} | {pos for mat in cb.basis for pos in _support(mat)})
+    den = lcm(*(mat[i][j].denominator for mat in cb.basis for i, j in positions))
+    scaled = exact_ints(
+        [[int(mat[i][j] * den) for i, j in positions] for mat in cb.basis], dim * entryBound
+    )
     found = []
-    for coords in product(range(entryBound + 1), repeat=dim):
+    for vals in _lattice_survivors(scaled, den, entryBound):
         entries = [[0] * r for _ in range(r)]
-        ok = True
-        for i, j in positions:
-            val = Fraction(0)
-            for k in range(dim):
-                c = coords[k]
-                if c:
-                    val += c * cb.basis[k][i][j]
-            if val.denominator != 1 or val < 0 or val > entryBound:
-                ok = False
-                break
-            entries[i][j] = int(val)
-        if not ok or entries[0][0] != 1:
-            continue
+        for (i, j), v in zip(positions, vals):
+            entries[i][j] = int(v)
         candidate = InvariantMatrix.from_rows(entries, provenance="enumerated")
         if verify_invariant(candidate, md).ok:
             found.append(candidate)

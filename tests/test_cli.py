@@ -255,9 +255,27 @@ def test_non_positive_cap_exits_two(capsys, monkeypatch):
     assert doc["error"]["category"] == "input"
     assert doc["error"]["type"] == "ValueError"
     assert "FUSELAB_SEARCH_CAP must be a positive integer" in doc["error"]["message"]
+    for env in ("abc", "1e6"):
+        monkeypatch.setenv("FUSELAB_SEARCH_CAP", env)
+        code, doc = structured(capsys, ["invariant", "search", "--data", "su2:4"])
+        assert code == 2, env
+        assert doc["error"]["type"] == "ValueError"
+        assert f"FUSELAB_SEARCH_CAP must be a positive integer, got '{env}'" == doc["error"]["message"]
     monkeypatch.setenv("FUSELAB_SEARCH_CAP", "16")
     code, doc = structured(capsys, ["invariant", "search", "--data", "su2:4"])
     assert code == 0
+
+
+def test_bool_bound_and_cap_exit_two():
+    # bool is an int subclass; through the API True used to run as 1
+    for job in (
+        JobSpec(command="invariant search", data="su2:4", bound=True, fmt="structured"),
+        JobSpec(command="invariant search", data="su2:4", cap=True, fmt="structured"),
+    ):
+        code, report = run(job)
+        assert code == 2, job
+        assert report["error"]["category"] == "input"
+        assert report["error"]["type"] == "ValueError"
 
 
 def test_catalog_limits_exit_two(capsys):

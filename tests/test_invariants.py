@@ -1,15 +1,18 @@
 """Dimension formulas for TM, diagonal profiles as partial Z matrices, exact
 commutant computation, lattice enumeration, and the diagonal-match verdict."""
 
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from fuselab.cyclo import ZERO, CycloNumber
+from fuselab.cyclo import ZERO, CycloNumber, exact_ints
 from fuselab.errors import SearchBudgetExceeded, ShapeMismatch
 from fuselab.invariants import (
     CommutantBasis,
     InvariantMatrix,
+    _lattice_survivors,
     commutant_basis,
     diagonal_profile_as_Z,
     enumerate_invariants,
@@ -45,6 +48,44 @@ def identity_matrix(n: int) -> InvariantMatrix:
     return InvariantMatrix.from_rows(
         [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     )
+
+
+def reference_points(basis, bound):
+    """The per-point Fraction walk: every coordinate vector of [0, bound]^dim,
+    in itertools.product order, whose combination of the basis matrices has
+    integer entries in [0, bound] and Z_00 = 1, as entry lists."""
+    r, dim = len(basis[0]), len(basis)
+    positions = sorted(
+        {(i, j) for mat in basis for i, row in enumerate(mat) for j, v in enumerate(row) if v}
+    )
+    out = []
+    for coords in product(range(bound + 1), repeat=dim):
+        entries = [[0] * r for _ in range(r)]
+        ok = True
+        for i, j in positions:
+            val = Fraction(0)
+            for k in range(dim):
+                c = coords[k]
+                if c:
+                    val += c * basis[k][i][j]
+            if val.denominator != 1 or val < 0 or val > bound:
+                ok = False
+                break
+            entries[i][j] = int(val)
+        if ok and entries[0][0] == 1:
+            out.append(entries)
+    return out
+
+
+def reference_enumerate(md, bound):
+    """enumerate_invariants computed through reference_points."""
+    found = [
+        InvariantMatrix.from_rows(entries, provenance="enumerated")
+        for entries in reference_points(commutant_basis(md).basis, bound)
+    ]
+    found = [Z for Z in found if verify_invariant(Z, md).ok]
+    found.sort(key=lambda z: z.entries)
+    return tuple(found)
 
 
 def test_rep_dimension_pinned():
@@ -288,6 +329,59 @@ def test_enumerate_finds_e6_block():
 def test_enumerate_bound_validation():
     with pytest.raises(ValueError):
         enumerate_invariants(su2_modular_data(1), 0)
+    # bool is an int subclass; True used to run as bound 1
+    with pytest.raises(ValueError, match="entryBound must be a positive integer, got True"):
+        enumerate_invariants(su2_modular_data(4), True)
+
+
+def test_block_walk_matches_reference_walk():
+    cases = [(f"su2:{k}", b) for k in range(13) for b in (1, 2)] + [("su2:16", 4)]
+    cases += [(name, 2) for name in ("fibonacci", "ising", *(f"zn:{n}" for n in range(2, 9)))]
+    for name, bound in cases:
+        md = load_catalog(name)
+        assert enumerate_invariants(md, bound) == reference_enumerate(md, bound), (name, bound)
+
+
+def test_block_walk_beyond_int64():
+    # scaled by den = 3 the entries pass 2**63, so products must be Python
+    # ints; c2 = 1, 2 leave (1,0) fractional, c2 = 3 puts it over the bound,
+    # and c3 = 2, 3 make (1,1) negative
+    big = 2**62
+    basis = (
+        ((Fraction(1), big + Fraction(1, 3)), (Fraction(2, 3), Fraction(0))),
+        ((Fraction(0), -big + Fraction(2, 3)), (Fraction(1, 3), Fraction(1))),
+        ((Fraction(0), Fraction(0)), (Fraction(4, 3), Fraction(0))),
+        ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(-1))),
+    )
+    positions = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    den, bound = 3, 3
+    scaled = exact_ints(
+        [[int(mat[i][j] * den) for i, j in positions] for mat in basis], len(basis) * bound
+    )
+    assert scaled.dtype == object
+    got = [
+        [[int(v[0]), int(v[1])], [int(v[2]), int(v[3])]]
+        for v in _lattice_survivors(scaled, den, bound)
+    ]
+    expected = reference_points(basis, bound)
+    assert got == expected
+    assert expected == [[[1, 1], [1, 1]], [[1, 1], [1, 0]]]
+
+
+def test_large_walk_stays_small():
+    # 31**4 = 923,521 lattice points under the default cap; an all-at-once
+    # product would hold every coordinate vector and value row at once
+    md = su2_modular_data(28)
+    expected = enumerate_invariants(md, 2)  # A_28, D_16 and E_8
+    assert len(expected) == 3
+    tracemalloc.start()
+    try:
+        found = enumerate_invariants(md, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == expected
+    assert peak < 32 * 2**20, peak
 
 
 def test_search_cap_must_be_positive(monkeypatch):
@@ -295,9 +389,12 @@ def test_search_cap_must_be_positive(monkeypatch):
     for cap in (0, -5):
         with pytest.raises(ValueError, match="cap must be a positive integer"):
             enumerate_invariants(md, 2, cap=cap)
-    monkeypatch.setenv("FUSELAB_SEARCH_CAP", "-3")
-    with pytest.raises(ValueError, match="FUSELAB_SEARCH_CAP must be a positive integer"):
-        enumerate_invariants(md, 2)
+    with pytest.raises(ValueError, match="cap must be a positive integer, got True"):
+        enumerate_invariants(md, 2, cap=True)
+    for env in ("-3", "abc", "1e6"):
+        monkeypatch.setenv("FUSELAB_SEARCH_CAP", env)
+        with pytest.raises(ValueError, match="FUSELAB_SEARCH_CAP must be a positive integer"):
+            enumerate_invariants(md, 2)
 
 
 def test_search_cap_explicit():
