@@ -37,6 +37,7 @@ from .gauge import GaugeProblem, solve_gauge, validate_mu
 from .invariants import (
     DEFAULT_ENTRY_BOUND,
     InvariantMatrix,
+    _positive as _positive_value,
     commutant_basis,
     diagonal_profile_as_Z,
     enumerate_invariants,
@@ -273,7 +274,8 @@ def _cmd_invariant_search(job: JobSpec):
 def _cmd_diag_theorem(job: JobSpec):
     nr, md, level = _build_nimrep(job, "diag-theorem")
     m = multiplicity_profile(nr, md)
-    bound = max((1, *m)) if job.bound is None else max((job.bound, 1, *m))
+    low = 1 if job.bound is None else _positive_value("entryBound", job.bound)
+    bound = max((low, *m))
     candidates = enumerate_invariants(md, bound, cap=job.cap)
     matches = [z for z in candidates if match_diagonal(z, nr, md).ok]
     realized = Check(

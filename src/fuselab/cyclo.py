@@ -13,6 +13,10 @@ sum_{j=0}^{p-1} zeta_n^(e + j*n/p) = 0.  A rewrite at p leaves residues
 modulo the other prime powers untouched, so the reduction terminates and the
 canonical support of an element of Q(zeta_{n/g}) is contained in g*Z; the
 order descent below relies on exactly that.
+
+A dense inverse is the product of the Galois conjugates over the rational
+norm, about phi(n) products, so each number keeps its inverse once taken,
+and inverses(xs) pays that cost once per order for a whole batch.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ def _canonical(order: int, num: dict[int, int], den: int) -> tuple[int, dict[int
 class CycloNumber:
     """Immutable element of a cyclotomic field, always in canonical form."""
 
-    __slots__ = ("_order", "_num", "_den", "_hash")
+    __slots__ = ("_order", "_num", "_den", "_hash", "_inv")
 
     def __init__(self, order: int, coeffs):
         if not isinstance(order, int) or order < 1:
@@ -144,13 +148,14 @@ class CycloNumber:
             num[k] = num.get(k, 0) + int(f * den)
         self._order, self._num, self._den = _canonical(order, num, den)
         self._hash: int | None = None
+        self._inv: CycloNumber | None = None
 
     @classmethod
     def _raw(cls, order: int, num: dict[int, int], den: int) -> "CycloNumber":
         """Wrap un-normalized integer data (canonicalized here)."""
         self = object.__new__(cls)
         self._order, self._num, self._den = _canonical(order, num, den)
-        self._hash = None
+        self._hash = self._inv = None
         return self
 
     @classmethod
@@ -211,7 +216,7 @@ class CycloNumber:
         out._order = self._order
         out._num = {e: -c for e, c in self._num.items()}
         out._den = self._den
-        out._hash = None
+        out._hash = out._inv = None
         return out
 
     def __sub__(self, other):
@@ -255,6 +260,14 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
+        """1/self, kept on self after the first call (the inverse keeps no
+        pointer back, so numbers form no reference cycles)."""
+        inv = self._inv
+        if inv is None:
+            inv = self._inv = self._inverted()
+        return inv
+
+    def _inverted(self) -> "CycloNumber":
         if self.is_zero:
             raise DegenerateScalar("division by zero in a cyclotomic field")
         if self._order == 1:
@@ -367,6 +380,28 @@ def _coerce(x) -> CycloNumber | None:
 
 ZERO = CycloNumber(1, {0: 0})
 ONE = CycloNumber(1, {0: 1})
+
+
+def inverses(xs) -> tuple[CycloNumber, ...]:
+    """1/x for every x in xs, each kept on its x. The numbers of one order
+    not yet inverted share one inverse() of their product and about 3(k-1)
+    products (Montgomery's batch inversion); a zero among them raises
+    DegenerateScalar as x.inverse() would. Orders are not mixed: a product
+    across orders lives in their lcm field, which can be far larger."""
+    xs = tuple(xs)
+    groups: dict[int, list[CycloNumber]] = {}
+    for x in xs:
+        if x._inv is None:
+            groups.setdefault(x._order, []).append(x)
+    for group in groups.values():
+        prefix = [group[0]]
+        for x in group[1:]:
+            prefix.append(prefix[-1] * x)
+        inv = prefix[-1].inverse()  # 1 / (x_0 ... x_{k-1})
+        for k in range(len(group) - 1, 0, -1):
+            group[k]._inv, inv = inv * prefix[k - 1], inv * group[k]
+        group[0]._inv = inv
+    return tuple(x._inv for x in xs)
 
 
 def zeta(n: int, k: int = 1) -> CycloNumber:

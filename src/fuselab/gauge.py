@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import ONE, CycloNumber, FieldTensor, exact_ints
+from .cyclo import ONE, CycloNumber, FieldTensor, exact_ints, inverses
 from .errors import DegenerateScalar, GaugeInconsistent, MissingPair, ShapeMismatch
 from .modular import _first
 from .verdict import Check, Verdict, failed, passed
@@ -167,7 +167,7 @@ def _encircling(nr, lam) -> tuple[FieldTensor, FieldTensor]:
     for i, x in enumerate(lam):
         if x.is_zero:
             raise DegenerateScalar(f"lambda[{i}] is zero")
-    both = FieldTensor.of([*lam, *(x.inverse() for x in lam)])
+    both = FieldTensor.of([*lam, *inverses(lam)])
     lam_t, inv = both[:nr.size], both[nr.size:]
     return lam_t, inv.convolve(lam_t, lambda x, Y: x[None, :, None] * Y[:, None, :], 1)
 

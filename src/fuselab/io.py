@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 from .cyclo import MAX_FIELD_ORDER, CycloNumber, RationalPhase
 from .errors import SchemaError, ShapeMismatch, ValidationFailed
@@ -52,10 +53,15 @@ def _str_list(x, where: str) -> tuple[str, ...]:
 
 
 def cyclo_to_json(x: CycloNumber) -> dict:
-    return {
-        "order": x.order,
-        "coeffs": [[c.numerator, c.denominator] for c in x.coeffs],
-    }
+    """Dense [num, den] pairs in lowest terms, read off the canonical integer
+    numerators and their common denominator."""
+    den = x._den
+    pairs = []
+    for e in range(x.order):
+        c = x._num.get(e, 0)
+        g = gcd(c, den)
+        pairs.append([c // g, den // g])
+    return {"order": x.order, "coeffs": pairs}
 
 
 def cyclo_from_json(obj, where: str) -> CycloNumber:
@@ -67,7 +73,8 @@ def cyclo_from_json(obj, where: str) -> CycloNumber:
     coeffs = _require(obj, "coeffs", where)
     if not isinstance(coeffs, list) or len(coeffs) != order:
         raise SchemaError(f"{where}.coeffs: expected {order} [num, den] pairs")
-    values = {}
+    terms = []
+    common = 1
     for k, pair in enumerate(coeffs):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{where}.coeffs[{k}]: expected a [num, den] pair")
@@ -76,8 +83,10 @@ def cyclo_from_json(obj, where: str) -> CycloNumber:
         if den == 0:
             raise SchemaError(f"{where}.coeffs[{k}]: zero denominator")
         if num:
-            values[k] = Fraction(num, den)
-    return CycloNumber(order, values)
+            terms.append((k, num, den))
+            common = lcm(common, den)
+    # common is positive, so a negative den flips the sign of its numerator
+    return CycloNumber._raw(order, {k: num * (common // den) for k, num, den in terms}, common)
 
 
 def phase_to_json(t: RationalPhase) -> list[int]:

@@ -27,7 +27,17 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .cyclo import ONE, ZERO, CycloNumber, FieldTensor, RationalPhase, exact_ints, sin_ratio, zeta
+from .cyclo import (
+    ONE,
+    ZERO,
+    CycloNumber,
+    FieldTensor,
+    RationalPhase,
+    exact_ints,
+    inverses,
+    sin_ratio,
+    zeta,
+)
 from .errors import DegenerateScalar, NonIntegralVerlinde, SchemaError, ShapeMismatch
 from .fusion import FusionElement, FusionRing, su2_fusion_ring
 from .verdict import Check, Verdict, failed, passed
@@ -177,7 +187,7 @@ def _inverse_dims(md: ModularData) -> tuple[CycloNumber, ...]:
     for i, x in enumerate(md.d):
         if x.is_zero:
             raise DegenerateScalar(f"quantum dimension d[{i}] is zero")
-    return tuple(x.inverse() for x in md.d)
+    return inverses(md.d)
 
 
 @_per_datum
@@ -234,8 +244,12 @@ def tube_idempotent(md: ModularData, label: int) -> FusionElement:
 
 @_per_datum
 def idempotent_family(md: ModularData) -> tuple[FusionElement, ...]:
-    """All spectral idempotents e_{lambda_I}, held on the datum."""
-    return tuple(spectral_idempotent(md, p) for p in spectrum(md))
+    """All spectral idempotents e_{lambda_I}, held on the datum; the nonzero
+    norms are inverted as one batch before spectral_idempotent reads them,
+    and it names the first zero one."""
+    points = spectrum(md)
+    inverses(p.normSq for p in points if not p.normSq.is_zero)
+    return tuple(spectral_idempotent(md, p) for p in points)
 
 
 def verlinde(md: ModularData) -> tuple:

@@ -3,6 +3,8 @@ byte determinism. All runs go through main(argv) in-process."""
 
 import json
 
+import pytest
+
 from fuselab.cli import JobSpec, main, run
 from fuselab.io import write_data_file
 from fuselab.invariants import InvariantMatrix
@@ -276,6 +278,22 @@ def test_bool_bound_and_cap_exit_two():
         assert code == 2, job
         assert report["error"]["category"] == "input"
         assert report["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("bound", [0, -3, True])
+@pytest.mark.parametrize("data,graph", [("su2:10", "E:6"), ("su2:4", "D:4")])
+def test_diag_theorem_refuses_a_bad_bound_like_invariant_search(bound, data, graph):
+    # the profile maximum used to raise a bad bound silently (exit 0)
+    code, report = run(
+        JobSpec(command="diag-theorem", data=data, graph=graph, bound=bound, fmt="structured")
+    )
+    assert code == 2, report
+    assert report["error"]["category"] == "input"
+    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["message"] == f"entryBound must be a positive integer, got {bound!r}"
+    code, search = run(JobSpec(command="invariant search", data=data, bound=bound))
+    assert code == 2
+    assert search["error"] == report["error"]
 
 
 def test_catalog_limits_exit_two(capsys):

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: canonical forms, sine ratios, the float
 embedding, and field axioms on random elements."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +18,7 @@ from fuselab.cyclo import (
     basis_coordinates,
     cyclo_arith,
     embed_complex,
+    inverses,
     rational_ratio,
     sin_ratio,
     zeta,
@@ -222,3 +224,50 @@ def test_galois_fixes_rationals():
     assert x.galois(5) == x
     y = zeta(5)
     assert y.galois(2) == zeta(5, 2)
+
+
+def _random_batch(rng: random.Random) -> list[CycloNumber]:
+    """Rationals, monomials and dense numbers at orders up to 60 (29 is the
+    prime order of su2:27), some coefficients past 2**63, with repeats."""
+    xs = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.choice(["rational", "monomial", "dense", "dense", "repeat"])
+        big = 2**rng.choice([0, 64, 80])
+        n = rng.choice([3, 4, 5, 7, 8, 12, 15, 20, 24, 29, 29, 36, 48, 60])
+        if kind == "repeat" and xs:
+            xs.append(rng.choice(xs))
+        elif kind == "rational":
+            q = Fraction(rng.randint(1, 9) * big, rng.randint(-9, -1))
+            xs.append(CycloNumber.from_rational(q))
+        elif kind == "monomial":
+            xs.append(CycloNumber(n, {rng.randrange(n): Fraction(rng.randint(1, 9) * big, 7)}))
+        else:
+            coeffs = [Fraction(rng.randint(-9, 9) * big + rng.randint(-3, 3), rng.randint(1, 5))
+                      for _ in range(n)]
+            x = CycloNumber(n, coeffs)
+            xs.append(ONE if x.is_zero else x)
+    return xs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batch_inverse_matches_one_inverse_per_number(seed):
+    want = [x.inverse() for x in _random_batch(random.Random(seed))]
+    xs = _random_batch(random.Random(seed))
+    got = inverses(xs)
+    assert got == tuple(want)
+    assert all(x * y == ONE for x, y in zip(xs, got))
+    # the batch keeps each inverse on its number
+    assert all(x.inverse() is y for x, y in zip(xs, got))
+
+
+def test_inverse_is_kept_on_the_number():
+    x = zeta(9) + 2 * zeta(9, 4) - Fraction(1, 3)
+    assert x.inverse() is x.inverse()
+    # the inverse points nowhere: inverting it again makes a new, equal number
+    assert x.inverse().inverse() == x and x.inverse().inverse() is not x
+
+
+def test_batch_inverse_of_zero_signals():
+    with pytest.raises(DegenerateScalar, match="division by zero in a cyclotomic field"):
+        inverses([zeta(5) + 2, ZERO, zeta(5)])
+    assert inverses([]) == ()

@@ -183,6 +183,13 @@ def test_encircling_rejects_zero_lambda():
         encircling_matrices(nr, (ONE,))
 
 
+def test_encircling_names_the_first_zero_lambda():
+    nr = su2_nimrep_from_graph(a_graph(3), 2)
+    for lam in ((ONE, ZERO, ZERO), (ONE, ZERO, zeta(8) + 1)):
+        with pytest.raises(DegenerateScalar, match=r"^lambda\[1\] is zero$"):
+            encircling_matrices(nr, lam)
+
+
 def test_encircling_is_module_map():
     nr = su2_nimrep_from_graph(a_graph(4), 3)
     lam = (ONE, zeta(5), rat(Fraction(2, 3)), zeta(8, 3))

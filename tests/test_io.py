@@ -21,7 +21,7 @@ from fuselab.io import (
     parse_data_file,
     write_data_file,
 )
-from fuselab.modular import load_catalog, su2_modular_data
+from fuselab.modular import catalog_names, load_catalog, su2_modular_data
 from fuselab.nimrep import d_graph, e_graph
 
 
@@ -74,6 +74,73 @@ def test_cyclo_serialization_exact():
         cyclo_from_json({"order": 2, "coeffs": [[1, 0], [0, 1]]}, "x")
     with pytest.raises(SchemaError):
         cyclo_from_json({"order": 3, "coeffs": [[1, 1]]}, "x")
+
+
+def _fraction_to_json(x: CycloNumber) -> dict:
+    """The earlier encoder, through one Fraction per dense coefficient."""
+    return {"order": x.order, "coeffs": [[c.numerator, c.denominator] for c in x.coeffs]}
+
+
+def _fraction_from_json(obj) -> CycloNumber:
+    """The earlier decoder (checks left out), through Fractions."""
+    values = {k: Fraction(n, d) for k, (n, d) in enumerate(obj["coeffs"]) if n}
+    return CycloNumber(obj["order"], values)
+
+
+def test_integer_encoder_writes_the_fraction_encoders_bytes():
+    for name in catalog_names():
+        md = load_catalog(name)
+        doc = data_to_json(md)
+        want = dict(doc, S=[[_fraction_to_json(x) for x in row] for row in md.S])
+        # the compact encoder is C code; dumps_data's indented one is Python
+        assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True), name
+        if md.rank <= 9:
+            assert dumps_data(md) == json.dumps(want, sort_keys=True, indent=2) + "\n", name
+    gp = sample_gauge()
+    assert [t[2] for t in data_to_json(gp)["mu"]] == [_fraction_to_json(x) for x in gp.mu]
+
+
+_BIG = st.sampled_from([2**63, 2**64 + 1, -(2**64) - 7, 3**50])
+_NUMS = st.integers(-12, 12) | _BIG
+_DENS = st.integers(-12, -1) | st.integers(1, 12) | _BIG
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 15]).flatmap(
+    lambda n: st.lists(st.tuples(_NUMS, _DENS).map(list), min_size=n, max_size=n)
+))
+def test_integer_decoder_matches_the_fraction_decoder(coeffs):
+    # negative and unreduced denominators, zeros over any denominator, big ints
+    obj = {"order": len(coeffs), "coeffs": coeffs}
+    got = cyclo_from_json(obj, "x")
+    assert got == _fraction_from_json(obj)
+    assert cyclo_from_json(cyclo_to_json(got), "x") == got
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ([], "x: expected an object"),
+        ({"coeffs": []}, "x: missing key 'order'"),
+        ({"order": "3", "coeffs": []}, "x.order: expected an integer, got '3'"),
+        ({"order": True, "coeffs": [[1, 1]]}, "x.order: expected an integer, got True"),
+        ({"order": 0, "coeffs": []}, "x.order: must be positive"),
+        ({"order": 2**15 + 1, "coeffs": []}, "x.order: 32769 exceeds the budget of 32768"),
+        ({"order": 2}, "x: missing key 'coeffs'"),
+        ({"order": 2, "coeffs": [[1, 1]]}, "x.coeffs: expected 2 [num, den] pairs"),
+        ({"order": 1, "coeffs": {"0": [1, 1]}}, "x.coeffs: expected 1 [num, den] pairs"),
+        ({"order": 2, "coeffs": [[1, 1], [1]]}, "x.coeffs[1]: expected a [num, den] pair"),
+        ({"order": 2, "coeffs": [[1, 1], (1, 2)]}, "x.coeffs[1]: expected a [num, den] pair"),
+        ({"order": 2, "coeffs": [[1.5, 1], [0, 1]]}, "x.coeffs[0][0]: expected an integer, got 1.5"),
+        ({"order": 2, "coeffs": [[0, 1], [1, False]]}, "x.coeffs[1][1]: expected an integer, got False"),
+        ({"order": 2, "coeffs": [[0, 1], [0, 0]]}, "x.coeffs[1]: zero denominator"),
+        ({"order": 2, "coeffs": [[1, 0], [1, "a"]]}, "x.coeffs[0]: zero denominator"),
+    ],
+)
+def test_cyclo_schema_errors_keep_their_text(obj, message):
+    with pytest.raises(SchemaError) as info:
+        cyclo_from_json(obj, "x")
+    assert str(info.value) == message
 
 
 def test_decode_error_reports_position(tmp_path):

@@ -514,3 +514,37 @@ def test_derived_values_are_found_without_rehashing(monkeypatch):
 
     monkeypatch.setattr(ModularData, "__hash__", no_hash)
     assert all(fn(md) is got for fn, got in zip(derived, first))
+
+
+def test_degenerate_scalars_keep_their_messages_and_order():
+    ising = ising_modular_data()
+    t = [x.value for x in ising.t]
+    i = zeta(4)
+    # d[1] and d[2] are both zero; the first in label order is named
+    no_dims = ModularData.build(ising.ring, ((ONE, ZERO, ZERO), (ONE, i, ONE), (ONE, ONE, i)), t)
+    for fn in (spectrum, idempotent_family, lambda md: tube_idempotent(md, 0), verlinde):
+        with pytest.raises(DegenerateScalar, match=r"^quantum dimension d\[1\] is zero$"):
+            fn(no_dims)
+    # lambda_1 = (i, 1, 0) and lambda_2 = (i, 0, 1) both have norm i^2 + 1 = 0
+    no_norms = ModularData.build(ising.ring, ((ONE, ONE, ONE), (i, ONE, ZERO), (i, ZERO, ONE)), t)
+    assert [p.normSq for p in spectrum(no_norms)] == [rat(3), ZERO, ZERO]
+    with pytest.raises(DegenerateScalar, match=r"^lambda_1 has zero norm$"):
+        idempotent_family(no_norms)
+
+
+def test_ingest_reaches_the_galois_norm_loop_once_per_batch(monkeypatch):
+    md = parse_data(data_to_json(su2_modular_data(15)))
+    inverted = CycloNumber._inverted
+    dense = []
+
+    def counted(x):
+        if x.order > 1 and len(x._num) > 1:  # the branch with the Galois-norm loop
+            dense.append(x)
+        return inverted(x)
+
+    monkeypatch.setattr(CycloNumber, "_inverted", counted)
+    spectrum(md), idempotent_family(md)
+    tubes = [tube_idempotent(md, label) for label in range(md.rank)]
+    # inverse dimensions, norms, global dimension: one batch each
+    assert len(dense) <= 3, len(dense)
+    assert tubes == [spectral_idempotent(md, p) for p in spectrum(md)]
