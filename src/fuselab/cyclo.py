@@ -17,6 +17,11 @@ order descent below relies on exactly that.
 A dense inverse is the product of the Galois conjugates over the rational
 norm, about phi(n) products, so each number keeps its inverse once taken,
 and inverses(xs) pays that cost once per order for a whole batch.
+
+A FieldTensor holds an array of field elements as integer layers in basis
+coordinates. It keeps a bound on the size of its layers, taken from them at
+most once, so repeated products on one tensor (md.tensor) pick int64 or
+Python ints without rescanning it.
 """
 
 from __future__ import annotations
@@ -447,15 +452,6 @@ def sin_ratio(k: int, h: int) -> CycloNumber:
     return CycloNumber._raw(n, num, 1)
 
 
-def rational_ratio(x: CycloNumber, y: CycloNumber) -> Fraction | None:
-    """The rational q with x = q*y for nonzero y, or None when x/y is
-    irrational: canonical forms are unique and linear over Q, so the only
-    candidate is the ratio of one coordinate. No inverse is taken."""
-    e = next(iter(y._num))
-    q = Fraction(x._num.get(e, 0) * y._den, x._den * y._num[e])
-    return q if y * q == x else None
-
-
 def basis_coordinates(x: CycloNumber, order: int) -> dict[int, Fraction]:
     """Coordinates of x over the canonical basis of the order-`order` field.
 
@@ -478,10 +474,19 @@ def exact_ints(values, inner: int = 1) -> np.ndarray:
         arr = np.asarray(values, dtype=object)
         if not all(type(x) is int for x in arr.flat):
             raise ShapeMismatch("matrix entries must be integers")
-    top = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
-    out = arr.astype(np.int64 if inner * top * top < 2**62 else object)
+    out = arr.astype(_int_type(inner, _magnitude(arr)))
     out.setflags(write=False)
     return out
+
+
+def _magnitude(arr: np.ndarray) -> int:
+    """The largest absolute entry of an integer array (0 when empty)."""
+    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+
+
+def _int_type(inner: int, top: int):
+    """exact_ints' choice for entries of absolute value at most top."""
+    return np.int64 if inner * top * top < 2**62 else object
 
 
 @lru_cache(maxsize=None)
@@ -517,12 +522,19 @@ class FieldTensor:
     """An exact array over Q(zeta_n): entry x is sum_k layers[k][x] *
     zeta_n^exps[k] / den, integer layers in basis coordinates, so equal
     entries have equal layers. Products are cyclic convolutions over the
-    exponent axis and one reduction, in int64 where exact_ints allows."""
+    exponent axis and one reduction, in int64 where exact_ints allows.
 
-    __slots__ = ("order", "den", "exps", "layers")
+    Each tensor keeps an upper bound on the absolute values of its layers,
+    taken from them at most once, so the int64 choice for a tensor used many
+    times (md.tensor) costs one scan. An index of a tensor inherits its
+    bound; where that bound rules out int64, the index's own maximum is taken
+    once instead, so every choice is the one exact_ints would make."""
 
-    def __init__(self, order: int, den: int, exps, layers: np.ndarray):
+    __slots__ = ("order", "den", "exps", "layers", "_top", "_exact")
+
+    def __init__(self, order: int, den: int, exps, layers: np.ndarray, top: int | None = None):
         self.order, self.den, self.exps, self.layers = order, den, np.asarray(exps), layers
+        self._top, self._exact = top, False
 
     @classmethod
     def of(cls, values) -> "FieldTensor":
@@ -541,12 +553,24 @@ class FieldTensor:
     def __getitem__(self, index) -> "FieldTensor":
         """The tensor of a numpy index into the entries."""
         index = index if isinstance(index, tuple) else (index,)
-        return FieldTensor(self.order, self.den, self.exps, self.layers[(slice(None), *index)])
+        layers = self.layers[(slice(None), *index)]
+        return FieldTensor(self.order, self.den, self.exps, layers, self._top)
+
+    def _ints(self, inner: int) -> np.ndarray:
+        """exact_ints(self.layers, inner), decided from the kept bound."""
+        if self._top is None or (not self._exact and _int_type(inner, self._top) is object):
+            self._top, self._exact = _magnitude(self.layers), True
+        out = self.layers.astype(_int_type(inner, self._top), copy=False).view()
+        out.setflags(write=False)
+        return out
 
     def _framed(self, order: int, den: int) -> "FieldTensor":
-        """The same entries over a multiple of the order and of den."""
+        """The same entries over a multiple of the order and of den (self
+        when both are unchanged)."""
         g = den // self.den
-        layers = self.layers if g == 1 else exact_ints(self.layers, g) * g
+        if g == 1 and order == self.order:
+            return self
+        layers = self.layers if g == 1 else self._ints(g) * g
         if order == self.order:
             return FieldTensor(order, den, self.exps, layers)
         return FieldTensor(order, den, *_reduced(order, self.exps * (order // self.order), layers))
@@ -557,7 +581,7 @@ class FieldTensor:
         n = lcm(self.order, other.order)
         a, b = self._framed(n, self.den), other._framed(n, other.den)
         inner *= min(len(a.exps), len(b.exps))
-        A, B = exact_ints(a.layers, inner), exact_ints(b.layers, inner)
+        A, B = a._ints(inner), b._ints(inner)
         parts = [op(x, B) for x in A]
         acc = np.zeros((n,) + parts[0].shape[1:], dtype=parts[0].dtype)
         for e, part in zip(a.exps, parts):
@@ -566,7 +590,7 @@ class FieldTensor:
 
     def apply(self, fn, inner: int) -> "FieldTensor":
         """fn(layers) for a linear fn over exact_ints operands, `inner` products per entry."""
-        return FieldTensor(self.order, self.den, self.exps, fn(exact_ints(self.layers, inner)))
+        return FieldTensor(self.order, self.den, self.exps, fn(self._ints(inner)))
 
     def differs(self, other: "FieldTensor") -> np.ndarray:
         """Boolean array of the entries where two tensors (shapes broadcast) differ."""

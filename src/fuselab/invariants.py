@@ -25,7 +25,7 @@ from math import lcm
 
 import numpy as np
 
-from .cyclo import ZERO, CycloNumber, exact_ints
+from .cyclo import CycloNumber, exact_ints
 from .errors import SearchBudgetExceeded, ShapeMismatch
 from .modular import ModularData, _first, _per_datum
 from .nimrep import NimRep, character, multiplicity_profile
@@ -92,16 +92,15 @@ class CommutantBasis:
 
 
 def rep_dimension(chi, md: ModularData) -> CycloNumber:
-    """<chi, d> = sum_S chi[S] * d(dual S)."""
+    """<chi, d> = sum_S chi[S] * d(dual S), one integer contraction of
+    md.tensor[0] with chi composed with the duality."""
     if len(chi) != md.rank:
         raise ShapeMismatch("character length must match the rank")
-    dual = md.ring.dual
-    total = ZERO
     for s, k in enumerate(chi):
-        k = int(k)
-        if k:
-            total = total + md.d[dual[s]] * k
-    return total
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+            raise ShapeMismatch(f"character entry {s} must be an integer")
+    v = exact_ints([int(chi[t]) for t in md.ring.dual], md.rank)
+    return md.tensor[0].apply(lambda L: L @ v, md.rank).scalar(())
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ floats anywhere, so serialize -> parse is the identity.
 Loading is never silent about bad data: structural problems (wrong shapes,
 bad keys, an asymmetric adjacency, a non-closed pair set) raise SchemaError
 or MissingPair; mathematically invalid fusion rings and modular data raise
-ValidationFailed carrying the failing Verdict. Gauge value identities are
-deliberately left to solve-time so the CLI can report the witness triangle
-as a check result rather than a load crash.
+ValidationFailed carrying the failing Verdict. A gauge file is checked for
+a closed pair set and for values that share one field within the budget per
+component, with no field arithmetic; its value identities are deliberately
+left to solve-time so the CLI can report the witness triangle as a check
+result rather than a load crash.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclo import MAX_FIELD_ORDER, CycloNumber, RationalPhase
+from .cyclo import MAX_FIELD_ORDER, CycloNumber, RationalPhase, _budgeted
 from .errors import SchemaError, ShapeMismatch, ValidationFailed
 from .fusion import FusionRing, verify_axioms
-from .gauge import GaugeProblem, validate_mu
+from .gauge import GaugeProblem, check_pairs
 from .invariants import InvariantMatrix
 from .modular import ModularData, verify_modular_data
 from .nimrep import BoundaryGraph
@@ -231,9 +233,17 @@ def parse_data(doc):
             mu_map[(i, j)] = cyclo_from_json(triple[2], f"gauge.mu[{k}][2]")
         try:
             gp = GaugeProblem.build(nodes, mu_map)
-            # structural J validation happens now (raises MissingPair); the value
-            # identities are reported by gauge solve with witnesses instead
-            validate_mu(gp)
+            # J must be closed now (MissingPair), and the values of one
+            # component, which the value identities multiply together, must
+            # share one field within the budget; the identities themselves
+            # are reported by gauge solve with witnesses instead
+            others = check_pairs(gp)
+            fields: dict[int, int] = {}
+            for (i, _), x in zip(gp.pairs, gp.mu):
+                root = min((i, *others.get(i, ())))
+                fields[root] = lcm(fields.get(root, 1), x.order)
+            for root in sorted(fields):
+                _budgeted(fields[root])
         except ShapeMismatch as err:
             raise SchemaError(f"gauge: {err}") from None
         return gp

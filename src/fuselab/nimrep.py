@@ -11,20 +11,23 @@ verify_nimrep serves regular modules and modules given as matrices.
 Profiles are exact: m[I] is the trace of the spectral projector for
 lambda_I pushed through the representation, which by linearity of the trace
 is sum_S coeff_S(e_{lambda_I}) * chi[S] with integer characters chi. Each
-e_{lambda_I} is a scalar multiple of row I of S with its columns permuted
-by the duality, so the traces are one integer contraction of md.tensor with
-chi, and the lambda_0 projector column of d_eigenvector one contraction of
-md.tensor[0] with the module matrices. The float eigen-decomposition never
-feeds a result here; it lives in the test suite as an independent oracle.
+e_{lambda_I} is row I of S with its columns permuted by the duality, times
+W[I] = 1 / (d(I) <lambda_I, lambda_I>). The weights are folded into S once
+per datum, P = W * S row by row, so a profile is one integer contraction of
+P with chi; the lambda_0 projector column of d_eigenvector is one
+contraction of md.tensor[0] with the module matrices. The float
+eigen-decomposition never feeds a result here; it lives in the test suite
+as an independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CycloNumber, exact_ints, rational_ratio
+from .cyclo import CycloNumber, FieldTensor, exact_ints
 from .errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -33,7 +36,14 @@ from .errors import (
     ShapeMismatch,
 )
 from .fusion import FusionRing, homomorphism_failure, su2_fusion_ring
-from .modular import ModularData, _first, idempotent_family
+from .modular import (
+    ModularData,
+    _first,
+    _inverse_dims,
+    _per_datum,
+    idempotent_family,
+    spectrum,
+)
 from .verdict import Check, Verdict, failed, passed
 
 _ADE_FAMILIES = ("A", "D", "E")
@@ -68,6 +78,17 @@ class BoundaryGraph:
                 raise ShapeMismatch(
                     f"adjacency does not match the {self.family} Dynkin graph"
                 )
+
+    @classmethod
+    def _trusted(cls, vertices, adjacency, family: str = "custom") -> "BoundaryGraph":
+        """A graph whose adjacency is square, symmetric, non-negative and
+        (for a family) the Dynkin graph by construction: the library's own
+        graphs skip the entry-by-entry check of __post_init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "family", family)
+        return self
 
     @property
     def size(self) -> int:
@@ -113,12 +134,9 @@ def ade_graph(tag: str) -> BoundaryGraph:
     """Resolve a family tag like 'A:11', 'D:7', 'E:6' (Bourbaki numbering:
     A_n and the D_n tail are paths from vertex 1; D_n forks at n-2; E_n
     branches at vertex 4 with the short leg 2-4)."""
-    n, _ = _ade_edges(tag)
-    return BoundaryGraph(
-        vertices=tuple(str(i) for i in range(1, n + 1)),
-        adjacency=_ade_adjacency(tag),
-        family=tag,
-    )
+    adjacency = _ade_adjacency(tag)
+    vertices = tuple(str(i) for i in range(1, len(adjacency) + 1))
+    return BoundaryGraph._trusted(vertices, adjacency, tag)
 
 
 def a_graph(n: int) -> BoundaryGraph:
@@ -146,7 +164,7 @@ def disjoint_union(*graphs: BoundaryGraph) -> BoundaryGraph:
         before = len(rows)
         after = len(vertices) - before - g.size
         rows += [(0,) * before + row + (0,) * after for row in g.adjacency]
-    return BoundaryGraph(vertices=vertices, adjacency=tuple(rows))
+    return BoundaryGraph._trusted(vertices, tuple(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,21 +239,26 @@ def su2_nimrep_from_graph(g: BoundaryGraph, level: int) -> NimRep:
         raise ShapeMismatch("level must be non-negative")
     ring = su2_fusion_ring(level)
     A = exact_ints(g.matrix(), g.size)
-    mats = [np.eye(g.size, dtype=A.dtype), A][: level + 1]
+    # wide[i] = exact_ints(mats[i], g.size), taken once per matrix
+    mats, wide = [np.eye(g.size, dtype=A.dtype), A][: level + 1], [None, A]
     for i in range(1, level):
-        nxt = A @ exact_ints(mats[i], g.size) - mats[i - 1]
+        nxt = A @ wide[i] - mats[i - 1]
         if (nxt < 0).any():
             j, k = next(zip(*np.nonzero(nxt < 0)))
             raise NotANimRep(f"recurrence for N(x_{i + 1}) gives entry {nxt[j, k]} at ({j},{k})")
         mats.append(nxt)
+        wide.append(exact_ints(nxt, g.size))
     if level:
-        got, want = A @ exact_ints(mats[level], g.size), mats[level - 1]
+        got, want = A @ wide[level], mats[level - 1]
         if (got != want).any():
             j, i = next(zip(*np.nonzero(got != want)))
             raise NotANimRep(
                 f"homomorphism: (N(1)N({level}))[{j},{i}] = {got[j, i]} != {want[j, i]}"
             )
-    frozen = tuple(_int_matrix(m) for m in mats)
+    # an int64 wide[i] is also what _int_matrix(mats[i]) would return
+    frozen = tuple(
+        w if w is not None and w.dtype == np.int64 else _int_matrix(m) for m, w in zip(mats, wide)
+    )
     return NimRep(ring=ring, boundaryLabels=g.vertices, mats=frozen)
 
 
@@ -251,27 +274,42 @@ def character(nr: NimRep) -> tuple[int, ...]:
     return tuple(int(m.trace()) for m in nr.mats)
 
 
+@_per_datum
+def _projectors(md: ModularData) -> FieldTensor:
+    """P[I][t] = W[I] * S[I][t] with W[I] = 1 / (d(I) <lambda_I, lambda_I>),
+    so that e_{lambda_I}(S) = P[I][dual(S)]. W comes from the inverses the
+    datum keeps; idempotent_family runs first, so a zero norm is named as
+    there."""
+    idempotent_family(md)
+    w = FieldTensor.of(
+        [inv_d * p.normSq.inverse() for inv_d, p in zip(_inverse_dims(md), spectrum(md))]
+    )
+    return md.tensor.convolve(w, lambda x, Y: x[None] * Y[:, :, None], 1)
+
+
 def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
     """m[I] = trace of the lambda_I spectral projector inside the rep,
-    sum_S e_{lambda_I}(S) * chi[S]. As e_{lambda_I}(S) = c_I * S[I][dual(S)]
-    for one nonzero scalar c_I, m[I] is the rational ratio of e_{lambda_I}(S)
-    t_I to S[I][dual(S)], where t is one integer contraction of md.tensor
-    with chi."""
+    sum_S e_{lambda_I}(S) * chi[S] = sum_t P[I][t] * chi[dual(t)]: one
+    integer contraction of the per-datum tensor P = W * S with chi, read off
+    its layers label by label."""
     if md.ring.rank != nr.ring.rank:
         raise ShapeMismatch("modular data rank differs from the ring rank")
-    chi, dual, family = character(nr), md.ring.dual, idempotent_family(md)
-    traces = md.tensor.apply(lambda L: L @ exact_ints([chi[t] for t in dual], md.rank), md.rank)
+    chi, dual, P = character(nr), md.ring.dual, _projectors(md)
+    v = exact_ints([chi[t] for t in dual], md.rank)
+    m = P.apply(lambda L: L @ v, md.rank)
+    irrational = m.layers[m.exps != 0].any(axis=0)
+    rational = m.layers[m.exps == 0].sum(axis=0)
     out: list[int] = []
-    for I, e in enumerate(family):
-        s = next(s for s, c in enumerate(e.coeffs) if not c.is_zero)
-        q = rational_ratio(e.coeffs[s] * traces.scalar((I,)), md.S[I][dual[s]])
-        if q is None:
+    for I in range(md.rank):
+        if irrational[I]:
             raise NonIntegralMultiplicity(f"projector trace for label {I} is irrational")
-        if q.denominator != 1 or q < 0:
+        num = int(rational[I])
+        if num < 0 or num % m.den:
             raise NonIntegralMultiplicity(
-                f"projector trace for label {I} is {q}, not a non-negative integer"
+                f"projector trace for label {I} is {Fraction(num, m.den)}, "
+                "not a non-negative integer"
             )
-        out.append(int(q))
+        out.append(num // m.den)
     if sum(out) != nr.size:
         raise NonIntegralMultiplicity(
             f"profile sums to {sum(out)}, expected {nr.size} boundary labels"

@@ -3,12 +3,15 @@ embedding, and field axioms on random elements."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuselab import cyclo
 from fuselab.cyclo import (
     ONE,
     ZERO,
@@ -18,12 +21,21 @@ from fuselab.cyclo import (
     basis_coordinates,
     cyclo_arith,
     embed_complex,
+    exact_ints,
     inverses,
-    rational_ratio,
     sin_ratio,
     zeta,
 )
 from fuselab.errors import DegenerateScalar
+from fuselab.invariants import rep_dimension
+from fuselab.modular import ModularData, su2_modular_data, verify_modular_data, verlinde
+from fuselab.nimrep import (
+    ade_graph,
+    character,
+    d_eigenvector,
+    multiplicity_profile,
+    su2_nimrep_from_graph,
+)
 
 
 def approx(x: CycloNumber, digits: int = 30) -> mpmath.mpc:
@@ -168,18 +180,6 @@ def test_basis_coordinates_linear_and_injective(a, b):
         assert a == b
 
 
-@settings(max_examples=60, deadline=None)
-@given(cyclos(), cyclos(), st.fractions(max_denominator=50))
-def test_rational_ratio_finds_exactly_the_rational_multiples(x, y, q):
-    if y.is_zero:
-        return
-    assert rational_ratio(y * q, y) == q
-    got = rational_ratio(x, y)
-    assert (got is not None) == (x / y).is_rational
-    if got is not None:
-        assert got == (x / y).as_rational()
-
-
 def test_basis_coordinates_rejects_non_multiple():
     with pytest.raises(ValueError):
         basis_coordinates(zeta(8), 12)
@@ -271,3 +271,87 @@ def test_batch_inverse_of_zero_signals():
     with pytest.raises(DegenerateScalar, match="division by zero in a cyclotomic field"):
         inverses([zeta(5) + 2, ZERO, zeta(5)])
     assert inverses([]) == ()
+
+
+# -- the bound a FieldTensor keeps on its layers ----------------------------
+
+
+@pytest.mark.parametrize(
+    "inner, top",
+    [
+        (1, 2**31 - 1),
+        (1, 2**31),  # inner * top**2 == 2**62
+        (4, 2**30 - 1),
+        (4, 2**30),  # inner * top**2 == 2**62
+        (3, isqrt((2**62 - 1) // 3)),
+        (3, isqrt((2**62 - 1) // 3) + 1),
+    ],
+)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kept_bound_picks_the_dtype_exact_ints_picks(inner, top, sign):
+    t = FieldTensor.of([sign * top, 1, -2])
+    want = exact_ints(t.layers, inner).dtype
+    assert want == (np.int64 if inner * top * top < 2**62 else object)
+    assert t.apply(lambda L: L, inner).layers.dtype == want
+    # an index inherits the bound, yet takes int64 wherever its own entries allow
+    for index in (slice(0, 1), slice(1, 3), 2, [2, 0]):
+        sub = t[index]
+        assert sub.apply(lambda L: L, inner).layers.dtype == exact_ints(sub.layers, inner).dtype
+    row = FieldTensor.of([1, -2])
+
+    def outer(x, Y):
+        return x[:, None] * Y[:, None, :]
+
+    assert t.convolve(row, outer, inner).scalar((0, 1)) == -2 * sign * top
+    assert row.convolve(t, outer, inner).scalar((1, 0)) == -2 * sign * top
+
+
+def test_indexed_tensors_keep_a_valid_bound():
+    rng = random.Random(3106)
+    grid = [[zeta(12, rng.randrange(12)) * rng.randint(-2**40, 2**40) + rng.randint(-9, 9)
+             for _ in range(4)] for _ in range(3)]
+    grid[1][2] = grid[1][2] * 2**30
+    T = FieldTensor.of(grid)
+    T.apply(lambda L: L, 1)
+    for index in (0, (slice(1, None), 2), (slice(None), slice(None, None, 2)), [2, 0],
+                  (slice(None), [1, 3]), (1, 2)):
+        sub = T[index]
+        for t in (sub, sub[0] if sub.layers.ndim > 1 else sub):
+            assert t._top >= cyclo._magnitude(t.layers)
+        want = np.asarray(grid, dtype=object)[index]
+        assert not sub.apply(lambda L: 3 * L, 1).differs(FieldTensor.of(want * 3)).any()
+
+
+def test_entries_past_int64_stay_exact():
+    x = CycloNumber(8, {1: 2**70, 2: 3})
+    T = FieldTensor.of([[x, ONE], [zeta(8), x * 2**10]])
+    twice = T.apply(lambda L: 2 * L, 1)
+    assert twice.layers.dtype == object
+    assert twice.scalar((0, 0)) == 2 * x and twice.scalar((1, 1)) == x * 2**11
+    row = T[0]
+    square = row.convolve(row, lambda u, V: u * V, 1)
+    assert square.layers.dtype == object
+    assert square.scalar((0,)) == x * x and square.scalar((1,)) == ONE
+
+
+def test_md_tensor_layers_are_scanned_once(monkeypatch):
+    base = su2_modular_data(6)
+    md = ModularData.build(base.ring, base.S, base.t)
+    scans = []
+    magnitude = cyclo._magnitude
+
+    def counted(arr):
+        if np.may_share_memory(arr, md.tensor.layers):
+            scans.append(arr.shape)
+        return magnitude(arr)
+
+    monkeypatch.setattr(cyclo, "_magnitude", counted)
+    assert verify_modular_data(md).ok
+    verlinde(md)
+    for tag in ("A:7", "D:5"):
+        nr = su2_nimrep_from_graph(ade_graph(tag), 6)
+        for _ in range(2):
+            multiplicity_profile(nr, md)
+            rep_dimension(character(nr), md)
+            d_eigenvector(nr, md)
+    assert scans == [md.tensor.layers.shape]

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuselab.cyclo import ONE, ZERO, CycloNumber, FieldTensor, sin_ratio, zeta
 from fuselab.errors import (
@@ -15,6 +17,7 @@ from fuselab.errors import (
 )
 from fuselab.gauge import (
     GaugeProblem,
+    check_pairs,
     encircling_matrices,
     solve_gauge,
     validate_mu,
@@ -353,3 +356,162 @@ def test_phi_refuses_modular_data_of_another_rank():
     for level in (1, 4):
         with pytest.raises(ShapeMismatch, match="modular data rank differs"):
             verify_phi_isomorphism(nr, lam, su2_modular_data(level))
+
+
+# -- the star cocycle check against the full triangle scan it replaced ------
+
+
+def triangle_scan_mu(gp: GaugeProblem) -> Verdict:
+    """Reference: validate_mu with the full row-major triangle scan."""
+    n = len(gp.nodes)
+    mu = gp.mu_map()
+    J = set(gp.pairs)
+    for i in range(n):
+        if (i, i) not in J:
+            raise MissingPair(f"missing reflexive pair ({i},{i})")
+    for i, j in gp.pairs:
+        if (j, i) not in J:
+            raise MissingPair(f"pair ({i},{j}) present but ({j},{i}) missing")
+    out: dict[int, list[int]] = {}
+    for i, j in gp.pairs:
+        if i != j:
+            out.setdefault(i, []).append(j)
+    for i, js in out.items():
+        for j in js:
+            for k in out.get(j, ()):
+                if (i, k) not in J:
+                    raise MissingPair(f"pairs ({i},{j}), ({j},{k}) present but ({i},{k}) missing")
+
+    checks = []
+    for i in range(n):
+        if mu[(i, i)] != ONE:
+            return Verdict((*checks, failed("diagonal-units", f"mu[{i},{i}] != 1")))
+    checks.append(passed("diagonal-units"))
+    for i, j in gp.pairs:
+        if i < j and mu[(i, j)] * mu[(j, i)] != ONE:
+            return Verdict((*checks, failed("inverse-pairs", f"mu[{i},{j}] * mu[{j},{i}] != 1")))
+    checks.append(passed("inverse-pairs"))
+    for i, js in sorted(out.items()):
+        for j in sorted(js):
+            for k in sorted(out.get(j, ())):
+                if k != i and mu[(i, j)] * mu[(j, k)] != mu[(i, k)]:
+                    return Verdict((*checks, failed("cocycle", f"triangle ({i},{j},{k})")))
+    checks.append(passed("cocycle"))
+    return Verdict(tuple(checks))
+
+
+@st.composite
+def gauge_scalars(draw):
+    """A nonzero lambda at order 24: a monomial zeta_24^e * q, or a dense sum."""
+    q = draw(st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6))
+    if draw(st.booleans()):
+        return zeta(24, draw(st.integers(0, 23))) * q
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=24, max_size=24))
+    x = CycloNumber(24, coeffs) + q
+    return x if not x.is_zero else rat(q)
+
+
+@st.composite
+def corrupted_cliques(draw):
+    """A union of up to three cliques of up to six nodes with mu_ij =
+    lambda_i / lambda_j, then 0-2 corruptions: a diagonal entry, one side
+    of an inverse pair, or a triangle (both sides of one pair, so the
+    inverse pairs still hold)."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    lam = [draw(gauge_scalars()) for _ in range(sum(sizes))]
+    comps, start = [], 0
+    for size in sizes:
+        comps.append(range(start, start + size))
+        start += size
+    mu = clique_mu(lam, comps)
+    factor = draw(st.sampled_from([rat(2), zeta(24, 5), zeta(3) + rat(Fraction(1, 3))]))
+    for _ in range(draw(st.integers(0, 2))):
+        comp = draw(st.sampled_from(comps))
+        kind = draw(st.sampled_from(["diagonal", "inverse-pair", "triangle", "triangle"]))
+        i = draw(st.sampled_from(comp))
+        if kind == "diagonal" or len(comp) == 1:
+            mu[(i, i)] = mu[(i, i)] * factor
+        else:
+            j = draw(st.sampled_from([x for x in comp if x != i]))
+            mu[(i, j)] = mu[(i, j)] * factor
+            if kind == "triangle":
+                mu[(j, i)] = mu[(j, i)] / factor
+    return GaugeProblem.build(tuple(map(str, range(len(lam)))), mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_cliques())
+def test_star_cocycle_matches_the_triangle_scan(gp):
+    assert validate_mu(gp) == triangle_scan_mu(gp)
+
+
+def test_star_cocycle_witnesses_pinned():
+    rng = random.Random(2406)
+    lam = [zeta(24, rng.randrange(24)) * rat(Fraction(rng.randint(1, 5), 3)) for _ in range(6)]
+    for comps, (i, k), witness in [
+        ([range(6)], (2, 4), "triangle (0,2,4)"),
+        ([range(6)], (0, 5), "triangle (0,1,5)"),
+        ([range(3), range(3, 6)], (4, 5), "triangle (3,4,5)"),
+    ]:
+        mu = clique_mu(lam, comps)
+        assert validate_mu(GaugeProblem.build(tuple("abcdef"), mu)).ok
+        mu[(i, k)], mu[(k, i)] = mu[(i, k)] * 2, mu[(k, i)] / 2
+        gp = GaugeProblem.build(tuple("abcdef"), mu)
+        assert validate_mu(gp) == triangle_scan_mu(gp)
+        assert [(c.name, c.witness) for c in validate_mu(gp).checks] == [
+            ("diagonal-units", ""), ("inverse-pairs", ""), ("cocycle", witness)
+        ]
+
+
+def count_products(monkeypatch):
+    """Count the CycloNumber products made from outside CycloNumber.__mul__."""
+    calls, depth = [], [0]
+    original = CycloNumber.__mul__
+
+    def counted(self, other):
+        if not depth[0]:
+            calls.append(1)
+        depth[0] += 1
+        try:
+            return original(self, other)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(CycloNumber, "__mul__", counted)
+    return calls
+
+
+def test_star_cocycle_takes_at_most_n_squared_products(monkeypatch):
+    lam = [zeta(24, 5 * k) * rat(k + 1) + rat(Fraction(1, 2)) for k in range(6)]
+    gp = GaugeProblem.build(tuple("abcdef"), clique_mu(lam, [range(6)]))
+    calls = count_products(monkeypatch)
+    assert validate_mu(gp).ok
+    assert len(calls) <= 6 * 6
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [
+        ((1, 1), "missing reflexive pair (1,1)"),
+        ((1, 0), "pair (0,1) present but (1,0) missing"),
+        ((2, 0), "pair (0,2) present but (2,0) missing"),
+    ],
+)
+def test_missing_pair_texts(drop, message):
+    mu = clique_mu([ONE, rat(2), zeta(5)], [range(3)])
+    del mu[drop]
+    gp = GaugeProblem.build(("a", "b", "c"), mu)
+    for check in (check_pairs, validate_mu):
+        with pytest.raises(MissingPair) as info:
+            check(gp)
+        assert str(info.value) == message
+
+
+def test_missing_composition_text():
+    mu = clique_mu([ONE, rat(2), zeta(5)], [range(3)])
+    del mu[(0, 2)], mu[(2, 0)]
+    gp = GaugeProblem.build(("a", "b", "c"), mu)
+    for check in (check_pairs, validate_mu):
+        with pytest.raises(MissingPair) as info:
+            check(gp)
+        assert str(info.value) == "pairs (0,1), (1,2) present but (0,2) missing"

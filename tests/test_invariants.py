@@ -1,10 +1,12 @@
 """Dimension formulas for TM, diagonal profiles as partial Z matrices, exact
 commutant computation, lattice enumeration, and the diagonal-match verdict."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from fuselab.cyclo import ZERO, CycloNumber, exact_ints
@@ -98,6 +100,29 @@ def test_rep_dimension_pinned():
 def test_rep_dimension_shape():
     with pytest.raises(ShapeMismatch):
         rep_dimension((1, 2, 3), su2_modular_data(1))
+
+
+@pytest.mark.parametrize(
+    "chi, index",
+    [((1.5, 0.9), 0), ((1, Fraction(3, 2)), 1), ((True, 0), 0), ((0, False), 1), ((2, 2.0), 1)],
+)
+def test_rep_dimension_refuses_non_integer_entries(chi, index):
+    # int() used to truncate these: (1.5, 0.9) gave 1, Fraction(3, 2) and True counted as 1
+    with pytest.raises(ShapeMismatch, match=rf"^character entry {index} must be an integer$"):
+        rep_dimension(chi, su2_modular_data(1))
+
+
+def test_rep_dimension_matches_the_scalar_sum():
+    rng = random.Random(3108)
+    for name in ("su2:1", "su2:6", "su2:13", "fibonacci", "ising", "zn:5", "zn:8"):
+        md = load_catalog(name)
+        dual = md.ring.dual
+        for scale in (1, 2**70):
+            chi = [rng.randint(-3, 5) * scale for _ in range(md.rank)]
+            want = sum((md.d[dual[s]] * k for s, k in enumerate(chi) if k), ZERO)
+            assert rep_dimension(chi, md) == want
+        chi = np.array([rng.randint(0, 9) for _ in range(md.rank)])
+        assert rep_dimension(chi, md) == sum((md.d[dual[s]] * int(k) for s, k in enumerate(chi)), ZERO)
 
 
 def test_tm_dim_connected_cases():

@@ -209,6 +209,63 @@ def test_gauge_value_failures_load_fine():
     assert isinstance(gp, GaugeProblem)
 
 
+def test_gauge_load_checks_pairs_without_field_products(monkeypatch):
+    def without(*pairs):
+        doc = data_to_json(sample_gauge())
+        doc["mu"] = [t for t in doc["mu"] if (t[0], t[1]) not in pairs]
+        return doc
+
+    want, whole = sample_gauge(), data_to_json(sample_gauge())
+    cases = [
+        (without((1, 1)), "missing reflexive pair (1,1)"),
+        (without((1, 0)), "pair (0,1) present but (1,0) missing"),
+        (without((0, 2), (2, 0)), "pairs (0,1), (1,2) present but (0,2) missing"),
+    ]
+    calls = []
+    product = CycloNumber.__mul__
+    monkeypatch.setattr(CycloNumber, "__mul__", lambda a, b: calls.append(1) or product(a, b))
+    assert parse_data(whole) == want
+    for doc, message in cases:
+        with pytest.raises(MissingPair) as info:
+            parse_data(doc)
+        assert str(info.value) == message
+    assert calls == []
+
+
+def test_gauge_component_over_the_field_budget_is_refused_at_load(monkeypatch):
+    # each value is within the budget, but the triangle (0,1,2) multiplies
+    # zeta_181 by zeta_191, which lives in Q(zeta_34571)
+    mu = {(i, j): rat(1) for i in range(3) for j in range(3)}
+    mu[(0, 1)], mu[(1, 0)] = zeta(181), zeta(181, 180)
+    mu[(1, 2)], mu[(2, 1)] = zeta(191), zeta(191, 190)
+    doc = data_to_json(GaugeProblem.build(("a", "b", "c"), mu))
+    doc["nodes"].append("d")
+    doc["mu"].append([3, 3, cyclo_to_json(rat(1))])
+    calls = []
+    product = CycloNumber.__mul__
+    monkeypatch.setattr(CycloNumber, "__mul__", lambda a, b: calls.append(1) or product(a, b))
+    with pytest.raises(SchemaError) as info:
+        parse_data(doc)
+    assert str(info.value) == "gauge: field order 34571 exceeds the budget of 32768"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "adjacency, family, message",
+    [
+        ([[0, True], [True, 0]], "custom", "graph.adjacency: expected an integer, got True"),
+        ([[0, -1], [-1, 0]], "custom", "graph: adjacency[0][1] must be a non-negative integer"),
+        ([[0, 1], [0, 0]], "custom", "graph: adjacency must be symmetric, differs at (0,1)"),
+        ([[0, 1], [1, 0]], "A:3", "graph: adjacency does not match the A:3 Dynkin graph"),
+    ],
+)
+def test_graph_file_refusals_keep_their_text(adjacency, family, message):
+    doc = {"kind": "graph", "vertices": ["a", "b"], "adjacency": adjacency, "family": family}
+    with pytest.raises(SchemaError) as info:
+        parse_data(doc)
+    assert str(info.value) == message
+
+
 def test_gauge_duplicate_pair_rejected():
     doc = data_to_json(sample_gauge())
     doc["mu"].append(doc["mu"][0])

@@ -465,3 +465,18 @@ def test_truncation_identity_matches_generic_check():
 
 def test_nimrep_shares_the_catalog_ring():
     assert su2_nimrep_from_graph(ade_graph("E:6"), 10).ring is su2_modular_data(10).ring
+
+
+def test_library_graphs_equal_validated_graphs():
+    tags = [f"A:{n}" for n in range(2, 30)] + [f"D:{n}" for n in range(4, 17)]
+    tags += ["E:6", "E:7", "E:8"]
+    assert len(tags) == 44
+    graphs = [ade_graph(tag) for tag in tags]
+    for g in graphs:
+        assert g == BoundaryGraph(vertices=g.vertices, adjacency=g.adjacency, family=g.family)
+    rng = random.Random(3107)
+    for _ in range(16):
+        parts = rng.sample(graphs[:24], rng.randint(1, 3)) + [random_multigraph(rng)]
+        union = disjoint_union(*parts)
+        union = disjoint_union(union, rng.choice(graphs)) if rng.random() < 0.5 else union
+        assert union == BoundaryGraph(vertices=union.vertices, adjacency=union.adjacency)
