@@ -492,26 +492,18 @@ def test_star_cocycle_takes_at_most_n_squared_products(monkeypatch):
 @pytest.mark.parametrize(
     "drop, message",
     [
-        ((1, 1), "missing reflexive pair (1,1)"),
-        ((1, 0), "pair (0,1) present but (1,0) missing"),
-        ((2, 0), "pair (0,2) present but (2,0) missing"),
+        ([(1, 1)], "missing reflexive pair (1,1)"),
+        ([(1, 0)], "pair (0,1) present but (1,0) missing"),
+        ([(2, 0)], "pair (0,2) present but (2,0) missing"),
+        ([(0, 2), (2, 0)], "pairs (0,1), (1,2) present but (0,2) missing"),
     ],
 )
 def test_missing_pair_texts(drop, message):
     mu = clique_mu([ONE, rat(2), zeta(5)], [range(3)])
-    del mu[drop]
+    for pair in drop:
+        del mu[pair]
     gp = GaugeProblem.build(("a", "b", "c"), mu)
     for check in (check_pairs, validate_mu):
         with pytest.raises(MissingPair) as info:
             check(gp)
         assert str(info.value) == message
-
-
-def test_missing_composition_text():
-    mu = clique_mu([ONE, rat(2), zeta(5)], [range(3)])
-    del mu[(0, 2)], mu[(2, 0)]
-    gp = GaugeProblem.build(("a", "b", "c"), mu)
-    for check in (check_pairs, validate_mu):
-        with pytest.raises(MissingPair) as info:
-            check(gp)
-        assert str(info.value) == "pairs (0,1), (1,2) present but (0,2) missing"
