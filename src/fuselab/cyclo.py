@@ -70,8 +70,9 @@ def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _expansion(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """expansion[e] = ((basis_exponent, coefficient), ...) for zeta_n^e."""
+def _expansion(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], frozenset[int]]:
+    """(expansion, basis): expansion[e] = ((basis_exponent, coefficient), ...)
+    for zeta_n^e, and the basis exponents, whose rows are ((e, 1),)."""
     pps = _prime_powers(_budgeted(n))
     memo: dict[int, tuple[tuple[int, int], ...]] = {}
 
@@ -93,20 +94,22 @@ def _expansion(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         memo[e] = result
         return result
 
-    return tuple(expand(e) for e in range(n))
+    table = tuple(expand(e) for e in range(n))
+    return table, frozenset(e for e in range(n) if table[e] == ((e, 1),))
 
 
 def _canonical(order: int, num: dict[int, int], den: int) -> tuple[int, dict[int, int], int]:
     """Reduce to basis exponents, descend to the minimal order, strip gcd."""
     acc: dict[int, int] = {}
     while True:
-        table = _expansion(order)
-        acc = {}
-        for e, c in num.items():
-            if not c:
-                continue
-            for b, s in table[e % order]:
-                acc[b] = acc.get(b, 0) + s * c
+        table, basis = _expansion(order)
+        if basis.issuperset(num):  # the expansion row of a basis exponent is itself
+            acc = num
+        else:
+            acc = {}
+            for e, c in num.items():
+                for b, s in table[e % order]:
+                    acc[b] = acc.get(b, 0) + s * c
         acc = {e: c for e, c in acc.items() if c}
         if not acc:
             return 1, {}, 1
@@ -289,7 +292,8 @@ class CycloNumber:
             if gcd(j, m) == 1:
                 partial = partial * self.galois(j)
         norm = self * partial
-        assert norm.is_rational, "norm of a cyclotomic number must be rational"
+        if not norm.is_rational:  # an explicit raise, so python -O keeps the check
+            raise AssertionError("norm of a cyclotomic number must be rational")
         return partial * CycloNumber.from_rational(1 / norm.as_rational())
 
     def __truediv__(self, other):
@@ -494,7 +498,7 @@ def _reduction(n: int):
     """_expansion(n) as arrays sorted by basis exponent: source exponents,
     coefficients, the start of each basis exponent's run, the basis
     exponents, and the largest sum of |coefficients| over one run."""
-    terms = sorted((b, e, s) for e in range(n) for b, s in _expansion(n)[e])
+    terms = sorted((b, e, s) for e, row in enumerate(_expansion(n)[0]) for b, s in row)
     dst, src, coeff = map(np.array, zip(*terms))
     basis, starts = np.unique(dst, return_index=True)
     return src, coeff[:, None], starts, basis, int(np.add.reduceat(abs(coeff), starts).max())
@@ -541,7 +545,12 @@ class FieldTensor:
         """The tensor of an array of cyclotomic or rational entries."""
         grid = np.asarray(values, dtype=object)
         pool: dict[CycloNumber, int] = {}
-        index = [pool.setdefault(_coerce(x), len(pool)) for x in grid.flat]
+        index = []
+        for k, x in enumerate(grid.flat):
+            y = _coerce(x)
+            if y is None:
+                raise ShapeMismatch(f"entry {k} is not a cyclotomic or rational number: {x!r}")
+            index.append(pool.setdefault(y, len(pool)))
         n, den = _budgeted(lcm(*(x._order for x in pool))), lcm(*(x._den for x in pool))
         lifted = [[0] * len(pool) for _ in range(n)]
         for u, x in enumerate(pool):
@@ -606,6 +615,20 @@ class FieldTensor:
         column = self.layers[(slice(None), *index)]
         num = {int(e): int(c) for e, c in zip(self.exps, column) if c}
         return CycloNumber._raw(self.order, num, self.den)
+
+    def scalars(self):
+        """Every entry as a CycloNumber, in tuples nested like the entries
+        (the number itself for a single entry): one pass over the layers as
+        Python ints."""
+        exps, shape = self.exps.tolist(), self.layers.shape[1:]
+        columns = self.layers.reshape(len(exps), -1).T.tolist()
+        out = [
+            CycloNumber._raw(self.order, {e: c for e, c in zip(exps, col) if c}, self.den)
+            for col in columns
+        ]
+        for size in reversed(shape[1:]):
+            out = [tuple(out[k : k + size]) for k in range(0, len(out), size)]
+        return tuple(out) if shape else out[0]
 
 
 def embed_complex(x: CycloNumber, digits: int) -> mpmath.mpc:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import ZERO, CycloNumber, _coerce, exact_ints
+from .cyclo import ZERO, CycloNumber, FieldTensor, _coerce, _magnitude, exact_ints
 from .errors import ShapeMismatch
 from .verdict import Check, Verdict, failed, passed
 
@@ -170,25 +170,19 @@ def su2_fusion_ring(level: int) -> FusionRing:
 
 
 def multiply(ring: FusionRing, x: FusionElement, y: FusionElement) -> FusionElement:
-    """Bilinear extension of the structure constants."""
+    """Bilinear extension of the structure constants: sum_ab x_a y_b N_ab^c
+    as one convolution of the coefficient tensors, r^2 products per entry,
+    each at most max N_ab^c in size. Coefficients may be cyclotomic, int or
+    Fraction; any other entry is a ShapeMismatch."""
     r = ring.rank
     if len(x.coeffs) != r or len(y.coeffs) != r:
         raise ShapeMismatch("element rank does not match the ring")
-    out: list[CycloNumber] = [ZERO] * r
-    N = ring.N
-    for a, xa in enumerate(x.coeffs):
-        if xa.is_zero:
-            continue
-        for b, yb in enumerate(y.coeffs):
-            if yb.is_zero:
-                continue
-            prod = xa * yb
-            row = N[a][b]
-            for c in range(r):
-                k = row[c]
-                if k:
-                    out[c] = out[c] + (prod if k == 1 else prod * k)
-    return FusionElement(tuple(out))
+    N = exact_ints(ring.N)
+    inner = r * r * max(1, _magnitude(N))
+    N = N.reshape(r, r * r)
+    X, Y = FieldTensor.of(x.coeffs), FieldTensor.of(y.coeffs)
+    product = X.convolve(Y, lambda u, V: V @ (u @ N).reshape(r, r), inner)
+    return FusionElement(product.scalars())
 
 
 def homomorphism_failure(N, mats):

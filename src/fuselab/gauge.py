@@ -206,12 +206,7 @@ def encircling_matrices(nr, lam) -> tuple[tuple[tuple[CycloNumber, ...], ...], .
     """E(a)_{ji} = (lambda_i / lambda_j) N(a)_{ji}, one matrix per label."""
     _, R = _encircling(nr, lam)
     mats = exact_ints(np.stack(nr.mats))
-    E = R.apply(lambda L: L[:, None] * mats, 1)
-    size = nr.size
-    return tuple(
-        tuple(tuple(E.scalar((a, j, i)) for i in range(size)) for j in range(size))
-        for a in range(len(nr.mats))
-    )
+    return R.apply(lambda L: L[:, None] * mats, 1).scalars()
 
 
 def verify_phi_isomorphism(nr, lam, md) -> Verdict:

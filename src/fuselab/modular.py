@@ -7,13 +7,21 @@ Conventions:
   * T data is a vector of RationalPhase exponents, never a complex matrix.
   * md.tensor holds S as one exact FieldTensor; S^2, the Verlinde identity
     and sum, and Z*S - S*Z in invariants are integer products on it.
-  * Values derived from one datum (inverse dimensions, spectrum, idempotent
-    family, and the commutant in invariants) are computed once and held on
-    that object, so they go away with it.
+  * Values derived from one datum (inverse dimensions, the points and
+    their norms, spectrum, idempotent family and its tensor, and the
+    commutant in invariants) are computed once and held on that object, so
+    they go away with it.
   * lambda_I(S) = S_{IS} / d(I) is the point of Spec(F) attached to I; the
     pairing is <a, b> = sum_S a(S) * b(dual(S)).
+  * The spectrum and the idempotent family are contractions on md.tensor:
+    the points V = S scaled row by row by the kept 1/d(I), their norms one
+    contraction of V with V[:, dual], and the family V[:, dual] scaled row
+    by row by the inverse norms. Tensors are read back as CycloNumbers in
+    one batch each, and only where scalars are needed: the norms, to be
+    inverted, and the results of spectrum and idempotent_family. A
+    multiplicity profile reads none of them.
 
-The two idempotent routes are deliberately independent: spectral_idempotent
+The two idempotent routes are deliberately independent: the spectral one
 divides by the norm <lambda, lambda> computed from the pairing, while
 tube_idempotent uses the d(I)^2 / d(C) prefactor. Their coefficient-exact
 agreement is the decategorified content of "e_{lambda_I} = 1_I".
@@ -190,17 +198,45 @@ def _inverse_dims(md: ModularData) -> tuple[CycloNumber, ...]:
     return inverses(md.d)
 
 
+def _scaled_rows(x, Y):
+    """Convolution op for entry [I][S] = x[I][S] * y[I]."""
+    return x[None] * Y[:, :, None]
+
+
+@_per_datum
+def _points(md: ModularData) -> FieldTensor:
+    """V[I][S] = lambda_I(S) = S_{IS} / d(I), from the kept inverse dimensions."""
+    return md.tensor.convolve(FieldTensor.of(_inverse_dims(md)), _scaled_rows, 1)
+
+
+@_per_datum
+def _norms(md: ModularData) -> tuple[CycloNumber, ...]:
+    """<lambda_I, lambda_I> = sum_S V[I][S] * V[I][dual(S)], the pairing as
+    one contraction, read back in one batch."""
+    V = _points(md)
+    pairing = V.convolve(V[:, list(md.ring.dual)], lambda x, Y: (x * Y).sum(axis=2), md.rank)
+    return pairing.scalars()
+
+
+@_per_datum
+def _idempotents(md: ModularData) -> FieldTensor:
+    """E[I][S] = e_{lambda_I}(S) = V[I][dual(S)] / <lambda_I, lambda_I>, the
+    norms inverted as one batch; the first zero norm is named."""
+    norms = _norms(md)
+    for i, x in enumerate(norms):
+        if x.is_zero:
+            raise DegenerateScalar(f"lambda_{i} has zero norm")
+    V = _points(md)[:, list(md.ring.dual)]
+    return V.convolve(FieldTensor.of(inverses(norms)), _scaled_rows, 1)
+
+
 @_per_datum
 def spectrum(md: ModularData) -> tuple[SpectrumPoint, ...]:
     """One point lambda_I per label; normSq is computed from the pairing."""
-    inv_d = _inverse_dims(md)
-    points = []
-    for i in range(md.rank):
-        values = tuple(md.S[i][s] * inv_d[i] for s in range(md.rank))
-        points.append(
-            SpectrumPoint(baseLabel=i, values=values, normSq=inner_product(md, values, values))
-        )
-    return tuple(points)
+    rows, norms = _points(md).scalars(), _norms(md)
+    return tuple(
+        SpectrumPoint(baseLabel=i, values=rows[i], normSq=norms[i]) for i in range(md.rank)
+    )
 
 
 def inner_product(md: ModularData, a, b) -> CycloNumber:
@@ -232,6 +268,8 @@ def tube_idempotent(md: ModularData, label: int) -> FusionElement:
     Same shape as the spectral idempotent but with the dimension prefactor;
     the exact agreement of the two is a theorem, not a construction.
     """
+    if not isinstance(label, int) or isinstance(label, bool):
+        raise ShapeMismatch(f"label must be an integer, got {label!r}")
     if not 0 <= label < md.rank:
         raise ShapeMismatch(f"label {label} out of range")
     if md.globalDim.is_zero:
@@ -244,12 +282,9 @@ def tube_idempotent(md: ModularData, label: int) -> FusionElement:
 
 @_per_datum
 def idempotent_family(md: ModularData) -> tuple[FusionElement, ...]:
-    """All spectral idempotents e_{lambda_I}, held on the datum; the nonzero
-    norms are inverted as one batch before spectral_idempotent reads them,
-    and it names the first zero one."""
-    points = spectrum(md)
-    inverses(p.normSq for p in points if not p.normSq.is_zero)
-    return tuple(spectral_idempotent(md, p) for p in points)
+    """All spectral idempotents e_{lambda_I}, held on the datum and equal to
+    spectral_idempotent's; a zero norm is named as there."""
+    return tuple(FusionElement(row) for row in _idempotents(md).scalars())
 
 
 def verlinde(md: ModularData) -> tuple:
@@ -271,7 +306,7 @@ def verlinde(md: ModularData) -> tuple:
     out = []
     for a in range(r):
         V = T.convolve(T[a], _rows, 1).convolve(U, lambda x, Y: x @ Y.transpose(0, 2, 1), r)
-        plane = tuple(tuple(V.scalar((b, c)) for c in range(r)) for b in range(r))
+        plane = V.scalars()
         for b in range(a, r):  # a row b < a repeats the entries (b, a, c) checked before
             for c, total in enumerate(plane[b]):
                 if not total.is_rational:

@@ -10,14 +10,14 @@ verify_nimrep serves regular modules and modules given as matrices.
 
 Profiles are exact: m[I] is the trace of the spectral projector for
 lambda_I pushed through the representation, which by linearity of the trace
-is sum_S coeff_S(e_{lambda_I}) * chi[S] with integer characters chi. Each
-e_{lambda_I} is row I of S with its columns permuted by the duality, times
-W[I] = 1 / (d(I) <lambda_I, lambda_I>). The weights are folded into S once
-per datum, P = W * S row by row, so a profile is one integer contraction of
-P with chi; the lambda_0 projector column of d_eigenvector is one
-contraction of md.tensor[0] with the module matrices. The float
-eigen-decomposition never feeds a result here; it lives in the test suite
-as an independent oracle.
+is sum_S coeff_S(e_{lambda_I}) * chi[S] with integer characters chi. The
+coefficients E[I][S] = e_{lambda_I}(S) are one tensor per datum, row I of S
+with its columns permuted by the duality, times 1 / (d(I) <lambda_I,
+lambda_I>) (modular._idempotents), so a profile is one integer contraction
+of E with chi and reads no coefficient back as a CycloNumber; the lambda_0
+projector column of d_eigenvector is one contraction of md.tensor[0] with
+the module matrices. The float eigen-decomposition never feeds a result
+here; it lives in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CycloNumber, FieldTensor, exact_ints
+from .cyclo import CycloNumber, exact_ints
 from .errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -36,14 +36,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fusion import FusionRing, homomorphism_failure, su2_fusion_ring
-from .modular import (
-    ModularData,
-    _first,
-    _inverse_dims,
-    _per_datum,
-    idempotent_family,
-    spectrum,
-)
+from .modular import ModularData, _first, _idempotents
 from .verdict import Check, Verdict, failed, passed
 
 _ADE_FAMILIES = ("A", "D", "E")
@@ -274,29 +267,15 @@ def character(nr: NimRep) -> tuple[int, ...]:
     return tuple(int(m.trace()) for m in nr.mats)
 
 
-@_per_datum
-def _projectors(md: ModularData) -> FieldTensor:
-    """P[I][t] = W[I] * S[I][t] with W[I] = 1 / (d(I) <lambda_I, lambda_I>),
-    so that e_{lambda_I}(S) = P[I][dual(S)]. W comes from the inverses the
-    datum keeps; idempotent_family runs first, so a zero norm is named as
-    there."""
-    idempotent_family(md)
-    w = FieldTensor.of(
-        [inv_d * p.normSq.inverse() for inv_d, p in zip(_inverse_dims(md), spectrum(md))]
-    )
-    return md.tensor.convolve(w, lambda x, Y: x[None] * Y[:, :, None], 1)
-
-
 def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
     """m[I] = trace of the lambda_I spectral projector inside the rep,
-    sum_S e_{lambda_I}(S) * chi[S] = sum_t P[I][t] * chi[dual(t)]: one
-    integer contraction of the per-datum tensor P = W * S with chi, read off
-    its layers label by label."""
+    sum_S e_{lambda_I}(S) * chi[S]: one integer contraction of the per-datum
+    tensor E of the idempotent family with chi, read off its layers label by
+    label. A zero quantum dimension is named before a zero norm."""
     if md.ring.rank != nr.ring.rank:
         raise ShapeMismatch("modular data rank differs from the ring rank")
-    chi, dual, P = character(nr), md.ring.dual, _projectors(md)
-    v = exact_ints([chi[t] for t in dual], md.rank)
-    m = P.apply(lambda L: L @ v, md.rank)
+    v = exact_ints(character(nr), md.rank)
+    m = _idempotents(md).apply(lambda L: L @ v, md.rank)
     irrational = m.layers[m.exps != 0].any(axis=0)
     rational = m.layers[m.exps == 0].sum(axis=0)
     out: list[int] = []
@@ -343,5 +322,6 @@ def d_eigenvector(nr: NimRep, md: ModularData) -> tuple[CycloNumber, ...]:
     if bad is not None:
         a, j = bad
         raise AssertionError(f"projector column is not a d-eigenvector at (a, j) = ({a},{j})")
-    scale = x.scalar((0,)).inverse()
-    return tuple(x.scalar((j,)) * scale for j in range(size))
+    values = x.scalars()
+    scale = values[0].inverse()
+    return tuple(v * scale for v in values)

@@ -1,9 +1,13 @@
 """Exact cyclotomic arithmetic: canonical forms, sine ratios, the float
 embedding, and field axioms on random elements."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -26,7 +30,7 @@ from fuselab.cyclo import (
     sin_ratio,
     zeta,
 )
-from fuselab.errors import DegenerateScalar
+from fuselab.errors import DegenerateScalar, ShapeMismatch
 from fuselab.invariants import rep_dimension
 from fuselab.modular import ModularData, su2_modular_data, verify_modular_data, verlinde
 from fuselab.nimrep import (
@@ -355,3 +359,99 @@ def test_md_tensor_layers_are_scanned_once(monkeypatch):
             rep_dimension(character(nr), md)
             d_eigenvector(nr, md)
     assert scans == [md.tensor.layers.shape]
+
+
+def test_galois_norm_check_survives_python_O():
+    # with galois patched to the identity, the "norm" x^phi(5) is irrational
+    code = (
+        "import sys\n"
+        "from fuselab.cyclo import CycloNumber, zeta\n"
+        "CycloNumber.galois = lambda self, j: self\n"
+        "try:\n"
+        "    (zeta(5) + 2).inverse()\n"
+        "except AssertionError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    src = str(Path(cyclo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "1 norm of a cyclotomic number must be rational\n"
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None])
+def test_field_tensor_names_the_first_bad_entry(bad):
+    with pytest.raises(ShapeMismatch, match=r"^entry 3 is not a cyclotomic or rational number: "):
+        FieldTensor.of([[ONE, 2], [Fraction(1, 2), bad], [bad, ONE]])
+
+
+def _reference_canonical(order, num, den):
+    """_canonical without the basis fast path: every exponent re-expanded."""
+    while True:
+        table = cyclo._expansion(order)[0]
+        acc = {}
+        for e, c in num.items():
+            for b, s in table[e % order]:
+                acc[b] = acc.get(b, 0) + s * c
+        acc = {e: c for e, c in acc.items() if c}
+        if not acc:
+            return 1, {}, 1
+        g = order
+        for e in acc:
+            g = gcd(g, e)
+        if g == 1:
+            break
+        order //= g
+        num = {e // g: c for e, c in acc.items()}
+    g = den
+    for c in acc.values():
+        g = gcd(g, c)
+    return order, {e: c // g for e, c in acc.items()}, den // g
+
+
+def test_basis_exponents_are_the_zumbroich_basis():
+    for n in (1, 2, 4, 9, 12, 30, 40, 60, 64, 105, 240):
+        pps = cyclo._prime_powers(n)
+        want = {e for e in range(n) if all((e % q) // (q // p) != p - 1 for p, q in pps)}
+        table, basis = cyclo._expansion(n)
+        assert basis == want and all(table[e] == ((e, 1),) for e in basis), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _orders,
+    st.booleans(),
+    st.dictionaries(st.integers(0, 239), st.integers(-5, 5), max_size=6),
+    st.integers(1, 12),
+)
+def test_canonical_fast_path_matches_full_reexpansion(n, on_basis, coeffs, den):
+    # on_basis keeps only basis exponents (the fast path), zeros included
+    num = {e % n: c for e, c in coeffs.items()}
+    if on_basis:
+        num = {e: c for e, c in num.items() if e in cyclo._expansion(n)[1]}
+    assert cyclo._canonical(n, dict(num), den) == _reference_canonical(n, dict(num), den)
+
+
+def test_scalars_equal_scalar_entrywise():
+    x = CycloNumber(24, {1: 2**70, 5: -3})
+    grid = [
+        [zeta(24, 7), zeta(3) * Fraction(2, 5), ONE, ZERO],  # order 3 and 1 descend from 24
+        [x, -x * 2**10 + zeta(8), sin_ratio(3, 6), Fraction(-7, 3)],
+    ]
+    big = FieldTensor.of(grid)
+    assert big.layers.dtype == object and cyclo._magnitude(big.layers) > 2**63
+    small = FieldTensor.of([[zeta(12, 5), Fraction(1, 6)], [ZERO, zeta(4) - 1]])
+    product = small.convolve(small, lambda u, V: u @ V, 2)  # a den and reduced layers
+    for t in (big, big[1], big[:, [3, 0]], small, product, product[0, 1]):
+        got = np.empty(t.layers.shape[1:], dtype=object)
+        got[...] = t.scalars()
+        if not got.shape:
+            assert isinstance(t.scalars(), CycloNumber)
+        for index in np.ndindex(got.shape):
+            one = t.scalar(index)
+            assert (got[index]._order, got[index]._num, got[index]._den) == (
+                one._order, one._num, one._den
+            )
+    assert big.scalars() == tuple(tuple(CycloNumber._raw(1, {0: 0}, 1) + v for v in row) for row in grid)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuselab.cyclo import ONE, CycloNumber
+from scalar_oracles import raw, scalar_multiply
+
+from fuselab.cyclo import ONE, ZERO, CycloNumber, zeta
 from fuselab.errors import ShapeMismatch
 from fuselab.fusion import (
     FusionElement,
@@ -19,7 +21,7 @@ from fuselab.fusion import (
     su2_fusion_ring,
     verify_axioms,
 )
-from fuselab.modular import catalog_names, load_catalog
+from fuselab.modular import catalog_names, idempotent_family, load_catalog
 from fuselab.verdict import Verdict, failed, passed
 
 
@@ -286,3 +288,80 @@ def test_multiply_associative_commutative(args):
     assert multiply(ring, multiply(ring, x, y), z) == multiply(
         ring, x, multiply(ring, y, z)
     )
+
+
+# -- the tensor product against the scalar loop -----------------------------
+
+
+def same_product(ring, x, y):
+    got, want = multiply(ring, x, y), scalar_multiply(ring, x, y)
+    return [raw(c) for c in got.coeffs] == [raw(c) for c in want.coeffs]
+
+
+def test_multiply_matches_the_scalar_loop_on_the_catalog():
+    names = [name for name in catalog_names() if load_catalog(name).rank <= 13]
+    for name in names:
+        md = load_catalog(name)
+        r, fam = md.rank, idempotent_family(md)
+        rows = [FusionElement(row) for row in md.S]
+        for a in range(r):
+            b = (7 * a + 3) % r
+            assert same_product(md.ring, fam[a], fam[b]), (name, a, b)
+            assert same_product(md.ring, rows[a], rows[b]), (name, a, b)
+            assert same_product(md.ring, rows[a], fam[b]), (name, a, b)
+
+
+_coefficients = st.one_of(
+    st.just(ZERO),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6).map(CycloNumber.from_rational),
+    st.tuples(st.sampled_from([3, 4, 5, 8, 9, 12, 20]), st.integers(0, 19), st.integers(-3, 3),
+              st.fractions(min_value=-2, max_value=2, max_denominator=5))
+    .map(lambda a: zeta(a[0], a[1]) * a[2] + a[3]),
+)
+
+
+@st.composite
+def rings_and_elements(draw):
+    """A table of arbitrary integers (not a fusion ring: multiplicities past
+    int64 products, zeros and negatives) with three elements of mixed orders,
+    rationals and zeros; the bilinear product needs no axiom."""
+    r = draw(st.integers(1, 4))
+    entries = st.sampled_from([0, 0, 1, 1, 2, 5, -1, 2**40])
+    N = tuple(tuple(tuple(draw(entries) for _ in range(r)) for _ in range(r)) for _ in range(r))
+    ring = FusionRing(labels=tuple(str(a) for a in range(r)), dual=tuple(range(r)), N=N)
+    x, y = (
+        FusionElement(tuple(draw(st.lists(_coefficients, min_size=r, max_size=r))))
+        for _ in range(2)
+    )
+    return ring, x, y
+
+
+@settings(max_examples=80, deadline=None)
+@given(rings_and_elements())
+def test_multiply_matches_the_scalar_loop_on_mixed_elements(args):
+    assert same_product(*args)
+
+
+def test_multiply_stays_exact_when_products_with_n_pass_int64():
+    # x_a y_b fits int64 many times over; times N_ab^c = 2**30 it does not
+    ring = FusionRing(labels=("0", "1"), dual=(0, 1), N=(((1, 2**30), (2**30, 1)),) * 2)
+    x = FusionElement((2**20 * zeta(8) + 2**19, 2**20 * zeta(8, 3) - 1))
+    assert same_product(ring, x, x)
+    x0, x1 = x.coeffs
+    assert multiply(ring, x, x).coeffs[0] == (x0 + x1) * (x0 + 2**30 * x1)
+
+
+def test_multiply_takes_int_and_fraction_coefficients():
+    ring = su2_fusion_ring(2)
+    x = FusionElement((1, Fraction(1, 2), 0))
+    y = FusionElement((Fraction(-2, 3), zeta(8), 3))
+    cx = FusionElement(tuple(CycloNumber.from_rational(c) for c in x.coeffs))
+    cy = FusionElement((CycloNumber.from_rational(Fraction(-2, 3)), zeta(8), 3 * ONE))
+    assert multiply(ring, x, y) == multiply(ring, cx, cy) == scalar_multiply(ring, cx, cy)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", None])
+def test_multiply_names_the_first_bad_coefficient(bad):
+    ring = su2_fusion_ring(2)
+    with pytest.raises(ShapeMismatch, match=r"^entry 1 is not a cyclotomic or rational number: "):
+        multiply(ring, FusionElement((ONE, bad, bad)), ring.unit)

@@ -11,14 +11,27 @@ from fractions import Fraction
 import pytest
 
 from fuselab.cli import main
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scalar_oracles import raw, scalar_idempotent_family, scalar_spectrum
+
+from fuselab import modular
 from fuselab.cyclo import ONE, ZERO, CycloNumber, RationalPhase, sin_ratio, zeta
-from fuselab.errors import DegenerateScalar, NonIntegralVerlinde, SchemaError, ValidationFailed
-from fuselab.fusion import FusionRing, multiply
+from fuselab.errors import (
+    DegenerateScalar,
+    NonIntegralVerlinde,
+    SchemaError,
+    ShapeMismatch,
+    ValidationFailed,
+)
+from fuselab.fusion import FusionRing, multiply, su2_fusion_ring
 from fuselab.invariants import commutant_basis, verify_invariant
 from fuselab.io import data_to_json, parse_data
+from fuselab.nimrep import multiplicity_profile, regular_nimrep
 from fuselab.verdict import Verdict, failed, passed
 from fuselab.modular import (
     ModularData,
+    SpectrumPoint,
     catalog_names,
     fibonacci_modular_data,
     idempotent_family,
@@ -506,7 +519,14 @@ def test_derived_values_go_away_with_the_datum():
 
 def test_derived_values_are_found_without_rehashing(monkeypatch):
     md = su2_modular_data(6)
-    derived = (spectrum, idempotent_family, commutant_basis)
+    derived = (
+        spectrum,
+        idempotent_family,
+        commutant_basis,
+        modular._points,
+        modular._norms,
+        modular._idempotents,
+    )
     first = [fn(md) for fn in derived]
 
     def no_hash(self):
@@ -522,14 +542,20 @@ def test_degenerate_scalars_keep_their_messages_and_order():
     i = zeta(4)
     # d[1] and d[2] are both zero; the first in label order is named
     no_dims = ModularData.build(ising.ring, ((ONE, ZERO, ZERO), (ONE, i, ONE), (ONE, ONE, i)), t)
-    for fn in (spectrum, idempotent_family, lambda md: tube_idempotent(md, 0), verlinde):
+    regular = regular_nimrep(ising.ring)
+
+    def profile(md):
+        return multiplicity_profile(regular, md)
+
+    for fn in (spectrum, idempotent_family, lambda md: tube_idempotent(md, 0), verlinde, profile):
         with pytest.raises(DegenerateScalar, match=r"^quantum dimension d\[1\] is zero$"):
             fn(no_dims)
     # lambda_1 = (i, 1, 0) and lambda_2 = (i, 0, 1) both have norm i^2 + 1 = 0
     no_norms = ModularData.build(ising.ring, ((ONE, ONE, ONE), (i, ONE, ZERO), (i, ZERO, ONE)), t)
     assert [p.normSq for p in spectrum(no_norms)] == [rat(3), ZERO, ZERO]
-    with pytest.raises(DegenerateScalar, match=r"^lambda_1 has zero norm$"):
-        idempotent_family(no_norms)
+    for fn in (idempotent_family, profile):
+        with pytest.raises(DegenerateScalar, match=r"^lambda_1 has zero norm$"):
+            fn(no_norms)
 
 
 def test_ingest_reaches_the_galois_norm_loop_once_per_batch(monkeypatch):
@@ -548,3 +574,57 @@ def test_ingest_reaches_the_galois_norm_loop_once_per_batch(monkeypatch):
     # inverse dimensions, norms, global dimension: one batch each
     assert len(dense) <= 3, len(dense)
     assert tubes == [spectral_idempotent(md, p) for p in spectrum(md)]
+
+
+# -- the tensor routes against the scalar loops ----------------------------
+
+
+def outcome(fn, md):
+    """The canonical forms fn(md) returns, or the text of its error."""
+    try:
+        got = fn(md)
+    except DegenerateScalar as err:
+        return "error", str(err)
+    if isinstance(got[0], SpectrumPoint):
+        return [(p.baseLabel, [raw(x) for x in p.values], raw(p.normSq)) for p in got]
+    return [[raw(x) for x in e.coeffs] for e in got]
+
+
+def test_spectrum_and_family_match_the_scalar_loops_on_the_catalog():
+    names = [name for name in catalog_names() if load_catalog(name).rank <= 13]
+    assert len(names) == 23
+    for name in names:
+        md = parse_data(data_to_json(load_catalog(name)))  # numbers with no kept inverses
+        assert outcome(spectrum, md) == outcome(scalar_spectrum, md), name
+        assert outcome(idempotent_family, md) == outcome(scalar_idempotent_family, md), name
+
+
+_entries = st.one_of(
+    st.just(ZERO),
+    st.integers(-3, 3).map(rat),
+    st.tuples(st.sampled_from([3, 4, 5, 8, 12, 16]), st.integers(0, 15), st.integers(-2, 2),
+              st.fractions(min_value=-2, max_value=2, max_denominator=4))
+    .map(lambda a: zeta(a[0], a[1]) * a[2] + a[3]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda r: st.lists(st.lists(_entries, min_size=r, max_size=r), min_size=r, max_size=r)
+))
+def test_spectrum_and_family_match_the_scalar_loops_on_arbitrary_entries(S):
+    # not modular data: any S of mixed orders, rationals and zeros, over a
+    # ring with a nontrivial duality from rank 3 on
+    r = len(S)
+    if S[0][0].is_zero:  # d[0] = 0 ends both routes at once; draw other degeneracies
+        S[0][0] = ONE
+    ring = su2_fusion_ring(r - 1) if r < 3 else zn_modular_data(r).ring
+    md = ModularData.build(ring, S, [0] * r)
+    assert outcome(spectrum, md) == outcome(scalar_spectrum, md)
+    assert outcome(idempotent_family, md) == outcome(scalar_idempotent_family, md)
+
+
+@pytest.mark.parametrize("label", [True, False, 1.0, "1", None])
+def test_tube_idempotent_refuses_non_integer_labels(label):
+    with pytest.raises(ShapeMismatch, match=r"^label must be an integer, got "):
+        tube_idempotent(su2_modular_data(2), label)

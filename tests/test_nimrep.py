@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from scalar_oracles import scalar_idempotent_family
 
 from fuselab.cyclo import ONE, ZERO, CycloNumber, exact_ints, sin_ratio
 from fuselab.errors import (
@@ -16,7 +17,8 @@ from fuselab.errors import (
     ShapeMismatch,
 )
 from fuselab.fusion import su2_fusion_ring
-from fuselab.modular import idempotent_family, load_catalog, su2_modular_data
+from fuselab.io import data_to_json, parse_data
+from fuselab.modular import SpectrumPoint, load_catalog, su2_modular_data
 from fuselab.nimrep import (
     BoundaryGraph,
     NimRep,
@@ -289,7 +291,7 @@ def scalar_profile(nr, md):
     """Reference: m[I] = sum_S coeff_S(e_I) * chi[S] in scalar arithmetic."""
     chi = character(nr)
     out = []
-    for I, e in enumerate(idempotent_family(md)):
+    for I, e in enumerate(scalar_idempotent_family(md)):
         val = sum((c * chi[s] for s, c in enumerate(e.coeffs) if chi[s]), ZERO)
         if not val.is_rational:
             raise NonIntegralMultiplicity(f"projector trace for label {I} is irrational")
@@ -312,7 +314,7 @@ def scalar_d_eigenvector(nr, md):
     m = scalar_profile(nr, md)
     if m[0] != 1:
         raise MultiplicityNotOne(f"unit character has multiplicity {m[0]}")
-    e0, size = idempotent_family(md)[0], nr.size
+    e0, size = scalar_idempotent_family(md)[0], nr.size
     col = None
     for i in range(size):
         cand = [
@@ -333,6 +335,29 @@ def scalar_d_eigenvector(nr, md):
                     f"projector column is not a d-eigenvector at (a, j) = ({a},{j})"
                 )
     return v
+
+
+def test_profile_does_linear_scalar_work(monkeypatch):
+    # a fresh datum: its numbers keep no inverses from earlier tests
+    md = parse_data(data_to_json(su2_modular_data(16)))
+    nr = su2_nimrep_from_graph(ade_graph("D:10"), 16)
+    products, points = [], []
+    mul = CycloNumber.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    def no_point(self, *args, **kwargs):
+        points.append(args)
+
+    monkeypatch.setattr(CycloNumber, "__mul__", counted)
+    monkeypatch.setattr(CycloNumber, "__rmul__", counted)
+    monkeypatch.setattr(SpectrumPoint, "__init__", no_point)
+    assert multiplicity_profile(nr, md) == (1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0, 1)
+    # two batch inverses of r numbers each; the scalar family took r^2 = 289 and more
+    assert len(products) <= 8 * md.rank, len(products)
+    assert points == []
 
 
 def outcome(fn, *args):
