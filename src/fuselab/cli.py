@@ -33,7 +33,7 @@ from .errors import (
     ValidationFailed,
 )
 from .fusion import FusionRing, su2_fusion_ring, verify_axioms
-from .gauge import GaugeProblem, solve_gauge, validate_mu
+from .gauge import GaugeProblem, _solution, validate_mu
 from .invariants import (
     DEFAULT_ENTRY_BOUND,
     InvariantMatrix,
@@ -218,7 +218,7 @@ def _cmd_gauge_solve(job: JobSpec):
     payload: dict = {"nodes": list(obj.nodes)}
     checks = list(v.checks)
     if v.ok:
-        sol = solve_gauge(obj)
+        sol = _solution(obj)
         payload["components"] = [list(c) for c in sol.components]
         payload["lambda"] = [cyclo_to_json(x) for x in sol.lam]
     return checks, payload

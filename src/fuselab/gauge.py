@@ -16,9 +16,20 @@ It also holds whenever every triangle does, as (i, r, j) is one, and by
 the inverse pairs it need only be checked for i < j. When it fails, the
 row-major triangle scan runs to find the first broken triangle.
 
-The encircling module is one size x size FieldTensor of the ratios
-R[j][i] = lambda_i / lambda_j: E(a) = R * N(a) entrywise, so N(a) is only
-an integer mask and the isomorphism checks are integer products on R.
+A passing validation fixes the solution, so solving re-checks nothing:
+lambda_j = mu_jr, which the inverse pairs make 1 / mu_rj with no field
+inverse, and mu_ij * lambda_j = mu_ir * mu_rj * mu_jr = lambda_i on every
+pair by the star identity. Field elements are canonical, so this lambda is
+the same number, and prints the same, as 1 / mu_rj.
+
+The isomorphism checks take no inverse either. E(a) = Lambda^-1 N(a) Lambda
+exists exactly when no lambda_i is zero, and then Lambda E(a) = N(a) Lambda
+holds by construction, so "intertwiner" is evaluated as that condition (a
+zero lambda_i raises DegenerateScalar). Row j of E(a) sums to
+(N(a) lambda)_j / lambda_j, so "d-eigenvector" is one integer contraction
+N(a) lambda compared with d(a) lambda; only a failing row's witness takes
+one inverse. encircling_matrices alone builds E: one FieldTensor of the
+ratios R[j][i] = lambda_i / lambda_j, masked by the integer N(a).
 """
 
 from __future__ import annotations
@@ -69,25 +80,6 @@ class GaugeProblem:
 class GaugeSolution:
     lam: tuple[CycloNumber, ...]
     components: tuple[tuple[int, ...], ...]
-
-
-def _components(n: int, pair_set) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in pair_set:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return tuple(tuple(groups[r]) for r in sorted(groups))
 
 
 def check_pairs(gp: GaugeProblem) -> dict[int, list[int]]:
@@ -169,67 +161,64 @@ def solve_gauge(gp: GaugeProblem) -> GaugeSolution:
     if not v.ok:
         bad = v.first_failure
         raise GaugeInconsistent(f"{bad.name}: {bad.witness}")
+    return _solution(gp)
+
+
+def _solution(gp: GaugeProblem) -> GaugeSolution:
+    """solve_gauge for a gp that passed validate_mu: lambda_j = mu_jr for
+    the root r of j's component, the least node paired with j."""
+    root = list(range(len(gp.nodes)))
+    for i, j in gp.pairs:
+        root[i] = min(root[i], j)
     mu = gp.mu_map()
-    comps = _components(len(gp.nodes), gp.pairs)
-    lam: list[CycloNumber | None] = [None] * len(gp.nodes)
-    for comp in comps:
-        root = comp[0]
-        lam[root] = ONE
-        for j in comp[1:]:
-            if (root, j) not in mu:
-                raise MissingPair(f"component of {root} is not a clique: missing ({root},{j})")
-            # mu_rj = lambda_r / lambda_j = 1 / lambda_j
-            value = mu[(root, j)]
-            if value.is_zero:
-                raise DegenerateScalar(f"mu[{root},{j}] is zero")
-            lam[j] = value.inverse()
-    for (i, j), value in mu.items():
-        if value * lam[j] != lam[i]:
-            raise GaugeInconsistent(f"solved lambda fails mu at ({i},{j})")
-    return GaugeSolution(lam=tuple(lam), components=comps)
+    comps: dict[int, list[int]] = {}
+    for j, r in enumerate(root):
+        comps.setdefault(r, []).append(j)
+    return GaugeSolution(
+        lam=tuple(mu[(j, r)] for j, r in enumerate(root)),
+        components=tuple(map(tuple, comps.values())),
+    )
 
 
-def _encircling(nr, lam) -> tuple[FieldTensor, FieldTensor]:
-    """The tensors of lambda and of the ratio R[j][i] = lambda_i / lambda_j,
-    so that E(a) = R * N(a) entrywise."""
+def _check_lambda(nr, lam) -> None:
+    """Lambda = diag(lam) is invertible with the boundary's size."""
     if len(lam) != nr.size:
         raise ShapeMismatch("lambda length must match the boundary rank")
     for i, x in enumerate(lam):
         if x.is_zero:
             raise DegenerateScalar(f"lambda[{i}] is zero")
-    both = FieldTensor.of([*lam, *inverses(lam)])
-    lam_t, inv = both[:nr.size], both[nr.size:]
-    return lam_t, inv.convolve(lam_t, lambda x, Y: x[None, :, None] * Y[:, None, :], 1)
 
 
 def encircling_matrices(nr, lam) -> tuple[tuple[tuple[CycloNumber, ...], ...], ...]:
-    """E(a)_{ji} = (lambda_i / lambda_j) N(a)_{ji}, one matrix per label."""
-    _, R = _encircling(nr, lam)
+    """E(a)_{ji} = (lambda_i / lambda_j) N(a)_{ji}, one matrix per label:
+    the ratio tensor R[j][i] = lambda_i / lambda_j masked by N(a)."""
+    _check_lambda(nr, lam)
+    both = FieldTensor.of([*lam, *inverses(lam)])
+    lam_t, inv = both[:nr.size], both[nr.size:]
+    R = inv.convolve(lam_t, lambda x, Y: x[None, :, None] * Y[:, None, :], 1)
     mats = exact_ints(np.stack(nr.mats))
     return R.apply(lambda L: L[:, None] * mats, 1).scalars()
 
 
 def verify_phi_isomorphism(nr, lam, md) -> Verdict:
     """(a) "intertwiner": Lambda E(a) = N(a) Lambda for every a, the module
-    map phi^i -> lambda_i i, i.e. lambda_j R_ji = lambda_i wherever
-    N(a)_ji != 0. (b) "d-eigenvector": every E(a) has constant row sums
-    d(a) = md.tensor[0][a], i.e. the all-ones vector is a d-eigenvector of E;
-    the sums are one integer contraction of R with the module matrices.
-    Both checks are always evaluated, with the first (a, j, i) and (a, j) in
-    row-major order as witnesses; (b) fails exactly when lambda is not a
-    d-eigenvector of N."""
-    lam_t, R = _encircling(nr, lam)
+    map phi^i -> lambda_i i. It holds exactly when Lambda is invertible, so
+    it passes once no lambda_i is zero; a zero one raises DegenerateScalar.
+    (b) "d-eigenvector": every E(a) has constant row sums d(a) =
+    md.tensor[0][a]. Row j of E(a) sums to (N(a) lambda)_j / lambda_j, so
+    this is one integer contraction N(a) lambda compared with d(a) lambda;
+    the witness is the first failing (a, j) in row-major order, and its row
+    sum takes the only inverse."""
+    _check_lambda(nr, lam)
     if md.rank != nr.ring.rank:
         raise ShapeMismatch("modular data rank differs from the ring rank")
+    d, lam_t = md.tensor[0], FieldTensor.of(lam)
     mats = exact_ints(np.stack(nr.mats), nr.size)
-    left = lam_t.convolve(R, lambda x, Y: x[None, :, None] * Y, 1)
-    bad = _first((mats != 0) & left.differs(lam_t[None]))
-    witness = None if bad is None else "(a,j,i)=({},{},{})".format(*bad)
-    checks = [passed("intertwiner") if bad is None else failed("intertwiner", witness)]
-
-    sums = R.apply(lambda L: (L[:, None] * mats).sum(axis=3), nr.size)
-    bad = _first(sums.differs(md.tensor[0][:, None]))
+    image = lam_t.apply(lambda L: (mats @ L.T).transpose(2, 0, 1), nr.size)
+    bad = _first(image.differs(d.convolve(lam_t, lambda u, Y: u[None, :, None] * Y[:, None, :], 1)))
+    check = passed("d-eigenvector")
     if bad is not None:
-        witness = f"row {bad[1]} of E({bad[0]}) sums to {sums.scalar(bad)}, not d({bad[0]})"
-    checks.append(passed("d-eigenvector") if bad is None else failed("d-eigenvector", witness))
-    return Verdict(tuple(checks))
+        a, j = bad
+        total = image.scalar(bad) * lam[j].inverse()
+        check = failed("d-eigenvector", f"row {j} of E({a}) sums to {total}, not d({a})")
+    return Verdict((passed("intertwiner"), check))

@@ -113,6 +113,39 @@ def test_gauge_solve_file(capsys, tmp_path):
     assert doc["payload"]["components"] == [[0, 1]]
 
 
+def test_gauge_solve_report_bytes_pinned(capsys, tmp_path, monkeypatch):
+    """Two cliques whose lambda are dense sums, so a solved lambda that
+    were not in canonical form would print other coefficients: the whole
+    structured report is pinned."""
+    from fractions import Fraction
+    from hashlib import sha256
+
+    from fuselab.cyclo import CycloNumber, zeta
+    from fuselab.gauge import GaugeProblem
+
+    rat = CycloNumber.from_rational
+    lam = [zeta(8) + 2, 3 * zeta(12, 5) + 1, zeta(3) - rat(Fraction(1, 2)),
+           zeta(5) + rat(Fraction(1, 3)), zeta(5, 2) - 2 * zeta(5)]
+    mu = {(i, j): lam[i] / lam[j] for c in (range(3), range(3, 5)) for i in c for j in c}
+    monkeypatch.chdir(tmp_path)
+    write_data_file("mu.json", GaugeProblem.build(tuple("abcde"), mu))
+    assert main(["gauge", "solve", "--data", "mu.json", "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    z = [0, 1]  # a zero coefficient
+    assert json.loads(out)["payload"]["lambda"] == [
+        {"coeffs": [[1, 1]], "order": 1},
+        {"coeffs": [[8, 17], [12, 17], z, [-4, 17], z, z, z, z, z, [-1, 17], [24, 17], z,
+                    z, z, z, z, [6, 17], z, [-2, 17], [-3, 17], z, z, z, z], "order": 24},
+        {"coeffs": [[-12, 17], [1, 17], z, [6, 17], z, z, z, z, z, [3, 34], [2, 17], z,
+                    z, z, z, z, [-8, 17], z, [3, 17], [4, 17], z, z, z, z], "order": 24},
+        {"coeffs": [[1, 1]], "order": 1},
+        {"coeffs": [[-189, 61], [12, 61], [-42, 61], [-63, 61], z], "order": 5},
+    ]
+    assert sha256(out.encode()).hexdigest() == (
+        "2e30b7a14296f81ea8eb117f0b875c19ede2d75db17e85150454eb177f4e95e6"
+    )
+
+
 def test_gauge_solve_bad_triangle(capsys, tmp_path):
     from fuselab.cyclo import CycloNumber
 

@@ -507,3 +507,72 @@ def test_missing_pair_texts(drop, message):
         with pytest.raises(MissingPair) as info:
             check(gp)
         assert str(info.value) == message
+
+
+# -- the re-checks the solver and the phi check no longer make, as oracles --
+
+
+def inverse_root_solution(gp: GaugeProblem):
+    """Reference: lambda_j = 1 / mu_rj for the least node r paired with j,
+    and the components grouped by r."""
+    n = len(gp.nodes)
+    mu = gp.mu_map()
+    root = [min(i for i in range(n) if (i, j) in mu) for j in range(n)]
+    lam = tuple(mu[(r, j)].inverse() for j, r in enumerate(root))
+    return lam, tuple(tuple(j for j in range(n) if root[j] == r) for r in sorted(set(root)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_cliques())
+def test_solved_lambda_meets_every_pair(gp):
+    if not validate_mu(gp).ok:
+        with pytest.raises(GaugeInconsistent):
+            solve_gauge(gp)
+        return
+    sol = solve_gauge(gp)
+    for (i, j), value in gp.mu_map().items():
+        assert value * sol.lam[j] == sol.lam[i], (i, j)
+    assert (sol.lam, sol.components) == inverse_root_solution(gp)
+
+
+def count_inversions(monkeypatch):
+    """Count the field inverses computed (not those kept on a number)."""
+    calls = []
+    original = CycloNumber._inverted
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CycloNumber, "_inverted", counted)
+    return calls
+
+
+def test_passing_phi_check_takes_no_inverse(monkeypatch):
+    nr = su2_nimrep_from_graph(ade_graph("D:10"), 16)
+    md = su2_modular_data(16)
+    lam = d_eigenvector(nr, md)
+    calls = count_inversions(monkeypatch)
+    assert verify_phi_isomorphism(nr, lam, md).ok
+    assert calls == []
+
+
+def test_solving_a_dense_clique_takes_no_inverse(monkeypatch):
+    lam = [zeta(24, 5 * k) * rat(k + 1) + rat(Fraction(1, 2)) for k in range(6)]
+    gp = GaugeProblem.build(tuple("abcdef"), clique_mu(lam, [range(4), range(4, 6)]))
+    calls = count_inversions(monkeypatch)
+    sol = solve_gauge(gp)
+    assert calls == []
+    assert sol.lam[1] * lam[0] == lam[1]  # the root 0 gets 1, node 1 gets mu_10
+    assert sol.components == ((0, 1, 2, 3), (4, 5))
+
+
+def test_failing_phi_check_takes_one_inverse_for_its_witness(monkeypatch):
+    nr = su2_nimrep_from_graph(a_graph(3), 2)
+    md = su2_modular_data(2)
+    lam = d_eigenvector(nr, md)
+    lam = (lam[0] + Fraction(1, 3), *lam[1:])
+    calls = count_inversions(monkeypatch)
+    v = verify_phi_isomorphism(nr, lam, md)
+    assert v.first_failure.witness == "row 0 of E(1) sums to (3*z8 - 3*z8^3)/4, not d(1)"
+    assert len(calls) <= 1
