@@ -483,6 +483,12 @@ def exact_ints(values, inner: int = 1) -> np.ndarray:
     return out
 
 
+def _first(mask) -> tuple[int, ...] | None:
+    """The first True index of a boolean array in row-major order."""
+    hits = np.argwhere(mask)
+    return tuple(int(v) for v in hits[0]) if len(hits) else None
+
+
 def _magnitude(arr: np.ndarray) -> int:
     """The largest absolute entry of an integer array (0 when empty)."""
     return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))

@@ -3,17 +3,20 @@ regular representation, whose homomorphism identity is associativity.
 
 Index 0 is always the unit. The tensor is stored dense, N[a][b][c] being the
 multiplicity of label c inside a*b; at this scale (rank <= ~64) density is
-simpler than sparsity.
+simpler than sparsity. Made with the ring, ring.tensor holds N as one
+read-only exact integer array (exact_ints(N, rank): int64 unless a sum of
+rank products could wrap, Python ints then), so the axioms, products and
+the regular matrices read it and convert nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import ZERO, CycloNumber, FieldTensor, _coerce, _magnitude, exact_ints
+from .cyclo import ZERO, CycloNumber, FieldTensor, _coerce, _first, _magnitude, exact_ints
 from .errors import ShapeMismatch
 from .verdict import Check, Verdict, failed, passed
 
@@ -23,6 +26,8 @@ class FusionRing:
     labels: tuple[str, ...]
     dual: tuple[int, ...]
     N: tuple[tuple[tuple[int, ...], ...], ...]
+    # N as one read-only exact integer array, made with the ring; not part of its value
+    tensor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = len(self.labels)
@@ -30,7 +35,7 @@ class FusionRing:
             raise ShapeMismatch("a fusion ring needs at least the unit label at index 0")
         if len(self.dual) != r:
             raise ShapeMismatch(f"dual has length {len(self.dual)}, expected {r}")
-        if sorted(self.dual) != list(range(r)):
+        if any(type(x) is not int for x in self.dual) or sorted(self.dual) != list(range(r)):
             raise ShapeMismatch("dual is not a permutation of the label indices")
         if len(self.N) != r:
             raise ShapeMismatch(f"N has {len(self.N)} planes, expected {r}")
@@ -43,6 +48,7 @@ class FusionRing:
                 for c, v in enumerate(row):
                     if not isinstance(v, int) or isinstance(v, bool):
                         raise ShapeMismatch(f"N[{a}][{b}][{c}] = {v!r} is not an integer")
+        object.__setattr__(self, "tensor", exact_ints(self.N, r))
 
     @property
     def rank(self) -> int:
@@ -88,55 +94,44 @@ class FusionElement:
 def verify_axioms(ring: FusionRing) -> Verdict:
     """Check unit law, duality, associativity, commutativity.
 
-    Stops at the first violated identity and names a witness index tuple.
+    Stops at the first violated identity and names its first witness index
+    tuple in row-major order; the entrywise laws are searches on ring.tensor.
     """
     r = ring.rank
-    N, dual = ring.N, ring.dual
+    N, T, dual = ring.N, ring.tensor, ring.dual
     checks: list[Check] = []
 
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                if N[a][b][c] < 0:
-                    checks.append(failed("non-negativity", f"N[{a}][{b}][{c}] = {N[a][b][c]}"))
-                    return Verdict(tuple(checks))
+    if (bad := _first(T < 0)) is not None:
+        a, b, c = bad
+        return Verdict((*checks, failed("non-negativity", f"N[{a}][{b}][{c}] = {N[a][b][c]}")))
     checks.append(passed("non-negativity"))
 
-    for b in range(r):
-        for c in range(r):
-            want = 1 if b == c else 0
-            if N[0][b][c] != want or N[b][0][c] != want:
-                checks.append(failed("unit", f"(b,c)=({b},{c})"))
-                return Verdict(tuple(checks))
+    eye = np.eye(r, dtype=bool)
+    if (bad := _first((T[0] != eye) | (T[:, 0] != eye))) is not None:
+        return Verdict((*checks, failed("unit", "(b,c)=({},{})".format(*bad))))
     checks.append(passed("unit"))
 
     if dual[0] != 0:
-        checks.append(failed("duality", "dual(0) != 0"))
-        return Verdict(tuple(checks))
+        return Verdict((*checks, failed("duality", "dual(0) != 0")))
     for a in range(r):
         if dual[dual[a]] != a:
-            checks.append(failed("duality", f"dual(dual({a})) = {dual[dual[a]]}"))
-            return Verdict(tuple(checks))
+            return Verdict((*checks, failed("duality", f"dual(dual({a})) = {dual[dual[a]]}")))
         for b in range(r):
             want = 1 if b == dual[a] else 0
             if N[a][b][0] != want:
-                checks.append(failed("duality", f"N[{a}][{b}][0] = {N[a][b][0]}, expected {want}"))
-                return Verdict(tuple(checks))
+                witness = f"N[{a}][{b}][0] = {N[a][b][0]}, expected {want}"
+                return Verdict((*checks, failed("duality", witness)))
     checks.append(passed("duality"))
 
-    if bad := homomorphism_failure(N, regular_matrices(ring)):
+    if bad := homomorphism_failure(ring, regular_matrices(ring)):
         a, b, got, want = bad
         c, d = np.argwhere((got != want).T)[0]  # got[d, c] is x_d in a(bc), want[d, c] in (ab)c
-        checks.append(failed("associativity", f"(a,b,c,d)=({a},{b},{c},{d})"))
-        return Verdict(tuple(checks))
+        return Verdict((*checks, failed("associativity", f"(a,b,c,d)=({a},{b},{c},{d})")))
     checks.append(passed("associativity"))
 
-    for a in range(r):
-        for b in range(a + 1, r):
-            for c in range(r):
-                if N[a][b][c] != N[b][a][c]:
-                    checks.append(failed("commutativity", f"(a,b,c)=({a},{b},{c})"))
-                    return Verdict(tuple(checks))
+    upper = np.triu(~eye)[:, :, None]  # a < b
+    if (bad := _first(upper & (T != T.transpose(1, 0, 2)))) is not None:
+        return Verdict((*checks, failed("commutativity", "(a,b,c)=({},{},{})".format(*bad))))
     checks.append(passed("commutativity"))
 
     return Verdict(tuple(checks))
@@ -177,32 +172,29 @@ def multiply(ring: FusionRing, x: FusionElement, y: FusionElement) -> FusionElem
     r = ring.rank
     if len(x.coeffs) != r or len(y.coeffs) != r:
         raise ShapeMismatch("element rank does not match the ring")
-    N = exact_ints(ring.N)
+    N = ring.tensor.reshape(r, r * r)
     inner = r * r * max(1, _magnitude(N))
-    N = N.reshape(r, r * r)
     X, Y = FieldTensor.of(x.coeffs), FieldTensor.of(y.coeffs)
     product = X.convolve(Y, lambda u, V: V @ (u @ N).reshape(r, r), inner)
     return FusionElement(product.scalars())
 
 
-def homomorphism_failure(N, mats):
+def homomorphism_failure(ring: FusionRing, M: np.ndarray):
     """First (a, b) in row-major order with M(a) M(b) != sum_c N_ab^c M(c), as
-    (a, b, left, right), or None; an entry sums at most max(size, rank) products."""
-    inner = max(len(N), len(mats[0]))
-    T, M = exact_ints(N, inner), exact_ints(mats, inner)
+    (a, b, left, right), or None. M is an exact_ints stack taken with inner
+    at least max(size, rank), the most products an entry sums."""
     flat = M.reshape(len(M), -1)
-    for a in range(len(T)):
-        got, want = M[a] @ M, (T[a] @ flat).reshape(M.shape)
+    for a, T in enumerate(ring.tensor):
+        got, want = M[a] @ M, (T @ flat).reshape(M.shape)
         bad = np.flatnonzero((got != want).any(axis=(1, 2)))
         if len(bad):
             return a, bad[0], got[bad[0]], want[bad[0]]
     return None
 
 
-def regular_matrices(ring: FusionRing) -> tuple[np.ndarray, ...]:
-    """Matrices of the regular action, (N_a)_{cb} = N_{ab}^c.
-
-    Returned as read-only exact_ints arrays; they satisfy
+def regular_matrices(ring: FusionRing) -> np.ndarray:
+    """Matrices of the regular action, (N_a)_{cb} = N_{ab}^c, as one
+    read-only (rank, rank, rank) view of ring.tensor; they satisfy
     N_a N_b = sum_c N_{ab}^c N_c whenever the ring axioms hold.
     """
-    return tuple(exact_ints(ring.N, ring.rank).transpose(0, 2, 1))
+    return ring.tensor.transpose(0, 2, 1)

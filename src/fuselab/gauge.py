@@ -36,11 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cyclo import ONE, CycloNumber, FieldTensor, exact_ints, inverses
+from .cyclo import ONE, CycloNumber, FieldTensor, _first, inverses
 from .errors import DegenerateScalar, GaugeInconsistent, MissingPair, ShapeMismatch
-from .modular import _first
 from .verdict import Check, Verdict, failed, passed
 
 
@@ -196,8 +193,7 @@ def encircling_matrices(nr, lam) -> tuple[tuple[tuple[CycloNumber, ...], ...], .
     both = FieldTensor.of([*lam, *inverses(lam)])
     lam_t, inv = both[:nr.size], both[nr.size:]
     R = inv.convolve(lam_t, lambda x, Y: x[None, :, None] * Y[:, None, :], 1)
-    mats = exact_ints(np.stack(nr.mats))
-    return R.apply(lambda L: L[:, None] * mats, 1).scalars()
+    return R.apply(lambda L: L[:, None] * nr.mats, 1).scalars()
 
 
 def verify_phi_isomorphism(nr, lam, md) -> Verdict:
@@ -213,8 +209,7 @@ def verify_phi_isomorphism(nr, lam, md) -> Verdict:
     if md.rank != nr.ring.rank:
         raise ShapeMismatch("modular data rank differs from the ring rank")
     d, lam_t = md.tensor[0], FieldTensor.of(lam)
-    mats = exact_ints(np.stack(nr.mats), nr.size)
-    image = lam_t.apply(lambda L: (mats @ L.T).transpose(2, 0, 1), nr.size)
+    image = lam_t.apply(lambda L: (nr.mats @ L.T).transpose(2, 0, 1), nr.size)
     bad = _first(image.differs(d.convolve(lam_t, lambda u, Y: u[None, :, None] * Y[:, None, :], 1)))
     check = passed("d-eigenvector")
     if bad is not None:

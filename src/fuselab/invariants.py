@@ -25,9 +25,9 @@ from math import lcm
 
 import numpy as np
 
-from .cyclo import CycloNumber, exact_ints
+from .cyclo import CycloNumber, _first, exact_ints
 from .errors import SearchBudgetExceeded, ShapeMismatch
-from .modular import ModularData, _first, _per_datum
+from .modular import ModularData, _per_datum
 from .nimrep import NimRep, character, multiplicity_profile
 from .verdict import Check, Verdict, failed, passed
 
@@ -116,9 +116,7 @@ def _support_connected(nr: NimRep) -> bool:
     reach = [False] * size
     reach[0] = True
     frontier = [0]
-    total = np.zeros((size, size), dtype=np.int64)
-    for m in nr.mats:
-        total = total + m
+    total = nr.mats.sum(axis=0)
     while frontier:
         i = frontier.pop()
         for j in range(size):

@@ -41,7 +41,7 @@ from .cyclo import (
     CycloNumber,
     FieldTensor,
     RationalPhase,
-    exact_ints,
+    _first,
     inverses,
     sin_ratio,
     zeta,
@@ -114,12 +114,6 @@ def _rows(x, Y):
     return x * Y[:, None, :]
 
 
-def _first(mask) -> tuple[int, ...] | None:
-    """The first True index of a boolean array in row-major order."""
-    hits = np.argwhere(mask)
-    return tuple(int(v) for v in hits[0]) if len(hits) else None
-
-
 def verify_modular_data(md: ModularData) -> Verdict:
     """Exact check of all ModularData invariants, the S-matrix ones on md.tensor.
 
@@ -174,7 +168,7 @@ def verify_modular_data(md: ModularData) -> Verdict:
     )
 
     ver_fail = None
-    scaled, Nint = T.convolve(T[0], _rows, 1), exact_ints(N, r)
+    scaled, Nint = T.convolve(T[0], _rows, 1), md.ring.tensor
     for a in range(r):
         wrong = scaled.apply(lambda L: Nint[a] @ L, r).differs(T.convolve(T[a], _rows, 1))
         b = next((b for b in range(a, r) if wrong[b].any() or N[a][b] != N[b][a]), None)

@@ -2,6 +2,10 @@
 the Chebyshev recurrence, characters, projector-trace multiplicity profiles,
 and the exact Perron-Frobenius eigenvector.
 
+A NimRep holds its matrices as one read-only exact (rank, size, size) stack
+with inner = max(rank, size), the most products any sum over it takes, so
+the homomorphism, d-eigenvector and phi checks convert nothing.
+
 The su(2) construction checks itself by the truncation identity: the
 level-k ring is Z[x]/(U_{k+1}(x)) with x_a = U_a(x), so the Chebyshev
 matrices of a symmetric non-negative adjacency matrix A form a NIM-rep
@@ -27,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CycloNumber, exact_ints
+from .cyclo import CycloNumber, _first, exact_ints
 from .errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -35,8 +39,8 @@ from .errors import (
     NotANimRep,
     ShapeMismatch,
 )
-from .fusion import FusionRing, homomorphism_failure, su2_fusion_ring
-from .modular import ModularData, _first, _idempotents
+from .fusion import FusionRing, homomorphism_failure, regular_matrices, su2_fusion_ring
+from .modular import ModularData, _idempotents
 from .verdict import Check, Verdict, failed, passed
 
 _ADE_FAMILIES = ("A", "D", "E")
@@ -160,13 +164,41 @@ def disjoint_union(*graphs: BoundaryGraph) -> BoundaryGraph:
     return BoundaryGraph._trusted(vertices, tuple(rows))
 
 
+def _module_stack(ring: FusionRing, mats) -> np.ndarray:
+    """One matrix per label, given from outside, as a read-only exact
+    (rank, size, size) stack with inner = max(rank, size). A bool entry is
+    refused: numpy would read it beside ints as 0 or 1."""
+    r = ring.rank
+    if len(mats) != r:
+        raise ShapeMismatch(f"expected {r} matrices, got {len(mats)}")
+    loose = [m for m in mats if getattr(m, "dtype", np.dtype(object)).kind not in "iu"]
+    if any(isinstance(x, (bool, np.bool_)) for m in loose for x in np.asarray(m, dtype=object).flat):
+        raise ShapeMismatch("matrix entries must be integers, not bool")
+    try:  # numpy refuses rows or matrices of unequal lengths
+        shape = np.shape(mats)
+    except ValueError:
+        shape = ()
+    if len(shape) != 3 or shape[1] != shape[2]:
+        raise ShapeMismatch("matrices must be square and share one size")
+    return exact_ints(mats, max(r, shape[1]))
+
+
 @dataclass(frozen=True, eq=False)
 class NimRep:
-    """Integer matrices N(a) with N(a)_{ji} = multiplicity of j in a acting on i."""
+    """Integer matrices N(a) with N(a)_{ji} = multiplicity of j in a acting
+    on i, kept as one read-only exact (rank, size, size) stack."""
 
     ring: FusionRing
     boundaryLabels: tuple[str, ...]
-    mats: tuple[np.ndarray, ...]
+    mats: np.ndarray
+
+    def __post_init__(self):
+        mats = _module_stack(self.ring, self.mats)
+        if mats.shape[1] != len(self.boundaryLabels):
+            raise ShapeMismatch(
+                f"{len(self.boundaryLabels)} boundary labels for matrices of size {mats.shape[1]}"
+            )
+        object.__setattr__(self, "mats", mats)
 
     @property
     def size(self) -> int:
@@ -176,36 +208,26 @@ class NimRep:
 def verify_nimrep(ring: FusionRing, mats) -> Verdict:
     """Exact NIM-rep axioms: non-negative integer entries, N(0) = identity,
     duality N(dual(a)) = N(a) transposed, and the homomorphism identity
-    against the ring's N-tensor. Stops at the first failed axiom."""
-    r = ring.rank
-    if len(mats) != r:
-        raise ShapeMismatch(f"expected {r} matrices, got {len(mats)}")
-    ms = [_int_matrix(m) for m in mats]
-    size = ms[0].shape[0]
-    if any(m.shape[0] != size for m in ms):
-        raise ShapeMismatch("matrices must share one size")
-
+    against the ring's N-tensor. Stops at the first failed axiom, naming
+    its first witness in row-major order."""
+    M = _module_stack(ring, mats)
     checks: list[Check] = []
-    for a, m in enumerate(ms):
-        if (m < 0).any():
-            j, i = next(zip(*np.nonzero(m < 0)))
-            return Verdict(
-                (*checks, failed("non-negativity", f"N({a})[{j},{i}] = {m[j, i]}"))
-            )
+    if (bad := _first(M < 0)) is not None:
+        a, j, i = bad
+        return Verdict((*checks, failed("non-negativity", f"N({a})[{j},{i}] = {M[bad]}")))
     checks.append(passed("non-negativity"))
 
-    if not np.array_equal(ms[0], np.eye(size, dtype=np.int64)):
+    if not np.array_equal(M[0], np.eye(M.shape[1], dtype=np.int64)):
         return Verdict((*checks, failed("unit", "N(0) is not the identity")))
     checks.append(passed("unit"))
 
-    for a in range(r):
-        if not np.array_equal(ms[ring.dual[a]], ms[a].T):
-            return Verdict(
-                (*checks, failed("duality", f"N(dual({a})) != transpose of N({a})"))
-            )
+    if (bad := _first((M[list(ring.dual)] != M.transpose(0, 2, 1)).any(axis=(1, 2)))) is not None:
+        return Verdict(
+            (*checks, failed("duality", "N(dual({0})) != transpose of N({0})".format(*bad)))
+        )
     checks.append(passed("duality"))
 
-    if bad := homomorphism_failure(ring.N, ms):
+    if bad := homomorphism_failure(ring, M):
         a, b, got, want = bad
         j, i = next(zip(*np.nonzero(got != want)))
         witness = f"(N({a})N({b}))[{j},{i}] = {got[j, i]} != {want[j, i]}"
@@ -232,39 +254,31 @@ def su2_nimrep_from_graph(g: BoundaryGraph, level: int) -> NimRep:
         raise ShapeMismatch("level must be non-negative")
     ring = su2_fusion_ring(level)
     A = exact_ints(g.matrix(), g.size)
-    # wide[i] = exact_ints(mats[i], g.size), taken once per matrix
-    mats, wide = [np.eye(g.size, dtype=A.dtype), A][: level + 1], [None, A]
+    mats = [np.eye(g.size, dtype=A.dtype), A][: level + 1]
     for i in range(1, level):
-        nxt = A @ wide[i] - mats[i - 1]
+        nxt = A @ mats[i] - mats[i - 1]
         if (nxt < 0).any():
             j, k = next(zip(*np.nonzero(nxt < 0)))
             raise NotANimRep(f"recurrence for N(x_{i + 1}) gives entry {nxt[j, k]} at ({j},{k})")
-        mats.append(nxt)
-        wide.append(exact_ints(nxt, g.size))
+        mats.append(exact_ints(nxt, g.size))
     if level:
-        got, want = A @ wide[level], mats[level - 1]
+        got, want = A @ mats[level], mats[level - 1]
         if (got != want).any():
             j, i = next(zip(*np.nonzero(got != want)))
             raise NotANimRep(
                 f"homomorphism: (N(1)N({level}))[{j},{i}] = {got[j, i]} != {want[j, i]}"
             )
-    # an int64 wide[i] is also what _int_matrix(mats[i]) would return
-    frozen = tuple(
-        w if w is not None and w.dtype == np.int64 else _int_matrix(m) for m, w in zip(mats, wide)
-    )
-    return NimRep(ring=ring, boundaryLabels=g.vertices, mats=frozen)
+    return NimRep(ring=ring, boundaryLabels=g.vertices, mats=mats)
 
 
 def regular_nimrep(ring: FusionRing) -> NimRep:
     """The ring acting on itself; boundary labels are the ring labels."""
-    from .fusion import regular_matrices
-
     return NimRep(ring=ring, boundaryLabels=ring.labels, mats=regular_matrices(ring))
 
 
 def character(nr: NimRep) -> tuple[int, ...]:
     """chi[a] = trace N(a); chi[0] = number of boundary labels."""
-    return tuple(int(m.trace()) for m in nr.mats)
+    return tuple(int(x) for x in nr.mats.trace(axis1=1, axis2=2))
 
 
 def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
@@ -308,8 +322,7 @@ def d_eigenvector(nr: NimRep, md: ModularData) -> tuple[CycloNumber, ...]:
     m = multiplicity_profile(nr, md)
     if m[0] != 1:
         raise MultiplicityNotOne(f"unit character has multiplicity {m[0]}")
-    d, size, r = md.tensor[0], nr.size, md.rank
-    mats = exact_ints(np.stack(nr.mats), max(r, size))
+    d, size, r, mats = md.tensor[0], nr.size, md.rank, nr.mats
     columns = d[list(md.ring.dual)].apply(  # columns[i][j] = sum_S d(dual(S)) N(S)[j, i]
         lambda L: (L @ mats.reshape(r, -1)).reshape(-1, size, size).transpose(0, 2, 1), r
     )

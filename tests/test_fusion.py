@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from scalar_oracles import raw, scalar_multiply
 
-from fuselab.cyclo import ONE, ZERO, CycloNumber, zeta
+from fuselab.cyclo import ONE, ZERO, CycloNumber, exact_ints, zeta
 from fuselab.errors import ShapeMismatch
 from fuselab.fusion import (
     FusionElement,
@@ -72,6 +72,8 @@ def test_rank_zero_and_bool_tables_are_rejected():
         FusionRing(labels=(), dual=(), N=())
     with pytest.raises(ShapeMismatch):
         FusionRing(labels=("1",), dual=(0,), N=(((True,),),))
+    with pytest.raises(ShapeMismatch, match="dual is not a permutation"):
+        FusionRing(labels=("1", "x"), dual=(False, True), N=(((1, 0), (0, 1)), ((0, 1), (1, 0))))
 
 
 def _loop_verify_axioms(ring):
@@ -151,6 +153,39 @@ def test_verify_axioms_matches_loop_oracle_on_perturbed_rings():
         assert got == _loop_verify_axioms(tampered).describe(), (trial, edits)
         outcomes.add(got.split(" at ")[0])
     assert "fail: associativity" in outcomes
+
+
+# 2**31 - 1 squared fits int64 once, but a sum of two such products does not
+BIG = 2**31 - 1
+
+
+@pytest.mark.parametrize("value", [2**29 + 1, 2**30, BIG])
+def test_verify_axioms_exact_where_the_dtype_depends_on_inner(value):
+    # x*x = 1 + value*x is a fusion ring of rank 2 for every value
+    ring = FusionRing(labels=("1", "x"), dual=(0, 1), N=(((1, 0), (0, 1)), ((0, 1), (1, value))))
+    assert verify_axioms(ring).ok
+    edits = [
+        [((3, 3, 2), -value)],
+        [((0, 2, 2), value)],
+        [((1, 1, 2), value), ((1, 1, 0), 0)],
+        [((1, 2, 3), value)],
+        [((2, 3, 1), value), ((3, 2, 1), value)],
+        [((2, 1, 3), value)],
+    ]
+    outcomes = set()
+    for edit in edits:
+
+        def apply(N):
+            for (a, b, c), v in edit:
+                N[a][b][c] = v
+
+        tampered = _retabled(su2_fusion_ring(4), apply)
+        assert exact_ints(tampered.N).dtype == np.int64
+        assert tampered.tensor.dtype == (object if 5 * value**2 >= 2**62 else np.int64)
+        got = verify_axioms(tampered)
+        assert got == _loop_verify_axioms(tampered), edit
+        outcomes.add(got.describe().split(" at ")[0])
+    assert outcomes == {f"fail: {name}" for name in ("non-negativity", "unit", "duality", "associativity")}
 
 
 def test_regular_matrices_exact_beyond_int64():

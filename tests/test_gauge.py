@@ -4,6 +4,7 @@ and the module-isomorphism verdict."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from fuselab.gauge import (
     verify_phi_isomorphism,
 )
 from fuselab.modular import su2_modular_data
-from fuselab.nimrep import a_graph, ade_graph, d_eigenvector, su2_nimrep_from_graph
+from fuselab.nimrep import NimRep, a_graph, ade_graph, d_eigenvector, su2_nimrep_from_graph
 from fuselab.verdict import Verdict, failed, passed
 
 
@@ -339,6 +340,21 @@ def test_phi_on_huge_lambda_takes_python_ints():
     assert FieldTensor.of(lam).layers.dtype == object
     v = verify_phi_isomorphism(nr, lam, md)
     assert [(c.name, c.passed) for c in v.checks] == [("intertwiner", True), ("d-eigenvector", True)]
+
+
+def test_phi_exact_where_the_module_dtype_depends_on_inner():
+    # (2**30 + 1)**2 fits a sum of one product in int64, not a sum of size = 5
+    nr, md = su2_nimrep_from_graph(ade_graph("A:5"), 4), su2_modular_data(4)
+    lam = d_eigenvector(nr, md)
+    mats = nr.mats.tolist()
+    mats[1][0][1] += 2**30
+    mats[1][1][0] += 2**30
+    bumped = NimRep(ring=nr.ring, boundaryLabels=nr.boundaryLabels, mats=mats)
+    assert nr.mats.dtype == np.int64 and bumped.mats.dtype == object
+    v = verify_phi_isomorphism(bumped, lam, md)
+    assert v == scalar_phi(bumped, lam, md)
+    assert v.first_failure.witness.startswith("row 0 of E(1) sums to ")
+    assert encircling_matrices(bumped, lam) == scalar_encircling(bumped, lam)
 
 
 def test_phi_shape_checked_before_zero_lambda():

@@ -180,6 +180,39 @@ def test_homomorphism_witness_exact_past_int64():
     assert verify_nimrep(ring, as_arrays).describe() == want
 
 
+def test_bool_module_entries_rejected():
+    # numpy reads [1, True] as int64, so the bool must be caught before it
+    ring = su2_fusion_ring(1)
+    flip = [[0, 1], [1, 0]]
+    for mats in (
+        [[[1, 0], [0, True]], flip],
+        [[[True, False], [False, True]], flip],
+        (np.eye(2, dtype=bool), np.array(flip)),
+        (np.array([[1, 0], [0, np.True_]], dtype=object), flip),
+    ):
+        with pytest.raises(ShapeMismatch, match="not bool"):
+            verify_nimrep(ring, mats)
+        with pytest.raises(ShapeMismatch, match="not bool"):
+            NimRep(ring=ring, boundaryLabels=("a", "b"), mats=mats)
+    assert verify_nimrep(ring, [[[1, 0], [0, 1]], flip]).ok
+
+
+def test_nimrep_shape_checked_when_made():
+    ring = su2_fusion_ring(1)
+    flip = [[0, 1], [1, 0]]
+    with pytest.raises(ShapeMismatch, match="expected 2 matrices, got 1"):
+        NimRep(ring=ring, boundaryLabels=("a", "b"), mats=[flip])
+    for mats in ([[[1]], flip], [[[1, 0], [0]], flip], [[1, 0], [0, 1]], [[[1, 0]], [[0, 1]]]):
+        with pytest.raises(ShapeMismatch, match="matrices must be square and share one size"):
+            NimRep(ring=ring, boundaryLabels=("a", "b"), mats=mats)
+        with pytest.raises(ShapeMismatch, match="matrices must be square and share one size"):
+            verify_nimrep(ring, mats)
+    with pytest.raises(ShapeMismatch, match="matrix entries must be integers"):
+        verify_nimrep(ring, [[[1, 0], [0, 0.5]], flip])
+    with pytest.raises(ShapeMismatch, match="3 boundary labels for matrices of size 2"):
+        NimRep(ring=ring, boundaryLabels=("a", "b", "c"), mats=[[[1, 0], [0, 1]], flip])
+
+
 def test_duality_transpose_checked():
     # zn:3 has dual(1) = 2; the regular module must pair them by transpose
     md = load_catalog("zn:3")
@@ -505,3 +538,57 @@ def test_library_graphs_equal_validated_graphs():
         union = disjoint_union(*parts)
         union = disjoint_union(union, rng.choice(graphs)) if rng.random() < 0.5 else union
         assert union == BoundaryGraph(vertices=union.vertices, adjacency=union.adjacency)
+
+
+# -- the kept stack: exact where its dtype depends on inner, never re-converted
+
+
+def test_module_stack_exact_where_the_dtype_depends_on_inner():
+    # (2**30 + 1)**2 fits a sum of one product in int64, not a sum of four (size 4)
+    big = 2**30
+    nr, md = su2_nimrep_from_graph(a_graph(4), 3), su2_modular_data(3)
+    mats = nr.mats.tolist()
+    mats[1][0][2] += big  # off the diagonal: the character and profile stay
+    mats[2][3][1] += big
+    bumped = raw_module(nr, mats)
+    assert exact_ints(mats).dtype == np.int64 and bumped.mats.dtype == object
+    assert outcome(d_eigenvector, bumped, md) == outcome(scalar_d_eigenvector, bumped, md)
+    assert outcome(d_eigenvector, bumped, md)[0] == "AssertionError"
+    v = verify_nimrep(nr.ring, mats)
+    assert not v.ok and v.first_failure.name == "duality"
+    mats[1][2][0] += big  # N(1) symmetric again; N(2) = N(1)^2 - 1 no longer
+    A2 = _py_matmul(mats[1], mats[1])
+    want = [[x - (i == j) for i, x in enumerate(row)] for j, row in enumerate(A2)]
+    j, i = next((j, i) for j in range(4) for i in range(4) if want[j][i] != mats[2][j][i])
+    mats[2][1][3] += big
+    assert verify_nimrep(nr.ring, mats).describe() == (
+        f"fail: homomorphism at (N(1)N(1))[{j},{i}] = {A2[j][i]} != "
+        f"{sum(nr.ring.N[1][1][c] * mats[c][j][i] for c in range(4))}"
+    )
+
+
+def test_built_objects_convert_no_tables(monkeypatch):
+    from fuselab import cyclo, fusion, gauge, nimrep
+    from fuselab.fusion import multiply, regular_matrices, verify_axioms
+    from fuselab.gauge import verify_phi_isomorphism
+
+    md = su2_modular_data(6)
+    nr = su2_nimrep_from_graph(ade_graph("D:5"), 6)
+    lam, x = d_eigenvector(nr, md), scalar_idempotent_family(md)[1]
+    tables = []
+
+    def counted(values, inner=1):
+        tables.append(np.ndim(values))
+        return cyclo.exact_ints(values, inner)
+
+    for module in (fusion, nimrep, gauge):
+        monkeypatch.setattr(module, "exact_ints", counted, raising=False)
+    assert multiply(nr.ring, x, x) == x
+    assert verify_axioms(nr.ring).ok
+    assert verify_phi_isomorphism(nr, lam, md).ok
+    assert d_eigenvector(nr, md) == lam
+    assert [n for n in tables if n > 1] == []  # N is 3-d, a module stack 3-d, a matrix 2-d
+    for table in (nr.ring.tensor, nr.mats, regular_matrices(nr.ring)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 2
