@@ -36,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import ONE, CycloNumber, FieldTensor, _first, inverses
+from .cyclo import ONE, CycloNumber, FieldTensor, inverses
 from .errors import DegenerateScalar, GaugeInconsistent, MissingPair, ShapeMismatch
+from .nimrep import _d_image
 from .verdict import Check, Verdict, failed, passed
 
 
@@ -208,9 +209,7 @@ def verify_phi_isomorphism(nr, lam, md) -> Verdict:
     _check_lambda(nr, lam)
     if md.rank != nr.ring.rank:
         raise ShapeMismatch("modular data rank differs from the ring rank")
-    d, lam_t = md.tensor[0], FieldTensor.of(lam)
-    image = lam_t.apply(lambda L: (nr.mats @ L.T).transpose(2, 0, 1), nr.size)
-    bad = _first(image.differs(d.convolve(lam_t, lambda u, Y: u[None, :, None] * Y[:, None, :], 1)))
+    image, bad = _d_image(nr.mats, md.tensor[0], FieldTensor.of(lam))
     check = passed("d-eigenvector")
     if bad is not None:
         a, j = bad

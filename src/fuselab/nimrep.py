@@ -9,8 +9,11 @@ the homomorphism, d-eigenvector and phi checks convert nothing.
 The su(2) construction checks itself by the truncation identity: the
 level-k ring is Z[x]/(U_{k+1}(x)) with x_a = U_a(x), so the Chebyshev
 matrices of a symmetric non-negative adjacency matrix A form a NIM-rep
-exactly when U_{k+1}(A) = 0, one integer product. The generic
-verify_nimrep serves regular modules and modules given as matrices.
+exactly when U_{k+1}(A) = 0, one integer product. The recurrence fills one
+stack typed once: it refuses a negative entry, so N(x_a) <= A N(x_{a-1}),
+no row of N(x_a) sums past s ** a (s the largest row sum of A), and the
+stack is int64 when s ** (k + 1), a bound on every entry and partial sum
+of A N(x_k), is below 2**63. verify_nimrep checks modules given as matrices.
 
 Profiles are exact: m[I] is the trace of the spectral projector for
 lambda_I pushed through the representation, which by linearity of the trace
@@ -46,13 +49,6 @@ from .verdict import Check, Verdict, failed, passed
 _ADE_FAMILIES = ("A", "D", "E")
 
 
-def _int_matrix(rows) -> np.ndarray:
-    out = exact_ints(rows)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise ShapeMismatch("matrix must be square")
-    return out
-
-
 @dataclass(frozen=True)
 class BoundaryGraph:
     vertices: tuple[str, ...]
@@ -61,6 +57,8 @@ class BoundaryGraph:
 
     def __post_init__(self):
         n = len(self.vertices)
+        if not n:
+            raise ShapeMismatch("a boundary graph needs at least one vertex")
         if len(self.adjacency) != n or any(len(row) != n for row in self.adjacency):
             raise ShapeMismatch("adjacency must be square over the vertex list")
         for i in range(n):
@@ -92,7 +90,7 @@ class BoundaryGraph:
         return len(self.vertices)
 
     def matrix(self) -> np.ndarray:
-        return _int_matrix(self.adjacency)
+        return exact_ints(self.adjacency)
 
 
 def _ade_edges(tag: str) -> tuple[int, list[tuple[int, int]]]:
@@ -253,21 +251,19 @@ def su2_nimrep_from_graph(g: BoundaryGraph, level: int) -> NimRep:
     if level < 0:
         raise ShapeMismatch("level must be non-negative")
     ring = su2_fusion_ring(level)
-    A = exact_ints(g.matrix(), g.size)
-    mats = [np.eye(g.size, dtype=A.dtype), A][: level + 1]
+    s = max(map(sum, g.adjacency))
+    mats = np.empty((level + 1, g.size, g.size), np.int64 if s ** (level + 1) < 2**63 else object)
+    mats[:2] = (np.identity(g.size, dtype=np.int64), g.adjacency)[: level + 1]
     for i in range(1, level):
-        nxt = A @ mats[i] - mats[i - 1]
-        if (nxt < 0).any():
-            j, k = next(zip(*np.nonzero(nxt < 0)))
+        mats[i + 1] = nxt = mats[1] @ mats[i] - mats[i - 1]
+        if (bad := _first(nxt < 0)) is not None:
+            j, k = bad
             raise NotANimRep(f"recurrence for N(x_{i + 1}) gives entry {nxt[j, k]} at ({j},{k})")
-        mats.append(exact_ints(nxt, g.size))
     if level:
-        got, want = A @ mats[level], mats[level - 1]
-        if (got != want).any():
-            j, i = next(zip(*np.nonzero(got != want)))
-            raise NotANimRep(
-                f"homomorphism: (N(1)N({level}))[{j},{i}] = {got[j, i]} != {want[j, i]}"
-            )
+        got, want = mats[1] @ mats[level], mats[level - 1]
+        if (bad := _first(got != want)) is not None:
+            witness = "(N(1)N({}))[{},{}] = {} != {}".format(level, *bad, got[bad], want[bad])
+            raise NotANimRep(f"homomorphism: {witness}")
     return NimRep(ring=ring, boundaryLabels=g.vertices, mats=mats)
 
 
@@ -310,6 +306,12 @@ def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _d_image(mats, d, x):
+    """N(a) x for every label a, and the first (a, j) where it is not d(a) x_j, or None."""
+    image = x.apply(lambda L: (mats @ L.T).transpose(2, 0, 1), mats.shape[1])
+    return image, _first(image.differs(d.convolve(x, lambda u, Y: u[:, None] * Y[:, None], 1)))
+
+
 def d_eigenvector(nr: NimRep, md: ModularData) -> tuple[CycloNumber, ...]:
     """The vector with N(a) v = d(a) v, normalized to v[0] = 1.
 
@@ -330,9 +332,7 @@ def d_eigenvector(nr: NimRep, md: ModularData) -> tuple[CycloNumber, ...]:
     if not len(nonzero) or not columns.layers[:, nonzero[0], 0].any():
         raise DegenerateScalar("projector image has no usable column")
     x = columns[nonzero[0]]
-    image = x.apply(lambda L: (mats @ L.T).transpose(2, 0, 1), size)
-    bad = _first(image.differs(d.convolve(x, lambda u, Y: u[None, :, None] * Y[:, None, :], 1)))
-    if bad is not None:
+    if (bad := _d_image(mats, d, x)[1]) is not None:
         a, j = bad
         raise AssertionError(f"projector column is not a d-eigenvector at (a, j) = ({a},{j})")
     values = x.scalars()

@@ -266,6 +266,12 @@ def test_graph_file_refusals_keep_their_text(adjacency, family, message):
     assert str(info.value) == message
 
 
+def test_graph_file_without_vertices_refused():
+    with pytest.raises(SchemaError) as info:
+        parse_data({"kind": "graph", "vertices": [], "adjacency": []})
+    assert str(info.value) == "graph: a boundary graph needs at least one vertex"
+
+
 def test_gauge_duplicate_pair_rejected():
     doc = data_to_json(sample_gauge())
     doc["mu"].append(doc["mu"][0])

@@ -85,6 +85,8 @@ def test_graph_structural_checks():
         BoundaryGraph(vertices=("a", "b"), adjacency=((0, -1), (-1, 0)))
     with pytest.raises(ShapeMismatch):
         BoundaryGraph(vertices=("a",), adjacency=((0, 1), (1, 0)))
+    with pytest.raises(ShapeMismatch, match="a boundary graph needs at least one vertex"):
+        BoundaryGraph(vertices=(), adjacency=())
 
 
 def test_bool_adjacency_rejected():
@@ -511,6 +513,11 @@ def test_truncation_identity_matches_generic_check():
     inputs += [(ade_graph(tag), lvl) for tag in small for lvl in range(13)]
     rng = random.Random(6101)
     inputs += [(random_multigraph(rng), rng.randint(0, 12)) for _ in range(150)]
+    # one edge of multiplicity m: s ** (k + 1) < 2**63 keeps the stack int64 for
+    # m = 2**21 - 1 up to level 2, where A N(x_2) has entries m**3 - m just under 2**63;
+    # at level 1, A N(x_1) = m**2 passes 2**63 first for m = 3037000500
+    edges = [((0, m), (m, 0)) for m in (2**21 - 1, 2**21, 3037000500)]
+    inputs += [(BoundaryGraph(("a", "b"), adj), lvl) for adj in edges for lvl in range(4)]
     kinds, python_ints = set(), 0
     for g, lvl in inputs:
         got = construction_outcome(lambda g, k: su2_nimrep_from_graph(g, k).mats, g, lvl)
@@ -588,6 +595,9 @@ def test_built_objects_convert_no_tables(monkeypatch):
     assert verify_phi_isomorphism(nr, lam, md).ok
     assert d_eigenvector(nr, md) == lam
     assert [n for n in tables if n > 1] == []  # N is 3-d, a module stack 3-d, a matrix 2-d
+    tables.clear()
+    assert np.array_equal(su2_nimrep_from_graph(ade_graph("D:5"), 6).mats, nr.mats)
+    assert tables == [3]  # one conversion per build, of the whole stack, in NimRep
     for table in (nr.ring.tensor, nr.mats, regular_matrices(nr.ring)):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
