@@ -82,7 +82,8 @@ _MATH_ERRORS = (
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One CLI invocation, fully resolved; reports are a pure function of it."""
+    """One CLI invocation, fully resolved. Its report is a function of it and of
+    FUSELAB_SEARCH_CAP, the lattice cap of the searches when cap is None."""
 
     command: str
     data: str | None = None

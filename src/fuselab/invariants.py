@@ -28,7 +28,7 @@ import numpy as np
 from .cyclo import CycloNumber, _first, exact_ints
 from .errors import SearchBudgetExceeded, ShapeMismatch
 from .modular import ModularData, _per_datum
-from .nimrep import NimRep, character, multiplicity_profile
+from .nimrep import NimRep, _profile, character, multiplicity_profile
 from .verdict import Check, Verdict, failed, passed
 
 DEFAULT_ENTRY_BOUND = 3
@@ -133,7 +133,7 @@ def tm_dimension_report(nr: NimRep, md: ModularData) -> TMDimensionReport:
     dTM = d(C). Also enforces the chain dTM = multOfUnit * d(C)."""
     chi = character(nr)
     dTM = rep_dimension(chi, md)
-    mult = multiplicity_profile(nr, md)[0]
+    mult = _profile(md, chi, nr.size)[0]
     routes = (
         ("support-connectivity", _support_connected(nr)),
         ("unit-multiplicity", mult == 1),

@@ -196,7 +196,7 @@ def parse_data(doc):
             raise SchemaError("modular-data.t: expected a list")
         t = [phase_from_json(x, f"modular-data.t[{k}]") for k, x in enumerate(t_raw)]
         try:
-            md = ModularData.build(ring, S, t)
+            md = ModularData(ring, S, t)
         except ShapeMismatch as err:
             raise SchemaError(f"modular-data: {err}") from None
         v = verify_modular_data(md)

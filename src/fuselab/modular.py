@@ -3,7 +3,9 @@ the spectrum of the fusion algebra, and both idempotent constructions.
 
 Conventions:
   * S is unnormalized, so S[0][I] = d(I) and the global dimension is
-    d(C) = sum_I d(I)^2 with (S^2)_{IJ} = d(C) * delta_{J, dual(I)}.
+    d(C) = sum_I d(I)^2 with (S^2)_{IJ} = d(C) * delta_{J, dual(I)}. The
+    constructor ModularData(ring, S, t) checks S and t and derives md.d,
+    md.globalDim = d(C) and md.tensor from S; none of them is an argument.
   * T data is a vector of RationalPhase exponents, never a complex matrix.
   * md.tensor holds S as one exact FieldTensor; S^2, the Verlinde identity
     and sum, and Z*S - S*Z in invariants are integer products on it.
@@ -41,6 +43,7 @@ from .cyclo import (
     CycloNumber,
     FieldTensor,
     RationalPhase,
+    _coerce,
     _first,
     inverses,
     sin_ratio,
@@ -56,34 +59,38 @@ class ModularData:
     ring: FusionRing
     S: tuple[tuple[CycloNumber, ...], ...]
     t: tuple[RationalPhase, ...]
-    d: tuple[CycloNumber, ...]
-    globalDim: CycloNumber
-    # S as one exact integer tensor, made with the datum; not part of its value
+    # S[0], sum_I d(I)^2 and S as one exact integer tensor, derived from S; not part of the value
+    d: tuple[CycloNumber, ...] = field(init=False, repr=False, compare=False)
+    globalDim: CycloNumber = field(init=False, repr=False, compare=False)
     tensor: FieldTensor = field(init=False, repr=False, compare=False)
     # the results of _per_datum functions on this object, not part of its value
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tensor", FieldTensor.of(self.S))
-
-    @classmethod
-    def build(cls, ring: FusionRing, S, t) -> "ModularData":
-        r = ring.rank
-        S = tuple(tuple(row) for row in S)
-        t = tuple(RationalPhase(x) for x in t)
+        r = self.ring.rank
+        S = tuple(tuple(_entry(x, i, j) for j, x in enumerate(xs)) for i, xs in enumerate(self.S))
+        t = tuple(self.t)
         if len(S) != r or any(len(row) != r for row in S):
             raise ShapeMismatch(f"S must be {r}x{r}")
         if len(t) != r:
             raise ShapeMismatch(f"t must have length {r}")
-        d = S[0]
-        globalDim = ZERO
-        for x in d:
-            globalDim = globalDim + x * x
-        return cls(ring=ring, S=S, t=t, d=d, globalDim=globalDim)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "t", tuple(RationalPhase(x) for x in t))
+        object.__setattr__(self, "d", S[0])
+        object.__setattr__(self, "globalDim", sum((x * x for x in S[0]), ZERO))
+        object.__setattr__(self, "tensor", FieldTensor.of(S))
 
     @property
     def rank(self) -> int:
         return self.ring.rank
+
+
+def _entry(x, i: int, j: int) -> CycloNumber:
+    """S[i][j] as a CycloNumber; an int, Fraction or CycloNumber, never a bool."""
+    y = None if isinstance(x, bool) else _coerce(x)
+    if y is None:
+        raise ShapeMismatch(f"S[{i}][{j}] = {x!r} is not a cyclotomic or rational number")
+    return y
 
 
 def _per_datum(fn):
@@ -124,25 +131,12 @@ def verify_modular_data(md: ModularData) -> Verdict:
     m). It runs one row a at a time, rank^2 entries per exponent.
     """
     r = md.rank
-    S, dual, N = md.S, md.ring.dual, md.ring.N
+    dual, N = md.ring.dual, md.ring.N
     checks: list[Check] = []
 
-    bad = next(
-        (i for i in range(r) if S[0][i] != md.d[i]),
-        None,
+    checks.append(
+        passed("dimension-row") if md.d[0] == ONE else failed("dimension-row", "d[0] != 1")
     )
-    if bad is None and md.d[0] == ONE:
-        total = ZERO
-        for x in md.d:
-            total = total + x * x
-        if total == md.globalDim:
-            checks.append(passed("dimension-row"))
-        else:
-            checks.append(failed("dimension-row", "globalDim != sum of squared dimensions"))
-    else:
-        checks.append(
-            failed("dimension-row", "d[0] != 1" if bad is None else f"d[{bad}] != S[0][{bad}]")
-        )
 
     zero_d = next((i for i in range(r) if md.d[i].is_zero), None)
     checks.append(
@@ -341,7 +335,7 @@ def su2_modular_data(level: int) -> ModularData:
     t = tuple(
         Fraction(a * (a + 2), 4 * h) - Fraction(level, 8 * h) for a in range(level + 1)
     )
-    return _checked(ModularData.build(ring, S, t), f"su2:{level}")
+    return _checked(ModularData(ring, S, t), f"su2:{level}")
 
 
 @lru_cache(maxsize=None)
@@ -354,7 +348,7 @@ def fibonacci_modular_data() -> ModularData:
     )
     S = ((ONE, phi), (phi, -ONE))
     t = (Fraction(0), Fraction(2, 5))
-    return _checked(ModularData.build(ring, S, t), "fibonacci")
+    return _checked(ModularData(ring, S, t), "fibonacci")
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +365,7 @@ def ising_modular_data() -> ModularData:
     )
     S = ((ONE, rt2, ONE), (rt2, ZERO, -rt2), (ONE, -rt2, ONE))
     t = (Fraction(0), Fraction(1, 16), Fraction(1, 2))
-    return _checked(ModularData.build(ring, S, t), "ising")
+    return _checked(ModularData(ring, S, t), "ising")
 
 
 @lru_cache(maxsize=None)
@@ -396,7 +390,7 @@ def zn_modular_data(n: int) -> ModularData:
     else:
         S = tuple(tuple(zeta(n, (j * k) % n) for k in range(n)) for j in range(n))
         t = tuple(Fraction(j * j, 2 * n) for j in range(n))
-    return _checked(ModularData.build(ring, S, t), f"zn:{n}")
+    return _checked(ModularData(ring, S, t), f"zn:{n}")
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -89,9 +89,6 @@ class BoundaryGraph:
     def size(self) -> int:
         return len(self.vertices)
 
-    def matrix(self) -> np.ndarray:
-        return exact_ints(self.adjacency)
-
 
 def _ade_edges(tag: str) -> tuple[int, list[tuple[int, int]]]:
     """Vertex count and 1-based edge list for a family tag like 'D:7'."""
@@ -282,9 +279,14 @@ def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
     sum_S e_{lambda_I}(S) * chi[S]: one integer contraction of the per-datum
     tensor E of the idempotent family with chi, read off its layers label by
     label. A zero quantum dimension is named before a zero norm."""
-    if md.ring.rank != nr.ring.rank:
+    return _profile(md, character(nr), nr.size)
+
+
+def _profile(md: ModularData, chi: tuple[int, ...], size: int) -> tuple[int, ...]:
+    """multiplicity_profile of a module with character chi and size boundary labels."""
+    if md.ring.rank != len(chi):
         raise ShapeMismatch("modular data rank differs from the ring rank")
-    v = exact_ints(character(nr), md.rank)
+    v = exact_ints(chi, md.rank)
     m = _idempotents(md).apply(lambda L: L @ v, md.rank)
     irrational = m.layers[m.exps != 0].any(axis=0)
     rational = m.layers[m.exps == 0].sum(axis=0)
@@ -299,9 +301,9 @@ def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
                 "not a non-negative integer"
             )
         out.append(num // m.den)
-    if sum(out) != nr.size:
+    if sum(out) != size:
         raise NonIntegralMultiplicity(
-            f"profile sums to {sum(out)}, expected {nr.size} boundary labels"
+            f"profile sums to {sum(out)}, expected {size} boundary labels"
         )
     return tuple(out)
 

@@ -340,7 +340,7 @@ def test_entries_past_int64_stay_exact():
 
 def test_md_tensor_layers_are_scanned_once(monkeypatch):
     base = su2_modular_data(6)
-    md = ModularData.build(base.ring, base.S, base.t)
+    md = ModularData(base.ring, base.S, base.t)
     scans = []
     magnitude = cyclo._magnitude
 

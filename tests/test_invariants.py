@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from fuselab import invariants, nimrep
 from fuselab.cyclo import ZERO, CycloNumber, exact_ints
 from fuselab.errors import SearchBudgetExceeded, ShapeMismatch
 from fuselab.invariants import (
@@ -26,9 +27,11 @@ from fuselab.invariants import (
 from fuselab.modular import ModularData, load_catalog, su2_modular_data
 from fuselab.nimrep import (
     a_graph,
+    character,
     d_graph,
     disjoint_union,
     e_graph,
+    multiplicity_profile,
     regular_nimrep,
     su2_nimrep_from_graph,
 )
@@ -156,6 +159,27 @@ def test_tm_dim_regular():
         rep = tm_dimension_report(regular_nimrep(md.ring), md)
         assert rep.multOfUnit == 1, name
         assert rep.indecomposable, name
+
+
+def test_tm_dim_computes_one_character_per_report(monkeypatch):
+    calls = []
+
+    def counted(nr):
+        calls.append(nr)
+        return character(nr)
+
+    monkeypatch.setattr(invariants, "character", counted)
+    monkeypatch.setattr(nimrep, "character", counted)
+    md = su2_modular_data(4)
+    for nr in (
+        su2_nimrep_from_graph(d_graph(4), 4),
+        su2_nimrep_from_graph(disjoint_union(a_graph(5), a_graph(5)), 4),
+        regular_nimrep(md.ring),
+    ):
+        calls.clear()
+        rep = tm_dimension_report(nr, md)
+        assert calls == [nr]
+        assert rep.multOfUnit == multiplicity_profile(nr, md)[0]
 
 
 def test_diagonal_profile_path_graphs():
@@ -295,7 +319,7 @@ def test_commutant_path_uses_no_float(monkeypatch):
     expected = [commutant_basis(md) for md in mds]
     monkeypatch.setattr("fuselab.invariants.np.linalg.matrix_rank", no_float)
     monkeypatch.setattr("fuselab.cyclo.embed_complex", no_float)
-    fresh = [ModularData.build(md.ring, md.S, md.t) for md in mds]
+    fresh = [ModularData(md.ring, md.S, md.t) for md in mds]
     assert [commutant_basis(md) for md in fresh] == expected
 
 

@@ -85,9 +85,47 @@ def test_verify_catches_broken_symmetry():
     md = su2_modular_data(2)
     S = [list(row) for row in md.S]
     S[0][2] = rat(5)
-    bad = ModularData.build(md.ring, S, [t.value for t in md.t])
+    bad = ModularData(md.ring, S, [t.value for t in md.t])
     v = verify_modular_data(bad)
     assert not v.ok
+
+
+def test_rational_entries_make_the_catalog_datum():
+    # d, d(C) and the tensor are derived from S, whatever number type its entries have
+    zn2 = load_catalog("zn:2")
+    md = ModularData(zn2.ring, [[1, 1], [1, -1]], [0, Fraction(1, 4)])
+    assert md == zn2
+    assert (md.d, md.globalDim) == (zn2.d, zn2.globalDim)
+    assert all(isinstance(x, CycloNumber) for row in md.S for x in row)
+    assert verify_modular_data(md).ok
+    assert spectrum(md) == spectrum(zn2)
+    assert tube_idempotent(md, 1) == tube_idempotent(zn2, 1)
+    with pytest.raises(TypeError):
+        ModularData(zn2.ring, zn2.S, zn2.t, zn2.d, zn2.globalDim)
+
+
+@pytest.mark.parametrize(
+    "S, t, message",
+    [
+        ([[1, 1]], [0, 0], r"^S must be 2x2$"),
+        ([[1, 1], [1, -1]], [0], r"^t must have length 2$"),
+        ([[1, 1], [1, -1]], [0, 0, 0], r"^t must have length 2$"),
+        ([[1, "x"], [1, -1]], [0, 0], r"^S\[0\]\[1\] = 'x' is not a cyclotomic or rational"),
+        ([[1, 1], [True, -1]], [0, 0], r"^S\[1\]\[0\] = True is not a cyclotomic or rational"),
+        ([[1, 1], [1, 1.5]], [0, 0], r"^S\[1\]\[1\] = 1.5 is not a cyclotomic or rational"),
+    ],
+)
+def test_constructor_refuses_malformed_s_and_t(S, t, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        ModularData(zn_modular_data(2).ring, S, t)
+
+
+def test_dimension_row_names_a_unit_dimension_other_than_one():
+    md = su2_modular_data(3)
+    S = [list(row) for row in md.S]
+    S[0][0] = S[0][0] * 2
+    v = verify_modular_data(ModularData(md.ring, S, md.t))
+    assert v.checks[0] == failed("dimension-row", "d[0] != 1")
 
 
 def test_spectrum_pinned_values():
@@ -224,7 +262,7 @@ def test_verlinde_fibonacci_tau_tau_tau():
 def test_verlinde_rejects_inconsistent_s():
     md = su2_modular_data(1)
     S = ((ONE, ONE), (ONE, zeta(3)))
-    bad = ModularData.build(md.ring, S, [t.value for t in md.t])
+    bad = ModularData(md.ring, S, [t.value for t in md.t])
     with pytest.raises(NonIntegralVerlinde):
         verlinde(bad)
 
@@ -365,7 +403,7 @@ def _perturbed(md, kind, rng):
         S[j][i] = S[i][j]
     N = tuple(tuple(tuple(row) for row in plane) for plane in N)
     ring = FusionRing(labels=md.ring.labels, dual=md.ring.dual, N=N)
-    return ModularData.build(ring, S, [t.value for t in md.t])
+    return ModularData(ring, S, [t.value for t in md.t])
 
 
 def _loop_verdict(md, kept):
@@ -423,7 +461,7 @@ def test_tensor_check_witnesses_pinned():
     md = su2_modular_data(4)
     S = [list(row) for row in md.S]
     S[1][2] = S[2][1] = S[1][2] + 1
-    bad = ModularData.build(md.ring, S, [t.value for t in md.t])
+    bad = ModularData(md.ring, S, [t.value for t in md.t])
     assert verify_modular_data(bad).describe() == "fail: s-squared at (I,J)=(0, 1)"
     assert {c.name: c.witness for c in verify_modular_data(bad).checks}[
         "verlinde-consistency"
@@ -433,7 +471,7 @@ def test_tensor_check_witnesses_pinned():
     md2 = su2_modular_data(2)
     S = [list(row) for row in md2.S]
     S[1][0], S[2][0] = S[1][0] + 1, S[2][0] - sin_ratio(2, 4)
-    lower = ModularData.build(md2.ring, S, [t.value for t in md2.t])
+    lower = ModularData(md2.ring, S, [t.value for t in md2.t])
     assert {c.name: c.witness for c in verify_modular_data(lower).checks}[
         "s-squared"
     ] == "(I,J)=(1, 1)"
@@ -443,13 +481,13 @@ def test_tensor_check_witnesses_pinned():
     N[2][1][1] += 1
     N = tuple(tuple(tuple(row) for row in plane) for plane in N)
     ring = FusionRing(labels=ising.ring.labels, dual=ising.ring.dual, N=N)
-    flipped = ModularData.build(ring, ising.S, [t.value for t in ising.t])
+    flipped = ModularData(ring, ising.S, [t.value for t in ising.t])
     assert {c.name: c.witness for c in verify_modular_data(flipped).checks}[
         "verlinde-consistency"
     ] == "(a,b,m)=(1, 2, 'asymmetric N')"
 
     md1 = su2_modular_data(1)
-    odd = ModularData.build(md1.ring, ((ONE, ONE), (ONE, zeta(3))), [t.value for t in md1.t])
+    odd = ModularData(md1.ring, ((ONE, ONE), (ONE, zeta(3))), [t.value for t in md1.t])
     with pytest.raises(NonIntegralVerlinde) as err:
         verlinde(odd)
     assert str(err.value) == "entry (0,0,1) is irrational: (1 + z3)/2"
@@ -541,7 +579,7 @@ def test_degenerate_scalars_keep_their_messages_and_order():
     t = [x.value for x in ising.t]
     i = zeta(4)
     # d[1] and d[2] are both zero; the first in label order is named
-    no_dims = ModularData.build(ising.ring, ((ONE, ZERO, ZERO), (ONE, i, ONE), (ONE, ONE, i)), t)
+    no_dims = ModularData(ising.ring, ((ONE, ZERO, ZERO), (ONE, i, ONE), (ONE, ONE, i)), t)
     regular = regular_nimrep(ising.ring)
 
     def profile(md):
@@ -551,7 +589,7 @@ def test_degenerate_scalars_keep_their_messages_and_order():
         with pytest.raises(DegenerateScalar, match=r"^quantum dimension d\[1\] is zero$"):
             fn(no_dims)
     # lambda_1 = (i, 1, 0) and lambda_2 = (i, 0, 1) both have norm i^2 + 1 = 0
-    no_norms = ModularData.build(ising.ring, ((ONE, ONE, ONE), (i, ONE, ZERO), (i, ZERO, ONE)), t)
+    no_norms = ModularData(ising.ring, ((ONE, ONE, ONE), (i, ONE, ZERO), (i, ZERO, ONE)), t)
     assert [p.normSq for p in spectrum(no_norms)] == [rat(3), ZERO, ZERO]
     for fn in (idempotent_family, profile):
         with pytest.raises(DegenerateScalar, match=r"^lambda_1 has zero norm$"):
@@ -619,7 +657,7 @@ def test_spectrum_and_family_match_the_scalar_loops_on_arbitrary_entries(S):
     if S[0][0].is_zero:  # d[0] = 0 ends both routes at once; draw other degeneracies
         S[0][0] = ONE
     ring = su2_fusion_ring(r - 1) if r < 3 else zn_modular_data(r).ring
-    md = ModularData.build(ring, S, [0] * r)
+    md = ModularData(ring, S, [0] * r)
     assert outcome(spectrum, md) == outcome(scalar_spectrum, md)
     assert outcome(idempotent_family, md) == outcome(scalar_idempotent_family, md)
 

@@ -473,7 +473,7 @@ def test_profiles_pinned_at_low_levels():
 def generic_nimrep_from_graph(g, level):
     """Reference: the Chebyshev recurrence, then every axiom of verify_nimrep
     against the level's fusion ring, as the construction ran before."""
-    A = exact_ints(g.matrix(), g.size)
+    A = exact_ints(g.adjacency, g.size)
     mats = [np.eye(g.size, dtype=A.dtype), A][: level + 1]
     for i in range(1, level):
         nxt = A @ exact_ints(mats[i], g.size) - mats[i - 1]
@@ -523,7 +523,7 @@ def test_truncation_identity_matches_generic_check():
         got = construction_outcome(lambda g, k: su2_nimrep_from_graph(g, k).mats, g, lvl)
         assert got == construction_outcome(generic_nimrep_from_graph, g, lvl), (g, lvl)
         kinds.add(got[0] if got[0] == "ok" else got[1].split(" ")[0])
-        python_ints += exact_ints(g.matrix(), g.size).dtype == object
+        python_ints += exact_ints(g.adjacency, g.size).dtype == object
     assert kinds == {"ok", "recurrence", "homomorphism:"}
     assert python_ints >= 10
 
