@@ -43,6 +43,9 @@ def _require(doc: dict, key: str, where: str):
 
 
 def _int(x, where: str) -> int:
+    """x if it is an integer, never a bool. Hot loops take type(x) is int
+    first and call this only otherwise, so where is formatted only for an
+    entry that may fail."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise SchemaError(f"{where}: expected an integer, got {x!r}")
     return x
@@ -80,8 +83,11 @@ def cyclo_from_json(obj, where: str) -> CycloNumber:
     for k, pair in enumerate(coeffs):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{where}.coeffs[{k}]: expected a [num, den] pair")
-        num = _int(pair[0], f"{where}.coeffs[{k}][0]")
-        den = _int(pair[1], f"{where}.coeffs[{k}][1]")
+        num, den = pair
+        if type(num) is not int:
+            num = _int(num, f"{where}.coeffs[{k}][0]")
+        if type(den) is not int:
+            den = _int(den, f"{where}.coeffs[{k}][1]")
         if den == 0:
             raise SchemaError(f"{where}.coeffs[{k}]: zero denominator")
         if num:
@@ -98,8 +104,11 @@ def phase_to_json(t: RationalPhase) -> list[int]:
 def phase_from_json(obj, where: str) -> Fraction:
     if not isinstance(obj, list) or len(obj) != 2:
         raise SchemaError(f"{where}: expected a [num, den] pair")
-    num = _int(obj[0], f"{where}[0]")
-    den = _int(obj[1], f"{where}[1]")
+    num, den = obj
+    if type(num) is not int:
+        num = _int(num, f"{where}[0]")
+    if type(den) is not int:
+        den = _int(den, f"{where}[1]")
     if den == 0:
         raise SchemaError(f"{where}: zero denominator")
     return Fraction(num, den)
@@ -118,11 +127,13 @@ def _ring_from_fields(doc: dict, where: str) -> FusionRing:
     dual_raw = _require(doc, "dual", where)
     if not isinstance(dual_raw, list):
         raise SchemaError(f"{where}.dual: expected a list")
-    dual = tuple(_int(x, f"{where}.dual[{k}]") for k, x in enumerate(dual_raw))
+    dual = tuple(
+        x if type(x) is int else _int(x, f"{where}.dual[{k}]") for k, x in enumerate(dual_raw)
+    )
     N_raw = _require(doc, "N", where)
     try:
         N = tuple(
-            tuple(tuple(_int(x, f"{where}.N") for x in row) for row in plane)
+            tuple(tuple(x if type(x) is int else _int(x, f"{where}.N") for x in row) for row in plane)
             for plane in N_raw
         )
         ring = FusionRing(labels=labels, dual=dual, N=N)

@@ -75,7 +75,7 @@ class ModularData:
         if len(t) != r:
             raise ShapeMismatch(f"t must have length {r}")
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "t", tuple(RationalPhase(x) for x in t))
+        object.__setattr__(self, "t", tuple(_phase(x, k) for k, x in enumerate(t)))
         object.__setattr__(self, "d", S[0])
         object.__setattr__(self, "globalDim", sum((x * x for x in S[0]), ZERO))
         object.__setattr__(self, "tensor", FieldTensor.of(S))
@@ -91,6 +91,13 @@ def _entry(x, i: int, j: int) -> CycloNumber:
     if y is None:
         raise ShapeMismatch(f"S[{i}][{j}] = {x!r} is not a cyclotomic or rational number")
     return y
+
+
+def _phase(x, k: int) -> RationalPhase:
+    """t[k] as a RationalPhase; an int, Fraction or RationalPhase, never a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, RationalPhase)):
+        raise ShapeMismatch(f"t[{k}] = {x!r} is not a rational number")
+    return RationalPhase(x)
 
 
 def _per_datum(fn):

@@ -13,7 +13,12 @@ exactly when U_{k+1}(A) = 0, one integer product. The recurrence fills one
 stack typed once: it refuses a negative entry, so N(x_a) <= A N(x_{a-1}),
 no row of N(x_a) sums past s ** a (s the largest row sum of A), and the
 stack is int64 when s ** (k + 1), a bound on every entry and partial sum
-of A N(x_k), is below 2**63. verify_nimrep checks modules given as matrices.
+of A N(x_k), is below 2**63. One scan of the finished stack finds the
+first negative entry: the steps before it are non-negative, so they and
+it are exact, and the steps after it, which may wrap, are discarded. Each
+(graph, level) module is built once and kept, up to 128 int64 stacks of
+at most 2**16 entries (64 MiB); larger ones are rebuilt on every call.
+verify_nimrep checks modules given as matrices.
 
 Profiles are exact: m[I] is the trace of the spectral projector for
 lambda_I pushed through the representation, which by linearity of the trace
@@ -31,10 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycloNumber, _first, exact_ints
+from .cyclo import CycloNumber, _first, _int_type, exact_ints
 from .errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -47,6 +53,10 @@ from .modular import ModularData, _idempotents
 from .verdict import Check, Verdict, failed, passed
 
 _ADE_FAMILIES = ("A", "D", "E")
+# su2_nimrep_from_graph keeps at most _KEPT_MODULES modules, each an int64
+# stack of at most _KEPT_ENTRIES entries: 128 * 2**16 * 8 bytes = 64 MiB
+_KEPT_MODULES = 128
+_KEPT_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -236,6 +246,28 @@ def su2_nimrep_from_graph(g: BoundaryGraph, level: int) -> NimRep:
     N(x_{i+1}) = N(x_1) N(x_i) - N(x_{i-1}). A graph whose Coxeter number
     does not match level + 2 fails the recurrence or the homomorphism.
 
+    Built once per (graph, level): a module whose stack has at most
+    _KEPT_ENTRIES entries and is int64 by exact_ints' rule for the bound
+    max(s, 1) ** level on its entries (s the largest row sum of A) is kept
+    in a cache of _KEPT_MODULES modules, so it holds at most 64 MiB of
+    stacks; a larger one is built the same way on every call. A failing
+    graph raises and is never kept. The cache is typed, so a bool level
+    raises as in su2_fusion_ring. The module is frozen with a read-only
+    stack, so every caller can share it.
+    """
+    if level < 0:
+        raise ShapeMismatch("level must be non-negative")
+    key = (g.vertices, g.adjacency, level)
+    if (level + 1) * g.size**2 <= _KEPT_ENTRIES:
+        top = max(1, *map(sum, g.adjacency)) ** level
+        if _int_type(max(level + 1, g.size), top) is np.int64:
+            return _kept_su2_module(*key)
+    return _su2_module(*key)
+
+
+def _su2_module(vertices: tuple[str, ...], adjacency, level: int) -> NimRep:
+    """The su(2) module of su2_nimrep_from_graph, built without a cache.
+
     The level-k ring is Z[x]/(U_{k+1}(x)), so x -> A is a ring homomorphism
     sending x_a to N(x_a) = U_a(A) exactly when U_{k+1}(A) = 0, that is
     A N(x_k) = N(x_{k-1}); that one product is the homomorphism check, and
@@ -244,24 +276,32 @@ def su2_nimrep_from_graph(g: BoundaryGraph, level: int) -> NimRep:
     construction: unit, as N(x_0) = I; duality, as su(2) is self-dual and
     polynomials in the symmetric A are symmetric; non-negativity, as
     BoundaryGraph makes A >= 0 and the recurrence rejects a negative entry.
+
+    Non-negativity is checked once, over the finished stack. Every step
+    before the first negative one is non-negative, so it and the negative
+    step are inside the int64 bound and exact, and the row-major first
+    negative entry is the witness a step-by-step check would give; the
+    steps after it may wrap, but they are discarded.
     """
-    if level < 0:
-        raise ShapeMismatch("level must be non-negative")
     ring = su2_fusion_ring(level)
-    s = max(map(sum, g.adjacency))
-    mats = np.empty((level + 1, g.size, g.size), np.int64 if s ** (level + 1) < 2**63 else object)
-    mats[:2] = (np.identity(g.size, dtype=np.int64), g.adjacency)[: level + 1]
+    size = len(vertices)
+    s = max(map(sum, adjacency))
+    mats = np.empty((level + 1, size, size), np.int64 if s ** (level + 1) < 2**63 else object)
+    mats[:2] = (np.identity(size, dtype=np.int64), adjacency)[: level + 1]
     for i in range(1, level):
-        mats[i + 1] = nxt = mats[1] @ mats[i] - mats[i - 1]
-        if (bad := _first(nxt < 0)) is not None:
-            j, k = bad
-            raise NotANimRep(f"recurrence for N(x_{i + 1}) gives entry {nxt[j, k]} at ({j},{k})")
+        mats[i + 1] = mats[1] @ mats[i] - mats[i - 1]
+    if (bad := _first(mats < 0)) is not None:
+        a, j, k = bad
+        raise NotANimRep(f"recurrence for N(x_{a}) gives entry {mats[bad]} at ({j},{k})")
     if level:
         got, want = mats[1] @ mats[level], mats[level - 1]
         if (bad := _first(got != want)) is not None:
             witness = "(N(1)N({}))[{},{}] = {} != {}".format(level, *bad, got[bad], want[bad])
             raise NotANimRep(f"homomorphism: {witness}")
-    return NimRep(ring=ring, boundaryLabels=g.vertices, mats=mats)
+    return NimRep(ring=ring, boundaryLabels=vertices, mats=mats)
+
+
+_kept_su2_module = lru_cache(maxsize=_KEPT_MODULES, typed=True)(_su2_module)
 
 
 def regular_nimrep(ring: FusionRing) -> NimRep:

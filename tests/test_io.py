@@ -143,6 +143,48 @@ def test_cyclo_schema_errors_keep_their_text(obj, message):
     assert str(info.value) == message
 
 
+def _set(keys, value):
+    def edit(doc):
+        *path, last = keys
+        for key in path:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            _set(["S", 3, 2, "coeffs", 5, 1], 1.0),
+            "modular-data.S[3][2].coeffs[5][1]: expected an integer, got 1.0",
+        ),
+        (
+            _set(["S", 12, 0, "coeffs", 0, 0], True),
+            "modular-data.S[12][0].coeffs[0][0]: expected an integer, got True",
+        ),
+        (_set(["ring", "N", 1, 2, 3], "1"), "modular-data.ring.N: expected an integer, got '1'"),
+        (_set(["ring", "dual", 4], 4.0), "modular-data.ring.dual[4]: expected an integer, got 4.0"),
+        (_set(["t", 7, 1], None), "modular-data.t[7][1]: expected an integer, got None"),
+    ],
+)
+def test_deep_schema_errors_name_their_location(edit, message):
+    doc = data_to_json(su2_modular_data(12))
+    edit(doc)
+    with pytest.raises(SchemaError) as info:
+        parse_data(doc)
+    assert str(info.value) == message
+
+
+def test_fusion_ring_n_entry_error_names_n():
+    doc = data_to_json(su2_modular_data(3).ring)
+    doc["N"][2][1][1] = False
+    with pytest.raises(SchemaError) as info:
+        parse_data(doc)
+    assert str(info.value) == "fusion-ring.N: expected an integer, got False"
+
+
 def test_decode_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"kind": "graph",\n  "vertices": [}\n')

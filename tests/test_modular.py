@@ -113,6 +113,11 @@ def test_rational_entries_make_the_catalog_datum():
         ([[1, "x"], [1, -1]], [0, 0], r"^S\[0\]\[1\] = 'x' is not a cyclotomic or rational"),
         ([[1, 1], [True, -1]], [0, 0], r"^S\[1\]\[0\] = True is not a cyclotomic or rational"),
         ([[1, 1], [1, 1.5]], [0, 0], r"^S\[1\]\[1\] = 1.5 is not a cyclotomic or rational"),
+        ([[1, 1], [1, -1]], [0, 0.25], r"^t\[1\] = 0.25 is not a rational number$"),
+        ([[1, 1], [1, -1]], [0, True], r"^t\[1\] = True is not a rational number$"),
+        ([[1, 1], [1, -1]], [0, "1/4"], r"^t\[1\] = '1/4' is not a rational number$"),
+        ([[1, 1], [1, -1]], [0, "x"], r"^t\[1\] = 'x' is not a rational number$"),
+        ([[1, 1], [1, -1]], [0, None], r"^t\[1\] = None is not a rational number$"),
     ],
 )
 def test_constructor_refuses_malformed_s_and_t(S, t, message):

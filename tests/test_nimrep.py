@@ -596,9 +596,55 @@ def test_built_objects_convert_no_tables(monkeypatch):
     assert d_eigenvector(nr, md) == lam
     assert [n for n in tables if n > 1] == []  # N is 3-d, a module stack 3-d, a matrix 2-d
     tables.clear()
+    nimrep._kept_su2_module.cache_clear()  # rebuild rather than return the kept module
     assert np.array_equal(su2_nimrep_from_graph(ade_graph("D:5"), 6).mats, nr.mats)
     assert tables == [3]  # one conversion per build, of the whole stack, in NimRep
     for table in (nr.ring.tensor, nr.mats, regular_matrices(nr.ring)):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0, 0] = 2
+
+
+def test_module_built_once_per_graph_and_level():
+    first = su2_nimrep_from_graph(disjoint_union(ade_graph("A:5"), ade_graph("D:4")), 4)
+    assert su2_nimrep_from_graph(disjoint_union(a_graph(5), d_graph(4)), 4) is first
+    assert su2_nimrep_from_graph(ade_graph("A:5"), 4) is not first
+
+
+def test_bool_level_refused_after_its_int_is_kept():
+    g = a_graph(2)
+    assert su2_nimrep_from_graph(g, 1).mats.shape == (2, 2, 2)
+    with pytest.raises(ValueError, match="level must be a non-negative integer, got True"):
+        su2_nimrep_from_graph(g, True)
+    with pytest.raises(ShapeMismatch, match="level must be non-negative"):
+        su2_nimrep_from_graph(g, -1)
+
+
+def test_failing_graph_raises_the_same_witness_and_is_not_kept():
+    from fuselab import nimrep
+
+    kept = nimrep._kept_su2_module.cache_info().currsize
+    texts = set()
+    for _ in range(3):
+        with pytest.raises(NotANimRep) as info:
+            su2_nimrep_from_graph(a_graph(3), 4)
+        texts.add(str(info.value))
+    assert texts == {"recurrence for N(x_4) gives entry -1 at (0,2)"}
+    assert nimrep._kept_su2_module.cache_info().currsize == kept
+
+
+def test_module_cache_is_bounded():
+    from fuselab import nimrep
+
+    nimrep._kept_su2_module.cache_clear()
+    limit = nimrep._kept_su2_module.cache_info().maxsize
+    assert limit == nimrep._KEPT_MODULES
+    for n in range(1, limit + 3):  # level 0 needs no Coxeter match: every graph passes
+        assert su2_nimrep_from_graph(a_graph(n), 0).size == n
+    assert nimrep._kept_su2_module.cache_info().currsize == limit
+    # A:41 at level 40 is a stack of 41**3 > 2**16 entries: built on every call, never kept
+    nimrep._kept_su2_module.cache_clear()
+    big = su2_nimrep_from_graph(a_graph(41), 40)
+    assert big.mats.size > nimrep._KEPT_ENTRIES and big.mats.dtype == np.int64
+    assert su2_nimrep_from_graph(a_graph(41), 40) is not big
+    assert nimrep._kept_su2_module.cache_info().currsize == 0
