@@ -66,6 +66,7 @@ from .nimrep import (
     disjoint_union,
     e_graph,
     multiplicity_profile,
+    nimrep_from_graph,
     regular_nimrep,
     su2_nimrep_from_graph,
     verify_nimrep,

@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     ValidationFailed,
 )
-from .fusion import FusionRing, su2_fusion_ring, verify_axioms
+from .fusion import FusionRing, verify_axioms
 from .gauge import GaugeProblem, _solution, validate_mu
 from .invariants import (
     DEFAULT_ENTRY_BOUND,
@@ -53,7 +53,7 @@ from .nimrep import (
     ade_graph,
     character,
     multiplicity_profile,
-    su2_nimrep_from_graph,
+    nimrep_from_graph,
     verify_nimrep,
 )
 from .verdict import Check, passed
@@ -89,7 +89,6 @@ class JobSpec:
     data: str | None = None
     graph: str | None = None
     invariant: str | None = None
-    level: int | None = None
     fmt: str = "human"
     bound: int | None = None
     digits: int = 6
@@ -120,19 +119,6 @@ def _need_ring(obj, command: str) -> FusionRing:
     )
 
 
-def _su2_level(ring: FusionRing, command: str) -> int:
-    """Graph subcommands run the Chebyshev recurrence, which only makes
-    sense over affine su(2) fusion rules; labels are not compared."""
-    level = ring.rank - 1
-    ref = su2_fusion_ring(level)
-    if ring.N != ref.N or ring.dual != ref.dual:
-        raise SchemaError(
-            f"{command} needs su2-shaped fusion data (rank {ring.rank} "
-            f"does not match the level-{level} fusion rules)"
-        )
-    return level
-
-
 def _resolve_graph(spec: str) -> BoundaryGraph:
     head, sep, tail = spec.partition(":")
     if sep and head in ("A", "D", "E"):
@@ -148,12 +134,12 @@ def _resolve_graph(spec: str) -> BoundaryGraph:
 
 
 def _build_nimrep(job: JobSpec, command: str) -> tuple[NimRep, ModularData, int]:
+    """The data's module with N(x_1) = the graph, the datum, and level = rank - 1."""
     if job.data is None or job.graph is None:
         raise SchemaError(f"{command} needs both --data and --graph")
     md = _need_modular(_load_data(job.data), command)
-    level = _su2_level(md.ring, command)
     g = _resolve_graph(job.graph)
-    return su2_nimrep_from_graph(g, level), md, level
+    return nimrep_from_graph(md.ring, g), md, md.rank - 1
 
 
 def _cmd_catalog_list(job: JobSpec):

@@ -12,7 +12,7 @@ the regular matrices read it and convert nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,6 +53,34 @@ class FusionRing:
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def _generation(self):
+        """How x_1 generates the ring, made once and held on it: the labels in
+        generation order; steps (c, b, minus), each from the first product x_1 x_b
+        with one new label c, N_1b^c = 1: x_c = x_1 x_b - sum of n x_x over minus;
+        the products (b, terms) that reached none, terms the nonzero (c, N_1b^c);
+        the largest sum_c N_1b^c. A label never reached raises ShapeMismatch."""
+        if self.rank == 1:
+            return (0,), (), (), 1
+        terms = [tuple((c, n) for c, n in enumerate(row) if n) for row in self.N[1]]
+        order, steps, waiting = [0, 1], [], [1]  # x_1 x_0 = x_1 needs no check
+        while True:
+            for b in waiting:
+                new = [(c, n) for c, n in terms[b] if c not in order]
+                if len(new) == 1 and new[0][1] == 1:
+                    break
+            else:
+                break
+            c = new[0][0]
+            waiting.remove(b)
+            waiting.append(c)
+            order.append(c)
+            steps.append((c, b, tuple(t for t in terms[b] if t[0] != c)))
+        if missing := sorted(set(range(self.rank)) - set(order)):
+            raise ShapeMismatch(f"label {missing[0]} is not generated by label 1")
+        checks = tuple((b, terms[b]) for b in waiting)
+        return tuple(order), tuple(steps), checks, max(sum(n for _, n in row) for row in terms)
 
     def basis_element(self, a: int) -> "FusionElement":
         coeffs = [ZERO] * self.rank

@@ -1,24 +1,16 @@
-"""NIM-reps over fusion rings: boundary graphs, the su(2) construction via
-the Chebyshev recurrence, characters, projector-trace multiplicity profiles,
-and the exact Perron-Frobenius eigenvector.
+"""NIM-reps over fusion rings: boundary graphs, modules generated from a
+graph's adjacency matrix, characters, projector-trace multiplicity
+profiles, and the exact Perron-Frobenius eigenvector.
 
 A NimRep holds its matrices as one read-only exact (rank, size, size) stack
 with inner = max(rank, size), the most products any sum over it takes, so
 the homomorphism, d-eigenvector and phi checks convert nothing.
 
-The su(2) construction checks itself by the truncation identity: the
-level-k ring is Z[x]/(U_{k+1}(x)) with x_a = U_a(x), so the Chebyshev
-matrices of a symmetric non-negative adjacency matrix A form a NIM-rep
-exactly when U_{k+1}(A) = 0, one integer product. The recurrence fills one
-stack typed once: it refuses a negative entry, so N(x_a) <= A N(x_{a-1}),
-no row of N(x_a) sums past s ** a (s the largest row sum of A), and the
-stack is int64 when s ** (k + 1), a bound on every entry and partial sum
-of A N(x_k), is below 2**63. One scan of the finished stack finds the
-first negative entry: the steps before it are non-negative, so they and
-it are exact, and the steps after it, which may wrap, are discarded. Each
-(graph, level) module is built once and kept, up to 128 int64 stacks of
-at most 2**16 entries (64 MiB); larger ones are rebuilt on every call.
-verify_nimrep checks modules given as matrices.
+nimrep_from_graph builds the module of a fusion ring generated by label 1
+from N(x_1) = a graph's adjacency, through the ring's structure constants;
+over su2_fusion_ring(level) it is the Chebyshev recurrence, whose modules
+su2_nimrep_from_graph keeps, up to 128 int64 stacks of at most 2**16
+entries (64 MiB). verify_nimrep checks modules given as matrices.
 
 Profiles are exact: m[I] is the trace of the spectral projector for
 lambda_I pushed through the representation, which by linearity of the trace
@@ -53,6 +45,9 @@ from .modular import ModularData, _idempotents
 from .verdict import Check, Verdict, failed, passed
 
 _ADE_FAMILIES = ("A", "D", "E")
+# the largest n a graph tag may name, as its adjacency has n * n entries
+# (the largest catalog graph is A:29)
+_MAX_TAG_RANK = 1024
 # su2_nimrep_from_graph keeps at most _KEPT_MODULES modules, each an int64
 # stack of at most _KEPT_ENTRIES entries: 128 * 2**16 * 8 bytes = 64 MiB
 _KEPT_MODULES = 128
@@ -109,6 +104,8 @@ def _ade_edges(tag: str) -> tuple[int, list[tuple[int, int]]]:
         n = int(tail)
     except ValueError:
         raise ShapeMismatch(f"graph tag {tag!r} has a non-integer rank") from None
+    if n > _MAX_TAG_RANK:
+        raise ShapeMismatch(f"graph tag {tag!r} names more than {_MAX_TAG_RANK} vertices")
     if head == "A":
         if n < 1:
             raise ShapeMismatch("A_n needs n >= 1")
@@ -226,10 +223,8 @@ def verify_nimrep(ring: FusionRing, mats) -> Verdict:
         return Verdict((*checks, failed("unit", "N(0) is not the identity")))
     checks.append(passed("unit"))
 
-    if (bad := _first((M[list(ring.dual)] != M.transpose(0, 2, 1)).any(axis=(1, 2)))) is not None:
-        return Verdict(
-            (*checks, failed("duality", "N(dual({0})) != transpose of N({0})".format(*bad)))
-        )
+    if (witness := _duality_failure(ring, M)) is not None:
+        return Verdict((*checks, failed("duality", witness)))
     checks.append(passed("duality"))
 
     if bad := homomorphism_failure(ring, M):
@@ -241,67 +236,78 @@ def verify_nimrep(ring: FusionRing, mats) -> Verdict:
     return Verdict(tuple(checks))
 
 
-def su2_nimrep_from_graph(g: BoundaryGraph, level: int) -> NimRep:
-    """N(x_0) = I, N(x_1) = adjacency, then the two-term recurrence
-    N(x_{i+1}) = N(x_1) N(x_i) - N(x_{i-1}). A graph whose Coxeter number
-    does not match level + 2 fails the recurrence or the homomorphism.
+def _duality_failure(ring: FusionRing, M: np.ndarray) -> str | None:
+    """The witness of the first label a with N(dual(a)) != N(a) transposed, or None."""
+    differs = (M[list(ring.dual)] != M.transpose(0, 2, 1)).any(axis=(1, 2))
+    return "N(dual({0})) != transpose of N({0})".format(*_first(differs)) if differs.any() else None
 
-    Built once per (graph, level): a module whose stack has at most
-    _KEPT_ENTRIES entries and is int64 by exact_ints' rule for the bound
-    max(s, 1) ** level on its entries (s the largest row sum of A) is kept
-    in a cache of _KEPT_MODULES modules, so it holds at most 64 MiB of
-    stacks; a larger one is built the same way on every call. A failing
-    graph raises and is never kept. The cache is typed, so a bool level
-    raises as in su2_fusion_ring. The module is frozen with a read-only
-    stack, so every caller can share it.
+
+def nimrep_from_graph(ring: FusionRing, g: BoundaryGraph) -> NimRep:
+    """The module of ring with N(x_0) = I and N(x_1) = the adjacency A of g.
+
+    Every other N(c) is solved for from a product of ring._generation, as
+    A N(b) - sum of N_1b^x N(x) over the other labels x. The checks, each
+    naming its first witness: non-negativity in generation order, duality on
+    every label unless the ring is self-dual, and A N(b) = sum_c N_1b^c N(c)
+    for each product that defined no label. They suffice for a ring that
+    passes verify_axioms: x -> N(x) respects the product by x_1 on the basis,
+    so it sends p(x_1) y to p(A) N(y) for every integer polynomial p, and as
+    each x_a = p_a(x_1), N(x_a x_b) = p_a(A) N(b) = N(a) N(b); every N(a) is
+    then symmetric, so a self-dual ring needs no duality check. Duality on
+    x_1 alone would imply the rest only if dual respected products, which
+    verify_axioms leaves open.
+
+    The stack is int64 when max(s, R) * s ** (rank - 1) < 2**63, s the
+    largest row sum of A (at least 1), R the largest sum_c N_1b^c: while the
+    steps stay non-negative, N(c) <= A N(b), so no row built at depth e sums
+    past s ** e. The first negative step had non-negative inputs, so its
+    witness is exact; later steps may wrap and are discarded.
     """
+    order, steps, checks, R = ring._generation
+    r, size = ring.rank, g.size
+    s = max(1, *map(sum, g.adjacency))
+    mats = np.empty((r, size, size), np.int64 if max(s, R) * s ** (r - 1) < 2**63 else object)
+    mats[:2] = (np.identity(size, dtype=np.int64), g.adjacency)[:r]
+    for c, b, minus in steps:
+        out = mats[c]
+        np.matmul(mats[1], mats[b], out=out)
+        for x, n in minus:
+            out -= mats[x] if n == 1 else n * mats[x]
+    if (negative := mats < 0).any():
+        p, j, k = _first(negative[list(order)])
+        a = order[p]
+        raise NotANimRep(f"recurrence for N(x_{a}) gives entry {mats[a, j, k]} at ({j},{k})")
+    if ring.dual != tuple(range(r)) and (witness := _duality_failure(ring, mats)):
+        raise NotANimRep(f"duality: {witness}")
+    for b, terms in checks:
+        got, want = mats[1] @ mats[b], sum(mats[x] if n == 1 else n * mats[x] for x, n in terms)
+        if (differs := got != want).any():
+            j, i = _first(differs)
+            raise NotANimRep(f"homomorphism: (N(1)N({b}))[{j},{i}] = {got[j, i]} != {want[j, i]}")
+    return NimRep(ring=ring, boundaryLabels=g.vertices, mats=mats)
+
+
+def su2_nimrep_from_graph(g: BoundaryGraph, level: int) -> NimRep:
+    """nimrep_from_graph over su2_fusion_ring(level): the recurrence
+    N(x_{i+1}) = A N(x_i) - N(x_{i-1}), checked by A N(x_k) = N(x_{k-1}).
+    The module is kept, frozen and shared, in a typed cache of _KEPT_MODULES
+    (64 MiB) when its stack has at most _KEPT_ENTRIES entries and is int64 by
+    exact_ints' rule for max(s, 1) ** level, s the largest row sum of A,
+    which bounds them. A failing graph is never kept, and a bool level
+    raises as in su2_fusion_ring."""
     if level < 0:
         raise ShapeMismatch("level must be non-negative")
-    key = (g.vertices, g.adjacency, level)
     if (level + 1) * g.size**2 <= _KEPT_ENTRIES:
         top = max(1, *map(sum, g.adjacency)) ** level
         if _int_type(max(level + 1, g.size), top) is np.int64:
-            return _kept_su2_module(*key)
-    return _su2_module(*key)
+            return _kept_su2_module(g.vertices, g.adjacency, level)
+    return nimrep_from_graph(su2_fusion_ring(level), g)
 
 
-def _su2_module(vertices: tuple[str, ...], adjacency, level: int) -> NimRep:
-    """The su(2) module of su2_nimrep_from_graph, built without a cache.
-
-    The level-k ring is Z[x]/(U_{k+1}(x)), so x -> A is a ring homomorphism
-    sending x_a to N(x_a) = U_a(A) exactly when U_{k+1}(A) = 0, that is
-    A N(x_k) = N(x_{k-1}); that one product is the homomorphism check, and
-    its first differing entry is the witness verify_nimrep would give, whose
-    first failing pair is always (1, k). The other axioms hold by
-    construction: unit, as N(x_0) = I; duality, as su(2) is self-dual and
-    polynomials in the symmetric A are symmetric; non-negativity, as
-    BoundaryGraph makes A >= 0 and the recurrence rejects a negative entry.
-
-    Non-negativity is checked once, over the finished stack. Every step
-    before the first negative one is non-negative, so it and the negative
-    step are inside the int64 bound and exact, and the row-major first
-    negative entry is the witness a step-by-step check would give; the
-    steps after it may wrap, but they are discarded.
-    """
-    ring = su2_fusion_ring(level)
-    size = len(vertices)
-    s = max(map(sum, adjacency))
-    mats = np.empty((level + 1, size, size), np.int64 if s ** (level + 1) < 2**63 else object)
-    mats[:2] = (np.identity(size, dtype=np.int64), adjacency)[: level + 1]
-    for i in range(1, level):
-        mats[i + 1] = mats[1] @ mats[i] - mats[i - 1]
-    if (bad := _first(mats < 0)) is not None:
-        a, j, k = bad
-        raise NotANimRep(f"recurrence for N(x_{a}) gives entry {mats[bad]} at ({j},{k})")
-    if level:
-        got, want = mats[1] @ mats[level], mats[level - 1]
-        if (bad := _first(got != want)) is not None:
-            witness = "(N(1)N({}))[{},{}] = {} != {}".format(level, *bad, got[bad], want[bad])
-            raise NotANimRep(f"homomorphism: {witness}")
-    return NimRep(ring=ring, boundaryLabels=vertices, mats=mats)
-
-
-_kept_su2_module = lru_cache(maxsize=_KEPT_MODULES, typed=True)(_su2_module)
+@lru_cache(maxsize=_KEPT_MODULES, typed=True)
+def _kept_su2_module(vertices: tuple[str, ...], adjacency, level: int) -> NimRep:
+    # keyed on plain tuples, which hash and compare faster than a BoundaryGraph
+    return nimrep_from_graph(su2_fusion_ring(level), BoundaryGraph._trusted(vertices, adjacency))
 
 
 def regular_nimrep(ring: FusionRing) -> NimRep:

@@ -2,13 +2,16 @@
 byte determinism. All runs go through main(argv) in-process."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from fuselab.cli import JobSpec, main, run
+from fuselab.fusion import FusionRing
 from fuselab.io import write_data_file
 from fuselab.invariants import InvariantMatrix
-from fuselab.modular import su2_modular_data
+from fuselab.modular import ModularData, load_catalog, su2_modular_data, verify_modular_data
+from fuselab.nimrep import BoundaryGraph
 
 
 def structured(capsys, argv):
@@ -207,11 +210,62 @@ def test_rank_zero_fusion_ring_is_input_error(capsys, tmp_path):
     assert doc["error"]["type"] == "SchemaError"
 
 
-def test_non_su2_data_for_graph_command(capsys):
-    # zn:3 has rank 3 but its table differs from the level-2 one.
+def toric_code_data():
+    """Z2 x Z2 (the toric code): S the +-1 character table, t = (0, 0, 0, 1/2)."""
+    r = range(4)
+    N = tuple(tuple(tuple(int(a ^ b == c) for c in r) for b in r) for a in r)
+    ring = FusionRing(labels=("1", "e", "m", "em"), dual=(0, 1, 2, 3), N=N)
+    S = [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]
+    return ModularData(ring, S, (0, 0, 0, Fraction(1, 2)))
+
+
+def test_graph_commands_build_over_any_generated_ring(capsys, tmp_path):
+    # zn:3: N(x_2) = A^2 for the symmetric A of A_3, which is not A transposed
     code, doc = structured(capsys, ["nimrep", "check", "--data", "zn:3", "--graph", "A:3"])
+    assert code == 1
+    assert doc["error"]["witness"] == "duality: N(dual(1)) != transpose of N(1)"
+    # fibonacci acting on itself: the tadpole graph, tau * tau = 1 + tau
+    tadpole = tmp_path / "tadpole.json"
+    write_data_file(tadpole, BoundaryGraph(vertices=("1", "tau"), adjacency=((0, 1), (1, 1))))
+    argv = ["diag-theorem", "--data", "fibonacci", "--graph", f"custom:{tadpole}"]
+    code, doc = structured(capsys, argv)
+    assert code == 0
+    assert doc["payload"]["profile"] == [1, 1]
+    assert doc["payload"]["level"] == 1
+    # Z2 x Z2 is not generated by e: m is never reached
+    md = toric_code_data()
+    assert verify_modular_data(md).ok
+    toric = tmp_path / "toric.json"
+    write_data_file(toric, md)
+    for command in (["nimrep", "check"], ["profile"], ["tm-dim"], ["diag-theorem"]):
+        code, doc = structured(capsys, [*command, "--data", str(toric), "--graph", "A:2"])
+        assert code == 2
+        assert doc["error"] == {
+            "category": "input",
+            "type": "ShapeMismatch",
+            "message": "label 2 is not generated by label 1",
+        }
+
+
+def test_graph_tag_budget_exits_two_before_building(capsys, monkeypatch):
+    import tracemalloc
+
+    from fuselab import cli, nimrep
+
+    load_catalog("su2:4")  # the datum is built once and kept, outside the measurement
+    builds = []
+    monkeypatch.setattr(cli, "nimrep_from_graph", lambda *args: builds.append(args))
+    tracemalloc.start()
+    try:
+        code, doc = structured(capsys, ["profile", "--data", "su2:4", "--graph", "A:100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2
-    assert "su2-shaped" in doc["error"]["message"]
+    assert doc["error"]["message"] == (
+        f"graph tag 'A:100000' names more than {nimrep._MAX_TAG_RANK} vertices"
+    )
+    assert builds == [] and peak < 2**20
 
 
 def test_ising_data_is_su2_shaped(capsys):

@@ -1,8 +1,11 @@
-"""Boundary graphs, the Chebyshev construction of NIM-reps, multiplicity
-profiles with a floating eigen-decomposition oracle, and d-eigenvectors."""
+"""Boundary graphs, the module builder (the su(2) Chebyshev modules and
+modules over any ring that label 1 generates), multiplicity profiles with a
+floating eigen-decomposition oracle, and d-eigenvectors."""
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,9 +19,9 @@ from fuselab.errors import (
     NotANimRep,
     ShapeMismatch,
 )
-from fuselab.fusion import su2_fusion_ring
+from fuselab.fusion import FusionRing, su2_fusion_ring, verify_axioms
 from fuselab.io import data_to_json, parse_data
-from fuselab.modular import SpectrumPoint, load_catalog, su2_modular_data
+from fuselab.modular import SpectrumPoint, catalog_names, load_catalog, su2_modular_data
 from fuselab.nimrep import (
     BoundaryGraph,
     NimRep,
@@ -30,6 +33,7 @@ from fuselab.nimrep import (
     disjoint_union,
     e_graph,
     multiplicity_profile,
+    nimrep_from_graph,
     regular_nimrep,
     su2_nimrep_from_graph,
     verify_nimrep,
@@ -648,3 +652,179 @@ def test_module_cache_is_bounded():
     assert big.mats.size > nimrep._KEPT_ENTRIES and big.mats.dtype == np.int64
     assert su2_nimrep_from_graph(a_graph(41), 40) is not big
     assert nimrep._kept_su2_module.cache_info().currsize == 0
+
+
+# -- one builder over every ring that label 1 generates ---------------------
+
+
+def _inverse(V):
+    """Exact Gauss-Jordan inverse of a square matrix of Fractions."""
+    n = len(V)
+    M = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(V)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if M[i][col])
+        M[col], M[pivot] = M[pivot], M[col]
+        M[col] = [x / M[col][col] for x in M[col]]
+        for i in range(n):
+            if i != col and M[i][col]:
+                M[i] = [x - M[i][col] * y for x, y in zip(M[i], M[col])]
+    return [row[n:] for row in M]
+
+
+def polynomials_in_x1(ring):
+    """Reference: coeffs[c][k] with x_c = sum_k coeffs[c][k] x_1^k, solved
+    exactly from the powers of x_1 in the regular representation."""
+    r = ring.rank
+    powers = [[int(c == 0) for c in range(r)]]  # coordinates of x_1^k
+    for _ in range(r - 1):
+        powers.append([sum(ring.N[1][b][c] * powers[-1][b] for b in range(r)) for c in range(r)])
+    V = [[Fraction(powers[k][c]) for k in range(r)] for c in range(r)]
+    inverse = _inverse(V)  # column c of the inverse holds the coordinates of x_c
+    assert all(x.denominator == 1 for row in inverse for x in row)  # x_1 generates over Z
+    return [[int(inverse[k][c]) for k in range(r)] for c in range(r)]
+
+
+def forced_module(coeffs, adjacency):
+    """Reference: N(x_c) = p_c(A), the only candidate with N(x_1) = A."""
+    A = [list(row) for row in adjacency]
+    size = len(A)
+    powers = [[[int(i == j) for j in range(size)] for i in range(size)]]
+    for _ in range(len(coeffs) - 1):
+        powers.append(_py_matmul(A, powers[-1]))
+    def poly(p, j, i):
+        return sum(a * P[j][i] for a, P in zip(p, powers) if a)
+
+    return [[[poly(p, j, i) for i in range(size)] for j in range(size)] for p in coeffs]
+
+
+def good_graphs(name: str, ring) -> list[tuple[tuple[int, ...], ...]]:
+    """Adjacency matrices of at most 12 vertices that carry a module of the
+    named catalog ring."""
+    r = ring.rank
+    regular = tuple(tuple(ring.N[min(1, r - 1)][b][c] for b in range(r)) for c in range(r))
+    graphs = [regular] if regular == tuple(zip(*regular)) else []
+    if name.startswith("su2:"):
+        k = r - 1
+        tags = [f"A:{k + 1}"] + ([f"D:{k // 2 + 2}"] if k >= 4 and k % 2 == 0 else [])
+        graphs += [ade_graph(tag).adjacency for tag in tags + (["E:6"] if k == 10 else [])]
+    if name.startswith("zn:"):
+        graphs += [((1,),), ((0, 1), (1, 0))] if r % 2 == 0 else [((1,),)]
+    return [a for a in graphs if len(a) <= 12]
+
+
+def small_multigraph(rng: random.Random, top: int) -> tuple[tuple[int, ...], ...]:
+    n = rng.randint(1, 4)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.4:
+                adj[i][j] = adj[j][i] = rng.randint(1, top)
+    return tuple(map(tuple, adj))
+
+
+def graph_of(adjacency) -> BoundaryGraph:
+    return BoundaryGraph(tuple(map(str, range(len(adjacency)))), adjacency)
+
+
+def test_builder_is_sound_and_complete_on_every_generated_catalog_ring():
+    # The builder returns a module exactly when the only candidate, N(x_c) = p_c(A)
+    # for x_c = p_c(x_1), passes verify_nimrep; then the module is that candidate.
+    rng = random.Random(1707)
+    counts: Counter = Counter()
+    for name in catalog_names():
+        ring = load_catalog(name).ring
+        coeffs = polynomials_in_x1(ring)
+        good = good_graphs(name, ring)
+        tops = [1, 2, 2**33] if ring.rank <= 9 else [1, 2]
+        adjacencies = good + [small_multigraph(rng, rng.choice(tops)) for _ in range(6)]
+        for a in good[:2]:
+            b = rng.choice([a, small_multigraph(rng, 2)])
+            adjacencies.append(disjoint_union(graph_of(a), graph_of(b)).adjacency)
+        for adjacency in adjacencies:
+            forced = forced_module(coeffs, adjacency)
+            want = verify_nimrep(ring, forced)
+            try:
+                nr = nimrep_from_graph(ring, graph_of(adjacency))
+            except NotANimRep as err:
+                assert not want.ok, (name, adjacency)
+                kind = str(err).split(" ")[0].rstrip(":")
+                assert {"recurrence": "non-negativity"}.get(kind, kind) == want.first_failure.name
+                if kind == "duality":
+                    assert str(err) == f"duality: {want.first_failure.witness}"
+                counts[kind] += 1
+                continue
+            assert want.ok, (name, adjacency)
+            assert verify_nimrep(ring, nr.mats).ok
+            assert nr.mats.tolist() == forced and nr.ring is ring
+            counts["ok"] += 1
+    assert set(counts) == {"ok", "recurrence", "duality", "homomorphism"}, counts
+    assert counts["ok"] >= 80, counts
+
+
+def test_builder_over_rep_s3():
+    # Rep(S3) with labels (1, rho, sign): rho rho = 1 + rho + sign, rho sign = rho,
+    # so N(sign) = A^2 - I - A and the one check is A N(sign) = A
+    N = (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 1, 0), (1, 1, 1), (0, 1, 0)),
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    )
+    ring = FusionRing(labels=("1", "rho", "sign"), dual=(0, 1, 2), N=N)
+    assert verify_axioms(ring).ok
+    order, steps, checks, R = ring._generation
+    assert order == (0, 1, 2) and steps == ((2, 1, ((0, 1), (1, 1))),)
+    assert checks == ((2, ((1, 1),)),) and R == 3
+    assert ring._generation is ring._generation  # made once, held on the ring
+    for adjacency, sign in [
+        (((2,),), [[1]]),  # the fiber functor: dimensions
+        (((1, 1), (1, 1)), [[0, 1], [1, 0]]),  # Rep(S3) acting on Rep(Z2)
+        (((0, 1, 0), (1, 1, 1), (0, 1, 0)), [[0, 0, 1], [0, 1, 0], [1, 0, 0]]),  # regular
+    ]:
+        nr = nimrep_from_graph(ring, graph_of(adjacency))
+        assert nr.mats[2].tolist() == sign
+        assert verify_nimrep(ring, nr.mats).ok
+    with pytest.raises(NotANimRep, match=r"^recurrence for N\(x_2\) gives entry -1 at \(0,1\)$"):
+        nimrep_from_graph(ring, a_graph(2))
+    # A = (3): N(sign) = 9 - 1 - 3 = 5 >= 0, but A N(sign) = 15 != A
+    with pytest.raises(NotANimRep, match=r"^homomorphism: \(N\(1\)N\(2\)\)\[0,0\] = 15 != 3$"):
+        nimrep_from_graph(ring, BoundaryGraph(("a",), ((3,),)))
+
+
+def test_builder_refuses_a_ring_label_1_does_not_generate():
+    r = range(4)
+    N = tuple(tuple(tuple(int(a ^ b == c) for c in r) for b in r) for a in r)
+    ring = FusionRing(labels=("1", "e", "m", "em"), dual=(0, 1, 2, 3), N=N)
+    for _ in range(2):  # nothing is held for a ring that fails
+        with pytest.raises(ShapeMismatch, match=r"^label 2 is not generated by label 1$"):
+            nimrep_from_graph(ring, a_graph(2))
+
+
+def test_graph_tags_have_a_budget():
+    from fuselab import nimrep
+
+    top = nimrep._MAX_TAG_RANK
+    assert ade_graph(f"A:{top}").size == top
+    for tag in (f"A:{top + 1}", f"D:{top + 1}", "A:100000", f"A:{10**30}"):
+        with pytest.raises(ShapeMismatch, match=f"names more than {top} vertices"):
+            ade_graph(tag)
+
+
+def test_first_negative_step_is_named_in_generation_order():
+    # su(2) at level 3 with the labels x_2 and x_3 swapped: x_1 generates index 3
+    # (= A^2 - I) before index 2 (= A N(3) - A). On A_2 + A_1 both steps go
+    # negative; the witness is the earlier step, not the smaller index.
+    ring = su2_fusion_ring(3)
+    new = (0, 1, 3, 2)
+    N = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                N[new[a]][new[b]][new[c]] = ring.N[a][b][c]
+    N = tuple(tuple(map(tuple, plane)) for plane in N)
+    swapped = FusionRing(("x0", "x1", "x3", "x2"), (0, 1, 2, 3), N)
+    assert swapped._generation[0] == (0, 1, 3, 2)
+    g = disjoint_union(a_graph(2), a_graph(1))
+    with pytest.raises(NotANimRep, match=r"^recurrence for N\(x_2\) gives entry -1 at \(2,2\)$"):
+        su2_nimrep_from_graph(g, 3)
+    with pytest.raises(NotANimRep, match=r"^recurrence for N\(x_3\) gives entry -1 at \(2,2\)$"):
+        nimrep_from_graph(swapped, g)
