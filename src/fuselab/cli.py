@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .cyclo import CycloNumber, embed_complex
+from .cyclo import embed_complex
 from .errors import (
     DegenerateScalar,
     GaugeInconsistent,
@@ -39,15 +39,15 @@ from .invariants import (
     InvariantMatrix,
     _positive as _positive_value,
     commutant_basis,
-    diagonal_profile_as_Z,
     enumerate_invariants,
     match_diagonal,
     tm_dimension_report,
     verify_invariant,
 )
-from .io import cyclo_from_json, cyclo_to_json, data_to_json, parse_data_file
+from .io import cyclo_from_json, cyclo_to_json, parse_data_file
 from .modular import ModularData, catalog_names, load_catalog, spectrum
 from .nimrep import (
+    _ADE_FAMILIES,
     BoundaryGraph,
     NimRep,
     ade_graph,
@@ -121,7 +121,7 @@ def _need_ring(obj, command: str) -> FusionRing:
 
 def _resolve_graph(spec: str) -> BoundaryGraph:
     head, sep, tail = spec.partition(":")
-    if sep and head in ("A", "D", "E"):
+    if sep and head in _ADE_FAMILIES:
         return ade_graph(spec)
     if sep and head == "custom":
         obj = parse_data_file(tail)

@@ -3,9 +3,12 @@ its exact solution lambda (one free scalar per connected component), the
 encircling matrices E(a) = Lambda^-1 N(a) Lambda, and the isomorphism
 checks tying E back to N.
 
-J is a union of cliques once validated (reflexive + symmetric +
-composition-closed), so solving is spanning-star propagation from the
-lowest-index node of each component; no general cohomology machinery.
+A GaugeProblem's constructor holds J as a union of cliques, with no field
+operation: MissingPair names the first gap in a J that is not reflexive,
+then symmetric, then closed under composition, and ShapeMismatch the first
+component, in root order, whose values share no field within the budget.
+It keeps each node's root, the least node of its component, so solving is
+spanning-star propagation from the roots; no general cohomology machinery.
 
 The cocycle check is the star identity mu_ij = mu_ir * mu_rj, r the root of
 the component of i and j: O(n^2) products per component instead of the
@@ -34,9 +37,10 @@ ratios R[j][i] = lambda_i / lambda_j, masked by the integer N(a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import lcm
 
-from .cyclo import ONE, CycloNumber, FieldTensor, inverses
+from .cyclo import ONE, CycloNumber, FieldTensor, _budgeted, inverses
 from .errors import DegenerateScalar, GaugeInconsistent, MissingPair, ShapeMismatch
 from .nimrep import _d_image
 from .verdict import Check, Verdict, failed, passed
@@ -47,22 +51,51 @@ class GaugeProblem:
     nodes: tuple[str, ...]
     pairs: tuple[tuple[int, int], ...]
     mu: tuple[CycloNumber, ...]
+    # derived from pairs and mu, not part of the value: each node's root (the
+    # least node of its component), the components in root order, mu by pair
+    root: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    components: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _by_pair: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.nodes)
         if len(self.mu) != len(self.pairs):
             raise ShapeMismatch("mu values must align with the pair list")
-        seen = set()
-        for i, j in self.pairs:
+        by_pair = {}
+        for (i, j), x in zip(self.pairs, self.mu):
             if not (0 <= i < n and 0 <= j < n):
                 raise ShapeMismatch(f"pair ({i},{j}) references a missing node")
-            if (i, j) in seen:
+            if (i, j) in by_pair:
                 raise ShapeMismatch(f"pair ({i},{j}) listed twice")
-            seen.add((i, j))
+            by_pair[(i, j)] = x
+        for i in range(n):
+            if (i, i) not in by_pair:
+                raise MissingPair(f"missing reflexive pair ({i},{i})")
+        others: dict[int, list[int]] = {}
+        for i, j in self.pairs:
+            if (j, i) not in by_pair:
+                raise MissingPair(f"pair ({i},{j}) present but ({j},{i}) missing")
+            if i != j:
+                others.setdefault(i, []).append(j)
+        for i, js in others.items():
+            for j in js:
+                for k in others[j]:
+                    if (i, k) not in by_pair:
+                        raise MissingPair(f"pairs ({i},{j}), ({j},{k}) present but ({i},{k}) missing")
+        root = tuple(min((i, *others.get(i, ()))) for i in range(n))
+        comps: dict[int, list[int]] = {}
+        for i, r in enumerate(root):
+            comps.setdefault(r, []).append(i)
+        for comp in comps.values():
+            _budgeted(lcm(*(by_pair[(i, j)].order for i in comp for j in comp)))
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "components", tuple(map(tuple, comps.values())))
+        object.__setattr__(self, "_by_pair", by_pair)
 
     @classmethod
     def build(cls, nodes, mu_map) -> "GaugeProblem":
-        """From a mapping (i, j) -> CycloNumber; pair order is normalized."""
+        """From a mapping (i, j) -> CycloNumber; pair order is normalized.
+        Raises MissingPair when the pairs are not closed."""
         pairs = tuple(sorted(mu_map))
         return cls(
             nodes=tuple(nodes),
@@ -71,7 +104,8 @@ class GaugeProblem:
         )
 
     def mu_map(self) -> dict[tuple[int, int], CycloNumber]:
-        return dict(zip(self.pairs, self.mu))
+        """A copy of mu by pair, which the caller may change."""
+        return dict(self._by_pair)
 
 
 @dataclass(frozen=True)
@@ -80,53 +114,28 @@ class GaugeSolution:
     components: tuple[tuple[int, ...], ...]
 
 
-def check_pairs(gp: GaugeProblem) -> dict[int, list[int]]:
-    """The nodes paired with each node apart from itself, once J is found
-    reflexive, symmetric and closed under composition; otherwise MissingPair
-    names the first gap. The value identities are not even well-posed on
-    such a J, and this check makes no field operation."""
-    n = len(gp.nodes)
-    J = set(gp.pairs)
-    for i in range(n):
-        if (i, i) not in J:
-            raise MissingPair(f"missing reflexive pair ({i},{i})")
-    for i, j in gp.pairs:
-        if (j, i) not in J:
-            raise MissingPair(f"pair ({i},{j}) present but ({j},{i}) missing")
-    out: dict[int, list[int]] = {}
-    for i, j in gp.pairs:
-        if i != j:
-            out.setdefault(i, []).append(j)
-    for i, js in out.items():
-        for j in js:
-            for k in out.get(j, ()):
-                if (i, k) not in J:
-                    raise MissingPair(f"pairs ({i},{j}), ({j},{k}) present but ({i},{k}) missing")
-    return out
-
-
-def _star_holds(mu, out) -> bool:
-    """mu_ij = mu_ir * mu_rj for i < j, both apart from the root r (the
-    lowest node) of their component."""
-    for i, js in out.items():
-        r = min(js)
-        if r < i:
-            for j in js:
-                if j > i and mu[(i, r)] * mu[(r, j)] != mu[(i, j)]:
+def _star_holds(gp: GaugeProblem) -> bool:
+    """mu_ij = mu_ir * mu_rj for i < j, both apart from the root r of their
+    component."""
+    mu = gp._by_pair
+    for r, *rest in gp.components:
+        for a, i in enumerate(rest):
+            for j in rest[a + 1:]:
+                if mu[(i, r)] * mu[(r, j)] != mu[(i, j)]:
                     return False
     return True
 
 
 def validate_mu(gp: GaugeProblem) -> Verdict:
-    """Structure first (check_pairs raises MissingPair), values second.
+    """The value identities, on a pair set that gp's constructor holds
+    closed (GaugeProblem.build raises MissingPair on an open one).
 
     Value failures (mu_ii != 1, mu_ij mu_ji != 1, broken triangle) come back
     as a failing Verdict with the witness pair or triangle. The cocycle check
     is the star identity; only when it fails does the row-major triangle
     scan run, to find the witness.
     """
-    out = check_pairs(gp)
-    mu = gp.mu_map()
+    mu = gp._by_pair
     checks: list[Check] = []
     for i in range(len(gp.nodes)):
         if mu[(i, i)] != ONE:
@@ -140,11 +149,12 @@ def validate_mu(gp: GaugeProblem) -> Verdict:
             )
     checks.append(passed("inverse-pairs"))
 
-    if not _star_holds(mu, out):
-        for i, js in sorted(out.items()):
-            for j in sorted(js):
-                for k in sorted(out.get(j, ())):
-                    if k != i and mu[(i, j)] * mu[(j, k)] != mu[(i, k)]:
+    if not _star_holds(gp):
+        comp = {c[0]: c for c in gp.components}
+        for i, r in enumerate(gp.root):
+            for j in comp[r]:
+                for k in comp[r]:
+                    if j != i and k not in (i, j) and mu[(i, j)] * mu[(j, k)] != mu[(i, k)]:
                         return Verdict(
                             (*checks, failed("cocycle", f"triangle ({i},{j},{k})"))
                         )
@@ -164,17 +174,11 @@ def solve_gauge(gp: GaugeProblem) -> GaugeSolution:
 
 def _solution(gp: GaugeProblem) -> GaugeSolution:
     """solve_gauge for a gp that passed validate_mu: lambda_j = mu_jr for
-    the root r of j's component, the least node paired with j."""
-    root = list(range(len(gp.nodes)))
-    for i, j in gp.pairs:
-        root[i] = min(root[i], j)
-    mu = gp.mu_map()
-    comps: dict[int, list[int]] = {}
-    for j, r in enumerate(root):
-        comps.setdefault(r, []).append(j)
+    the root r of j's component."""
+    mu = gp._by_pair
     return GaugeSolution(
-        lam=tuple(mu[(j, r)] for j, r in enumerate(root)),
-        components=tuple(map(tuple, comps.values())),
+        lam=tuple(mu[(j, r)] for j, r in enumerate(gp.root)),
+        components=gp.components,
     )
 
 

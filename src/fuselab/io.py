@@ -10,11 +10,12 @@ floats anywhere, so serialize -> parse is the identity.
 Loading is never silent about bad data: structural problems (wrong shapes,
 bad keys, an asymmetric adjacency, a non-closed pair set) raise SchemaError
 or MissingPair; mathematically invalid fusion rings and modular data raise
-ValidationFailed carrying the failing Verdict. A gauge file is checked for
-a closed pair set and for values that share one field within the budget per
-component, with no field arithmetic; its value identities are deliberately
-left to solve-time so the CLI can report the witness triangle as a check
-result rather than a load crash.
+ValidationFailed carrying the failing Verdict. A gauge file becomes a
+GaugeProblem, whose constructor holds a closed pair set (MissingPair) and
+values that share one field within the budget per component, with no field
+arithmetic; its value identities are deliberately left to solve-time so the
+CLI can report the witness triangle as a check result rather than a load
+crash.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclo import MAX_FIELD_ORDER, CycloNumber, RationalPhase, _budgeted
+from .cyclo import MAX_FIELD_ORDER, CycloNumber, RationalPhase
 from .errors import SchemaError, ShapeMismatch, ValidationFailed
 from .fusion import FusionRing, verify_axioms
-from .gauge import GaugeProblem, check_pairs
+from .gauge import GaugeProblem
 from .invariants import InvariantMatrix
 from .modular import ModularData, verify_modular_data
 from .nimrep import BoundaryGraph
@@ -243,21 +244,9 @@ def parse_data(doc):
                 raise SchemaError(f"gauge.mu[{k}]: duplicate pair ({i},{j})")
             mu_map[(i, j)] = cyclo_from_json(triple[2], f"gauge.mu[{k}][2]")
         try:
-            gp = GaugeProblem.build(nodes, mu_map)
-            # J must be closed now (MissingPair), and the values of one
-            # component, which the value identities multiply together, must
-            # share one field within the budget; the identities themselves
-            # are reported by gauge solve with witnesses instead
-            others = check_pairs(gp)
-            fields: dict[int, int] = {}
-            for (i, _), x in zip(gp.pairs, gp.mu):
-                root = min((i, *others.get(i, ())))
-                fields[root] = lcm(fields.get(root, 1), x.order)
-            for root in sorted(fields):
-                _budgeted(fields[root])
+            return GaugeProblem.build(nodes, mu_map)
         except ShapeMismatch as err:
             raise SchemaError(f"gauge: {err}") from None
-        return gp
     if kind == "invariant":
         Z_raw = _require(doc, "Z", "invariant")
         provenance = doc.get("provenance", "user")
@@ -298,4 +287,6 @@ def parse_data_file(path):
         raise SchemaError(
             f"{path}: line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply to parse") from None
     return parse_data(doc)

@@ -268,12 +268,21 @@ def test_graph_tag_budget_exits_two_before_building(capsys, monkeypatch):
     assert builds == [] and peak < 2**20
 
 
-def test_ising_data_is_su2_shaped(capsys):
-    # The ising table coincides with the level-2 table, so graph commands
-    # accept it even though the label names differ.
+def test_graph_commands_build_over_the_ising_ring(capsys):
+    # Graph commands build the module over ising's own ring, which its
+    # label 1, sigma, generates: sigma * sigma = 1 + psi.
     code, doc = structured(capsys, ["profile", "--data", "ising", "--graph", "A:3"])
     assert code == 0
     assert doc["payload"]["profile"] == [1, 1, 1]
+
+
+def test_deeply_nested_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, doc = structured(capsys, ["spectrum", "--data", str(path)])
+    assert code == 2
+    assert doc["error"]["type"] == "SchemaError"
+    assert doc["error"]["message"] == f"{path}: JSON nested too deeply to parse"
 
 
 def test_invalid_file_is_math_error(capsys, tmp_path):

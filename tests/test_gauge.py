@@ -18,7 +18,6 @@ from fuselab.errors import (
 )
 from fuselab.gauge import (
     GaugeProblem,
-    check_pairs,
     encircling_matrices,
     solve_gauge,
     validate_mu,
@@ -377,19 +376,19 @@ def test_phi_refuses_modular_data_of_another_rank():
 # -- the star cocycle check against the full triangle scan it replaced ------
 
 
-def triangle_scan_mu(gp: GaugeProblem) -> Verdict:
-    """Reference: validate_mu with the full row-major triangle scan."""
-    n = len(gp.nodes)
-    mu = gp.mu_map()
-    J = set(gp.pairs)
+def closed_partners(n: int, pairs) -> dict[int, list[int]]:
+    """Reference: the nodes paired with each node apart from itself, once the
+    pair list is found reflexive, symmetric and closed under composition;
+    otherwise MissingPair names the first gap."""
+    J = set(pairs)
     for i in range(n):
         if (i, i) not in J:
             raise MissingPair(f"missing reflexive pair ({i},{i})")
-    for i, j in gp.pairs:
+    for i, j in pairs:
         if (j, i) not in J:
             raise MissingPair(f"pair ({i},{j}) present but ({j},{i}) missing")
     out: dict[int, list[int]] = {}
-    for i, j in gp.pairs:
+    for i, j in pairs:
         if i != j:
             out.setdefault(i, []).append(j)
     for i, js in out.items():
@@ -397,7 +396,14 @@ def triangle_scan_mu(gp: GaugeProblem) -> Verdict:
             for k in out.get(j, ()):
                 if (i, k) not in J:
                     raise MissingPair(f"pairs ({i},{j}), ({j},{k}) present but ({i},{k}) missing")
+    return out
 
+
+def triangle_scan_mu(gp: GaugeProblem) -> Verdict:
+    """Reference: validate_mu with the full row-major triangle scan."""
+    n = len(gp.nodes)
+    mu = gp.mu_map()
+    out = closed_partners(n, gp.pairs)
     checks = []
     for i in range(n):
         if mu[(i, i)] != ONE:
@@ -518,24 +524,27 @@ def test_missing_pair_texts(drop, message):
     mu = clique_mu([ONE, rat(2), zeta(5)], [range(3)])
     for pair in drop:
         del mu[pair]
-    gp = GaugeProblem.build(("a", "b", "c"), mu)
-    for check in (check_pairs, validate_mu):
-        with pytest.raises(MissingPair) as info:
-            check(gp)
-        assert str(info.value) == message
+    with pytest.raises(MissingPair) as info:
+        GaugeProblem.build(("a", "b", "c"), mu)
+    assert str(info.value) == message
 
 
 # -- the re-checks the solver and the phi check no longer make, as oracles --
 
 
+def root_grouping(n: int, pairs):
+    """Reference: the least node r paired with each node j, and the nodes
+    grouped by r in ascending order of r."""
+    root = tuple(min(i for i in range(n) if (i, j) in pairs) for j in range(n))
+    return root, tuple(tuple(j for j in range(n) if root[j] == r) for r in sorted(set(root)))
+
+
 def inverse_root_solution(gp: GaugeProblem):
     """Reference: lambda_j = 1 / mu_rj for the least node r paired with j,
     and the components grouped by r."""
-    n = len(gp.nodes)
     mu = gp.mu_map()
-    root = [min(i for i in range(n) if (i, j) in mu) for j in range(n)]
-    lam = tuple(mu[(r, j)].inverse() for j, r in enumerate(root))
-    return lam, tuple(tuple(j for j in range(n) if root[j] == r) for r in sorted(set(root)))
+    root, components = root_grouping(len(gp.nodes), mu)
+    return tuple(mu[(r, j)].inverse() for j, r in enumerate(root)), components
 
 
 @settings(max_examples=150, deadline=None)
@@ -592,3 +601,87 @@ def test_failing_phi_check_takes_one_inverse_for_its_witness(monkeypatch):
     v = verify_phi_isomorphism(nr, lam, md)
     assert v.first_failure.witness == "row 0 of E(1) sums to (3*z8 - 3*z8^3)/4, not d(1)"
     assert len(calls) <= 1
+
+
+# -- what the constructor holds: J's closure, the field budget, the roots ----
+
+
+@st.composite
+def open_cliques(draw):
+    """Nodes and mu_ij = lambda_i / lambda_j on a union of up to three
+    cliques of up to six nodes, shuffled so components interleave, with 0-2
+    pairs dropped: a reflexive pair, one side of a pair, or both sides of a
+    pair, which closes a triangle in a clique of three or more nodes."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    n = sum(sizes)
+    lam = [zeta(24, draw(st.integers(0, 23))) for _ in range(n)]
+    shuffled = draw(st.permutations(range(n)))
+    comps, start = [], 0
+    for size in sizes:
+        comps.append(sorted(shuffled[start:start + size]))
+        start += size
+    mu = clique_mu(lam, comps)
+    for _ in range(draw(st.integers(0, 2))):
+        comp = draw(st.sampled_from(comps))
+        kind = draw(st.sampled_from(["reflexive", "one side", "both sides"]))
+        i = draw(st.sampled_from(comp))
+        j = i if kind == "reflexive" or len(comp) == 1 else draw(
+            st.sampled_from([x for x in comp if x != i])
+        )
+        mu.pop((i, j), None)
+        if kind == "both sides":
+            mu.pop((j, i), None)
+    return tuple(map(str, range(n))), mu
+
+
+@settings(max_examples=200, deadline=None)
+@given(open_cliques())
+def test_constructor_refuses_open_pair_sets_and_holds_the_roots(case):
+    nodes, mu = case
+    try:
+        closed_partners(len(nodes), sorted(mu))
+    except MissingPair as gap:
+        with pytest.raises(MissingPair) as info:
+            GaugeProblem.build(nodes, mu)
+        assert str(info.value) == str(gap)
+        return
+    gp = GaugeProblem.build(nodes, mu)
+    assert (gp.root, gp.components) == root_grouping(len(nodes), mu)
+    assert solve_gauge(gp).components == gp.components
+
+
+def test_mu_map_is_a_copy():
+    mu = clique_mu([ONE, rat(2), zeta(5)], [(0, 2), (1,)])
+    gp = GaugeProblem.build(("a", "b", "c"), mu)
+    held = (gp.pairs, gp.mu, gp.root, gp.components, gp.mu_map())
+    copy = gp.mu_map()
+    copy[(0, 2)] = rat(7)
+    del copy[(2, 0)]
+    copy[(0, 1)] = ONE
+    assert (gp.pairs, gp.mu, gp.root, gp.components, gp.mu_map()) == held
+    assert held[2:4] == ((0, 1, 0), ((0, 2), (1,)))
+    assert solve_gauge(gp).lam == (ONE, ONE, zeta(5))
+    # the derived fields are not part of the value
+    twin = GaugeProblem(gp.nodes, gp.pairs, gp.mu)
+    assert twin == gp and hash(twin) == hash(gp) and "root" not in repr(gp)
+
+
+def test_construction_makes_no_field_operation(monkeypatch):
+    lam = [zeta(24, 5 * k) * rat(k + 1) + rat(Fraction(1, 2)) for k in range(7)]
+    mu = clique_mu(lam, [(0, 2, 5), (1, 3), (4,), (6,)])
+    gap = {p: x for p, x in mu.items() if p != (2, 5)}
+    # zeta_181 * zeta_191 lives in Q(zeta_34571), over the budget, in the
+    # second component
+    over = {(i, j): ONE for i in range(1, 4) for j in range(1, 4)}
+    over[(0, 0)] = ONE
+    over[(1, 2)], over[(2, 1)] = zeta(181), zeta(181, 180)
+    over[(2, 3)], over[(3, 2)] = zeta(191), zeta(191, 190)
+    products, inverses = count_products(monkeypatch), count_inversions(monkeypatch)
+    gp = GaugeProblem.build(tuple("abcdefg"), mu)
+    with pytest.raises(MissingPair, match=r"^pair \(5,2\) present but \(2,5\) missing$"):
+        GaugeProblem.build(tuple("abcdefg"), gap)
+    with pytest.raises(ShapeMismatch, match="^field order 34571 exceeds the budget of 32768$"):
+        GaugeProblem.build(tuple("abcd"), over)
+    assert products == [] and inverses == []
+    assert gp.root == (0, 1, 0, 1, 4, 0, 6)
+    assert gp.components == ((0, 2, 5), (1, 3), (4,), (6,))

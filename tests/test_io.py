@@ -280,9 +280,13 @@ def test_gauge_component_over_the_field_budget_is_refused_at_load(monkeypatch):
     mu = {(i, j): rat(1) for i in range(3) for j in range(3)}
     mu[(0, 1)], mu[(1, 0)] = zeta(181), zeta(181, 180)
     mu[(1, 2)], mu[(2, 1)] = zeta(191), zeta(191, 190)
-    doc = data_to_json(GaugeProblem.build(("a", "b", "c"), mu))
-    doc["nodes"].append("d")
-    doc["mu"].append([3, 3, cyclo_to_json(rat(1))])
+    mu[(3, 3)] = rat(1)
+    # written directly: the GaugeProblem constructor refuses it too
+    doc = {
+        "kind": "gauge",
+        "nodes": ["a", "b", "c", "d"],
+        "mu": [[i, j, cyclo_to_json(x)] for (i, j), x in sorted(mu.items())],
+    }
     calls = []
     product = CycloNumber.__mul__
     monkeypatch.setattr(CycloNumber, "__mul__", lambda a, b: calls.append(1) or product(a, b))
