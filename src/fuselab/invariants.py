@@ -27,7 +27,7 @@ import numpy as np
 
 from .cyclo import CycloNumber, _first, exact_ints
 from .errors import SearchBudgetExceeded, ShapeMismatch
-from .modular import ModularData, _per_datum
+from .modular import ModularData, _held
 from .nimrep import NimRep, _profile, character, multiplicity_profile
 from .verdict import Check, Verdict, failed, passed
 
@@ -111,6 +111,7 @@ class TMDimensionReport:
     routes: tuple[tuple[str, bool], ...]
 
 
+@_held
 def _support_connected(nr: NimRep) -> bool:
     size = nr.size
     reach = [False] * size
@@ -126,11 +127,17 @@ def _support_connected(nr: NimRep) -> bool:
     return all(reach)
 
 
+@_held
 def tm_dimension_report(nr: NimRep, md: ModularData) -> TMDimensionReport:
     """dTM = <chi, d>, the unit multiplicity, and the indecomposability
     verdict, with three independent routes that must agree:
     support-connectivity of the module matrices, multOfUnit = 1, and
-    dTM = d(C). Also enforces the chain dTM = multOfUnit * d(C)."""
+    dTM = d(C). Also enforces the chain dTM = multOfUnit * d(C).
+
+    Both checks run when the report is first computed for a datum object.
+    The report is then held on nr, for that datum object only, as are its
+    character and support connectivity for good: a repeated (nr, md) pair
+    returns the same report, and another datum replaces it."""
     chi = character(nr)
     dTM = rep_dimension(chi, md)
     mult = _profile(md, chi, nr.size)[0]
@@ -310,7 +317,7 @@ def _vector_to_matrix(x, unknowns, rank: int):
     return tuple(tuple(row) for row in rows)
 
 
-@_per_datum
+@_held
 def commutant_basis(md: ModularData) -> CommutantBasis:
     """Exact rational basis of {Z : Z S = S Z, Z_IJ = 0 unless t_I = t_J}.
 

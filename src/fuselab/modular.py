@@ -63,7 +63,7 @@ class ModularData:
     d: tuple[CycloNumber, ...] = field(init=False, repr=False, compare=False)
     globalDim: CycloNumber = field(init=False, repr=False, compare=False)
     tensor: FieldTensor = field(init=False, repr=False, compare=False)
-    # the results of _per_datum functions on this object, not part of its value
+    # the results of _held functions on this object, not part of its value
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,16 +100,21 @@ def _phase(x, k: int) -> RationalPhase:
     return RationalPhase(x)
 
 
-def _per_datum(fn):
-    """Memoize fn(md) on the datum object itself: computed on first use,
-    freed with the datum, and found without hashing S or N."""
+def _held(fn):
+    """Memoize fn(obj) or fn(obj, md) in obj._derived, on the object itself
+    (a ModularData or a NimRep): computed on first use, freed with obj, and
+    found without hashing obj or md. Each function has one slot, (md, value),
+    reused only for the same datum object: another one, even an equal one,
+    is recomputed and replaces it, so obj pins at most one datum per
+    function. A call that raises holds nothing."""
 
     @wraps(fn)
-    def memo(md: ModularData):
-        got = md._derived.get(fn)
-        if got is None:
-            got = md._derived[fn] = fn(md)
-        return got
+    def memo(obj, *md):
+        datum = md[0] if md else None
+        held = obj._derived.get(fn)
+        if held is None or held[0] is not datum:
+            held = obj._derived[fn] = (datum, fn(obj, *md))
+        return held[1]
 
     return memo
 
@@ -185,7 +190,7 @@ def verify_modular_data(md: ModularData) -> Verdict:
     return Verdict(tuple(checks))
 
 
-@_per_datum
+@_held
 def _inverse_dims(md: ModularData) -> tuple[CycloNumber, ...]:
     for i, x in enumerate(md.d):
         if x.is_zero:
@@ -198,13 +203,13 @@ def _scaled_rows(x, Y):
     return x[None] * Y[:, :, None]
 
 
-@_per_datum
+@_held
 def _points(md: ModularData) -> FieldTensor:
     """V[I][S] = lambda_I(S) = S_{IS} / d(I), from the kept inverse dimensions."""
     return md.tensor.convolve(FieldTensor.of(_inverse_dims(md)), _scaled_rows, 1)
 
 
-@_per_datum
+@_held
 def _norms(md: ModularData) -> tuple[CycloNumber, ...]:
     """<lambda_I, lambda_I> = sum_S V[I][S] * V[I][dual(S)], the pairing as
     one contraction, read back in one batch."""
@@ -213,7 +218,7 @@ def _norms(md: ModularData) -> tuple[CycloNumber, ...]:
     return pairing.scalars()
 
 
-@_per_datum
+@_held
 def _idempotents(md: ModularData) -> FieldTensor:
     """E[I][S] = e_{lambda_I}(S) = V[I][dual(S)] / <lambda_I, lambda_I>, the
     norms inverted as one batch; the first zero norm is named."""
@@ -225,7 +230,7 @@ def _idempotents(md: ModularData) -> FieldTensor:
     return V.convolve(FieldTensor.of(inverses(norms)), _scaled_rows, 1)
 
 
-@_per_datum
+@_held
 def spectrum(md: ModularData) -> tuple[SpectrumPoint, ...]:
     """One point lambda_I per label; normSq is computed from the pairing."""
     rows, norms = _points(md).scalars(), _norms(md)
@@ -275,7 +280,7 @@ def tube_idempotent(md: ModularData, label: int) -> FusionElement:
     return FusionElement(tuple(lam.values[dual[s]] * pref for s in range(md.rank)))
 
 
-@_per_datum
+@_held
 def idempotent_family(md: ModularData) -> tuple[FusionElement, ...]:
     """All spectral idempotents e_{lambda_I}, held on the datum and equal to
     spectral_idempotent's; a zero norm is named as there."""

@@ -10,7 +10,17 @@ nimrep_from_graph builds the module of a fusion ring generated by label 1
 from N(x_1) = a graph's adjacency, through the ring's structure constants;
 over su2_fusion_ring(level) it is the Chebyshev recurrence, whose modules
 su2_nimrep_from_graph keeps, up to 128 int64 stacks of at most 2**16
-entries (64 MiB). verify_nimrep checks modules given as matrices.
+entries (64 MiB). ade_graph keeps one graph per tag, up to 128 graphs of at
+most 2**16 adjacency entries. verify_nimrep checks modules given as matrices.
+
+A module holds what is derived from it, in nr._derived, outside its value
+and freed with it (modular._held): its character and support connectivity
+once, and its multiplicity profile, TM dimension report and d-eigenvector
+each for the last datum object they were asked of, one slot per function,
+so a module pins at most one datum per function. A repeated (module, datum)
+pair, as from the kept modules and catalog data, recomputes nothing; every
+check runs on a value's first computation, and a call that raises holds
+nothing.
 
 Profiles are exact: m[I] is the trace of the spectral projector for
 lambda_I pushed through the representation, which by linearity of the trace
@@ -26,7 +36,7 @@ here; it lives in the test suite as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,7 +51,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fusion import FusionRing, homomorphism_failure, regular_matrices, su2_fusion_ring
-from .modular import ModularData, _idempotents
+from .modular import ModularData, _held, _idempotents
 from .verdict import Check, Verdict, failed, passed
 
 _ADE_FAMILIES = ("A", "D", "E")
@@ -49,7 +59,9 @@ _ADE_FAMILIES = ("A", "D", "E")
 # (the largest catalog graph is A:29)
 _MAX_TAG_RANK = 1024
 # su2_nimrep_from_graph keeps at most _KEPT_MODULES modules, each an int64
-# stack of at most _KEPT_ENTRIES entries: 128 * 2**16 * 8 bytes = 64 MiB
+# stack of at most _KEPT_ENTRIES entries: 128 * 2**16 * 8 bytes = 64 MiB;
+# ade_graph keeps as many graphs of at most _KEPT_ENTRIES adjacency entries,
+# each a pointer per entry, so the same 64 MiB
 _KEPT_MODULES = 128
 _KEPT_ENTRIES = 2**16
 
@@ -95,8 +107,8 @@ class BoundaryGraph:
         return len(self.vertices)
 
 
-def _ade_edges(tag: str) -> tuple[int, list[tuple[int, int]]]:
-    """Vertex count and 1-based edge list for a family tag like 'D:7'."""
+def _ade_rank(tag: str) -> tuple[str, int]:
+    """The family and vertex count that a tag like 'D:7' names, checked."""
     head, sep, tail = tag.partition(":")
     if not sep or head not in _ADE_FAMILIES:
         raise ShapeMismatch(f"unknown graph family tag {tag!r}")
@@ -106,17 +118,23 @@ def _ade_edges(tag: str) -> tuple[int, list[tuple[int, int]]]:
         raise ShapeMismatch(f"graph tag {tag!r} has a non-integer rank") from None
     if n > _MAX_TAG_RANK:
         raise ShapeMismatch(f"graph tag {tag!r} names more than {_MAX_TAG_RANK} vertices")
+    if head == "A" and n < 1:
+        raise ShapeMismatch("A_n needs n >= 1")
+    if head == "D" and n < 4:
+        raise ShapeMismatch("D_n needs n >= 4")
+    if head == "E" and n not in (6, 7, 8):
+        raise ShapeMismatch("E_n exists only for n in {6, 7, 8}")
+    return head, n
+
+
+def _ade_edges(tag: str) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and 1-based edge list for a family tag like 'D:7'."""
+    head, n = _ade_rank(tag)
     if head == "A":
-        if n < 1:
-            raise ShapeMismatch("A_n needs n >= 1")
         return n, [(i, i + 1) for i in range(1, n)]
     if head == "D":
-        if n < 4:
-            raise ShapeMismatch("D_n needs n >= 4")
         edges = [(i, i + 1) for i in range(1, n - 2)]
         return n, edges + [(n - 2, n - 1), (n - 2, n)]
-    if n not in (6, 7, 8):
-        raise ShapeMismatch("E_n exists only for n in {6, 7, 8}")
     return n, [(1, 3)] + [(i, i + 1) for i in range(3, n)] + [(2, 4)]
 
 
@@ -132,10 +150,20 @@ def _ade_adjacency(tag: str) -> tuple[tuple[int, ...], ...]:
 def ade_graph(tag: str) -> BoundaryGraph:
     """Resolve a family tag like 'A:11', 'D:7', 'E:6' (Bourbaki numbering:
     A_n and the D_n tail are paths from vertex 1; D_n forks at n-2; E_n
-    branches at vertex 4 with the short leg 2-4)."""
+    branches at vertex 4 with the short leg 2-4). A graph of at most
+    _KEPT_ENTRIES adjacency entries is kept, frozen and shared, one per tag,
+    in a cache of _KEPT_MODULES graphs; a larger one is built on each call."""
+    n = _ade_rank(tag)[1]
+    return (_kept_ade_graph if n * n <= _KEPT_ENTRIES else _build_ade_graph)(tag)
+
+
+def _build_ade_graph(tag: str) -> BoundaryGraph:
     adjacency = _ade_adjacency(tag)
     vertices = tuple(str(i) for i in range(1, len(adjacency) + 1))
     return BoundaryGraph._trusted(vertices, adjacency, tag)
+
+
+_kept_ade_graph = lru_cache(maxsize=_KEPT_MODULES)(_build_ade_graph)
 
 
 def a_graph(n: int) -> BoundaryGraph:
@@ -193,6 +221,8 @@ class NimRep:
     ring: FusionRing
     boundaryLabels: tuple[str, ...]
     mats: np.ndarray
+    # the results of _held functions on this module, not part of its value
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = _module_stack(self.ring, self.mats)
@@ -315,11 +345,13 @@ def regular_nimrep(ring: FusionRing) -> NimRep:
     return NimRep(ring=ring, boundaryLabels=ring.labels, mats=regular_matrices(ring))
 
 
+@_held
 def character(nr: NimRep) -> tuple[int, ...]:
     """chi[a] = trace N(a); chi[0] = number of boundary labels."""
     return tuple(int(x) for x in nr.mats.trace(axis1=1, axis2=2))
 
 
+@_held
 def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
     """m[I] = trace of the lambda_I spectral projector inside the rep,
     sum_S e_{lambda_I}(S) * chi[S]: one integer contraction of the per-datum
@@ -360,6 +392,7 @@ def _d_image(mats, d, x):
     return image, _first(image.differs(d.convolve(x, lambda u, Y: u[:, None] * Y[:, None], 1)))
 
 
+@_held
 def d_eigenvector(nr: NimRep, md: ModularData) -> tuple[CycloNumber, ...]:
     """The vector with N(a) v = d(a) v, normalized to v[0] = 1.
 
@@ -368,6 +401,11 @@ def d_eigenvector(nr: NimRep, md: ModularData) -> tuple[CycloNumber, ...]:
     the rep, c * sum_S d(dual(S)) N(S) for a nonzero c that the normalization
     cancels, so one integer contraction of md.tensor[0] with the matrices.
     N(a) x = d(a) x is checked before x is normalized.
+
+    The vector is held on nr for the datum object it was computed for, so a
+    repeated (nr, md) pair returns the same tuple; another datum replaces
+    it. A module whose unit multiplicity is not one holds no vector and
+    raises on every call.
     """
     m = multiplicity_profile(nr, md)
     if m[0] != 1:

@@ -123,12 +123,9 @@ def test_solve_two_components_golden():
 
 
 def test_missing_symmetric_pair_raises():
-    with pytest.raises(MissingPair):
-        validate_mu(
-            GaugeProblem.build(
-                ("1", "2"), {(0, 0): ONE, (1, 1): ONE, (0, 1): rat(2)}
-            )
-        )
+    # the constructor refuses the pair set; no problem reaches validate_mu
+    with pytest.raises(MissingPair, match=r"^pair \(0,1\) present but \(1,0\) missing$"):
+        GaugeProblem.build(("1", "2"), {(0, 0): ONE, (1, 1): ONE, (0, 1): rat(2)})
 
 
 def test_missing_composition_raises():
@@ -141,8 +138,10 @@ def test_missing_composition_raises():
         (1, 2): rat(3),
         (2, 1): rat(Fraction(1, 3)),
     }
-    with pytest.raises(MissingPair):
-        validate_mu(GaugeProblem.build(("1", "2", "3"), mu))
+    with pytest.raises(
+        MissingPair, match=r"^pairs \(0,1\), \(1,2\) present but \(0,2\) missing$"
+    ):
+        GaugeProblem.build(("1", "2", "3"), mu)
 
 
 def test_solver_propagates_value_failure():

@@ -1,8 +1,10 @@
 """Dimension formulas for TM, diagonal profiles as partial Z matrices, exact
 commutant computation, lattice enumeration, and the diagonal-match verdict."""
 
+import gc
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +13,7 @@ import pytest
 
 from fuselab import invariants, nimrep
 from fuselab.cyclo import ZERO, CycloNumber, exact_ints
-from fuselab.errors import SearchBudgetExceeded, ShapeMismatch
+from fuselab.errors import MultiplicityNotOne, SearchBudgetExceeded, ShapeMismatch
 from fuselab.invariants import (
     CommutantBasis,
     InvariantMatrix,
@@ -24,6 +26,7 @@ from fuselab.invariants import (
     tm_dimension_report,
     verify_invariant,
 )
+from fuselab.io import data_to_json, parse_data
 from fuselab.modular import ModularData, load_catalog, su2_modular_data
 from fuselab.nimrep import (
     a_graph,
@@ -32,6 +35,7 @@ from fuselab.nimrep import (
     disjoint_union,
     e_graph,
     multiplicity_profile,
+    nimrep_from_graph,
     regular_nimrep,
     su2_nimrep_from_graph,
 )
@@ -171,16 +175,116 @@ def test_tm_dim_computes_one_character_per_report(monkeypatch):
     monkeypatch.setattr(invariants, "character", counted)
     monkeypatch.setattr(nimrep, "character", counted)
     md = su2_modular_data(4)
+    # modules built here, not the kept ones, so no earlier test has asked about them
     for nr in (
-        su2_nimrep_from_graph(d_graph(4), 4),
-        su2_nimrep_from_graph(disjoint_union(a_graph(5), a_graph(5)), 4),
+        nimrep_from_graph(md.ring, d_graph(4)),
+        nimrep_from_graph(md.ring, disjoint_union(a_graph(5), a_graph(5))),
         regular_nimrep(md.ring),
     ):
         calls.clear()
         rep = tm_dimension_report(nr, md)
         assert calls == [nr]
+        calls.clear()
+        assert tm_dimension_report(nr, md) is rep
+        assert calls == []
         assert rep.multOfUnit == multiplicity_profile(nr, md)[0]
 
+
+# -- values held on the module -----------------------------------------------
+
+
+def _count_pieces(monkeypatch, calls):
+    """Record each call of the pieces a profile, TM report or d-eigenvector
+    is computed from, by name."""
+    for module, name in (
+        (nimrep, "_profile"),
+        (invariants, "_profile"),
+        (invariants, "rep_dimension"),
+        (nimrep, "_d_image"),
+    ):
+
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def _held_values(nr, md):
+    return (
+        character(nr),
+        invariants._support_connected(nr),
+        multiplicity_profile(nr, md),
+        tm_dimension_report(nr, md),
+        nimrep.d_eigenvector(nr, md),
+    )
+
+
+def test_repeated_calls_return_the_held_values(monkeypatch):
+    calls = []
+    _count_pieces(monkeypatch, calls)
+    md = su2_modular_data(6)
+    nr = nimrep_from_graph(md.ring, nimrep.ade_graph("D:5"))
+    first = _held_values(nr, md)
+    assert sorted(set(calls)) == ["_d_image", "_profile", "rep_dimension"]
+    calls.clear()
+    # a recomputation would read the matrices
+    object.__setattr__(nr, "mats", None)
+    again = _held_values(nr, md)
+    assert calls == []
+    assert all(a is b for a, b in zip(again, first))
+
+
+def test_an_equal_datum_is_recomputed_and_replaces_the_held_one(monkeypatch):
+    calls = []
+    _count_pieces(monkeypatch, calls)
+    source = su2_modular_data(4)
+    nr = nimrep_from_graph(source.ring, d_graph(4))
+    old, new = (parse_data(data_to_json(source)) for _ in range(2))
+    assert old == new and old is not new
+    first = _held_values(nr, old)
+    calls.clear()
+    second = _held_values(nr, new)
+    assert calls.count("_profile") == 2 and "rep_dimension" in calls and "_d_image" in calls
+    assert second[0] is first[0]  # the character is the module's alone
+    assert second[2:] == first[2:] and all(a is not b for a, b in zip(second[2:], first[2:]))
+    slots = [nr._derived[fn.__wrapped__] for fn in (multiplicity_profile, tm_dimension_report)]
+    assert all(held is new for held, _ in slots)
+    # the replaced datum is pinned by no slot of the module
+    ref = weakref.ref(old)
+    del old, first
+    gc.collect()
+    assert ref() is None
+
+
+def test_d_eigenvector_of_a_union_raises_on_every_call():
+    md = su2_modular_data(4)
+    nr = su2_nimrep_from_graph(disjoint_union(a_graph(5), a_graph(5)), 4)
+    for _ in range(3):
+        with pytest.raises(MultiplicityNotOne, match=r"^unit character has multiplicity 2$"):
+            nimrep.d_eigenvector(nr, md)
+    assert nimrep.d_eigenvector.__wrapped__ not in nr._derived
+
+
+def test_held_values_equal_a_cold_computation_on_the_C1_cases():
+    cases = [(f"A:{lvl + 1}", lvl) for lvl in range(1, 29)]
+    cases += [(f"D:{n}", 2 * n - 4) for n in range(4, 17)] + [("E:6", 10), ("E:7", 16), ("E:8", 28)]
+    assert len(cases) == 44
+    for tag, lvl in cases:
+        md = su2_modular_data(lvl)
+        kept = su2_nimrep_from_graph(nimrep.ade_graph(tag), lvl)
+        held = [_held_values(kept, md) for _ in range(2)]
+        assert all(a is b for a, b in zip(*held)), tag
+        cold = nimrep_from_graph(md.ring, nimrep.ade_graph(tag))
+        assert not cold._derived
+        want = (
+            character.__wrapped__(cold),
+            invariants._support_connected.__wrapped__(cold),
+            multiplicity_profile.__wrapped__(cold, md),
+            tm_dimension_report.__wrapped__(cold, md),
+            nimrep.d_eigenvector.__wrapped__(cold, md),
+        )
+        assert held[0] == want, tag
 
 def test_diagonal_profile_path_graphs():
     for lev in (1, 3, 6):

@@ -654,6 +654,27 @@ def test_module_cache_is_bounded():
     assert nimrep._kept_su2_module.cache_info().currsize == 0
 
 
+def test_graph_kept_once_per_tag_and_cache_is_bounded():
+    from fuselab import nimrep
+
+    assert ade_graph("E:6") is ade_graph("E:6")
+    assert e_graph(6) is ade_graph("E:6")
+    # A:300 has 90,000 > 2**16 adjacency entries: built on every call, never kept
+    kept = nimrep._kept_ade_graph.cache_info().currsize
+    big = ade_graph("A:300")
+    assert ade_graph("A:300") is not big and ade_graph("A:300") == big
+    assert nimrep._kept_ade_graph.cache_info().currsize == kept
+    assert ade_graph("A:256") is ade_graph("A:256")  # exactly 2**16 entries
+    nimrep._kept_ade_graph.cache_clear()
+    limit = nimrep._kept_ade_graph.cache_info().maxsize
+    assert limit == nimrep._KEPT_MODULES
+    for n in range(1, limit + 3):
+        assert ade_graph(f"A:{n}").size == n
+        assert nimrep._kept_ade_graph.cache_info().currsize <= limit
+    assert nimrep._kept_ade_graph.cache_info().currsize == limit
+    nimrep._kept_ade_graph.cache_clear()
+
+
 # -- one builder over every ring that label 1 generates ---------------------
 
 
