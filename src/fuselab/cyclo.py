@@ -592,14 +592,17 @@ class FieldTensor:
 
     def convolve(self, other: "FieldTensor", op, inner: int) -> "FieldTensor":
         """Entries sum op(x_e1, y_e2) zeta^(e1+e2) for a bilinear op(layer,
-        stack of layers) that sums at most `inner` products per entry."""
+        stack of layers) that sums at most `inner` products per entry. Each
+        op result is added in as it is made, so at most one is alive."""
         n = lcm(self.order, other.order)
         a, b = self._framed(n, self.den), other._framed(n, other.den)
         inner *= min(len(a.exps), len(b.exps))
         A, B = a._ints(inner), b._ints(inner)
-        parts = [op(x, B) for x in A]
-        acc = np.zeros((n,) + parts[0].shape[1:], dtype=parts[0].dtype)
-        for e, part in zip(a.exps, parts):
+        acc = None
+        for e, x in zip(a.exps, A):
+            part = op(x, B)
+            if acc is None:
+                acc = np.zeros((n,) + part.shape[1:], dtype=part.dtype)
             acc[(e + b.exps) % n] += part
         return FieldTensor(n, a.den * b.den, *_reduced(n, range(n), acc))
 

@@ -1,6 +1,7 @@
 """Modular data: catalog invariants, the spectrum, idempotent families, and
 the Verlinde recovery of fusion coefficients."""
 
+import ast
 import gc
 import json
 import random
@@ -448,7 +449,7 @@ def test_tensor_checks_match_scalar_oracles_on_perturbed_data():
         assert v.describe() == want.describe()
         assert v.as_dict() == want.as_dict()
         seen.add((kind, "asymmetric N" in want.checks[-1].witness))
-        if md.rank <= 8:
+        if md.rank <= 13:
             assert _outcome(lambda: verlinde(md)) == _outcome(lambda: _loop_verlinde(md))
         r = md.rank
         for Z in (
@@ -499,6 +500,71 @@ def test_tensor_check_witnesses_pinned():
     Z = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
     witness = {c.name: c.witness for c in verify_invariant(Z, su2_modular_data(2)).checks}
     assert witness["s-commutation"] == "(Z*S - S*Z) nonzero at (0,0)"
+
+
+def _pair_block(md, a, b):
+    """The index of the block of label pairs holding (a, b), a <= b, in the
+    row-major order of modular._pair_blocks, and the index of its last block."""
+    r = md.rank
+    step = max(1, modular._PAIR_ENTRIES // r)
+    return (a * r - a * (a - 1) // 2 + b - a) // step, (r * (r + 1) // 2 - 1) // step
+
+
+def _swapped(md, i, j):
+    """md with labels i and j swapped in S only: S' = P S P."""
+    p = list(range(md.rank))
+    p[i], p[j] = p[j], p[i]
+    return ModularData(md.ring, [[md.S[x][y] for y in p] for x in p], [t.value for t in md.t])
+
+
+def _raised(md, *entries):
+    """md with N[a][b][c] raised by 1 at each (a, b, c) given."""
+    N = [[list(row) for row in plane] for plane in md.ring.N]
+    for a, b, c in entries:
+        N[a][b][c] += 1
+    N = tuple(tuple(tuple(row) for row in plane) for plane in N)
+    ring = FusionRing(labels=md.ring.labels, dual=md.ring.dual, N=N)
+    return ModularData(ring, md.S, [t.value for t in md.t])
+
+
+def test_verlinde_witness_matches_the_scalar_loop_across_pair_blocks():
+    # S' = P S P, with P fixing the unit but no fusion automorphism, passes
+    # symmetry, dual-symmetry and s-squared; its first failing pair lies in
+    # row 1, in the first block at rank 13 and 20 and in middle ones at rank
+    # 23 and 29. N raised at the top labels of rank 17 fails in the last
+    # block, last of all where N turns asymmetric at (15, 16) and wrong at
+    # the later pair (16, 16) of the same block.
+    cases = [
+        _swapped(su2_modular_data(k), i, j)
+        for k, i, j in ((12, 1, 2), (19, 4, 5), (22, 20, 21), (28, 1, 2), (28, 26, 27))
+    ]
+    top = su2_modular_data(16)
+    cases += [_raised(top, (15, 16, 0), (16, 15, 0)), _raised(top, (16, 15, 3), (16, 16, 0))]
+    blocks = set()
+    for md in cases:
+        v = verify_modular_data(md)
+        want = _loop_verdict(md, v.checks[:2])
+        assert v.describe() == want.describe() and v.as_dict() == want.as_dict()
+        assert [c.name for c in v.checks if not c.passed] == ["verlinde-consistency"]
+        a, b, _ = ast.literal_eval(v.checks[-1].witness.split("=", 1)[1])
+        block, last = _pair_block(md, a, b)
+        blocks.add("first" if block == 0 else "last" if block == last else "middle")
+    assert blocks == {"first", "middle", "last"}
+    assert v.checks[-1].witness == "(a,b,m)=(15, 16, 'asymmetric N')"
+
+
+def test_verlinde_names_the_first_bad_entry_past_the_first_block():
+    # S' = G S G with G = diag(1, -1, 1, ..., 1) keeps S'^2 and makes the
+    # literal sum g_a g_b g_c N_ab^c: the first negative entry is (1, 2, 3),
+    # in the second block of label pairs at rank 29
+    md = su2_modular_data(28)
+    g = [-1 if x == 1 else 1 for x in range(md.rank)]
+    S = [[md.S[x][y] * (g[x] * g[y]) for y in range(md.rank)] for x in range(md.rank)]
+    flipped = ModularData(md.ring, S, [t.value for t in md.t])
+    assert _pair_block(flipped, 1, 2)[0] == 1
+    with pytest.raises(NonIntegralVerlinde) as err:
+        verlinde(flipped)
+    assert str(err.value) == "entry (1,2,3) = -1 is not a non-negative integer"
 
 
 def test_large_order_entry_rejected_at_s_squared():
