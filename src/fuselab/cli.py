@@ -63,7 +63,7 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
 
-_CATALOG_ID = re.compile(r"^(su2:\d+|zn:\d+|fibonacci|ising)$")
+_CATALOG_ID = re.compile(r"^(su2:[0-9]+|zn:[0-9]+|fibonacci|ising)$")
 
 # anything here means the job itself was unusable, not that math failed
 _INPUT_ERRORS = (SchemaError, ShapeMismatch, MissingPair, OSError, ValueError)

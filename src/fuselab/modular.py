@@ -440,6 +440,11 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(names)
 
 
+def _decimal(text: str) -> int | None:
+    """The integer that text spells in plain ASCII decimal, like '7' or '-3', or None."""
+    return int(text) if text.removeprefix("-").isdecimal() and str(int(text)) == text else None
+
+
 def load_catalog(name: str) -> ModularData:
     """Resolve a catalog id like 'su2:10', 'fibonacci', 'ising', 'zn:5'.
     Levels above SU2_CATALOG_MAX_LEVEL and n above ZN_CATALOG_MAX_N are
@@ -451,10 +456,8 @@ def load_catalog(name: str) -> ModularData:
         return ising_modular_data()
     head, sep, tail = name.partition(":")
     if sep and head in ("su2", "zn"):
-        try:
-            k = int(tail)
-        except ValueError:
-            raise SchemaError(f"catalog id {name!r} has a non-integer parameter") from None
+        if (k := _decimal(tail)) is None:
+            raise SchemaError(f"catalog id {name!r} does not write its parameter in plain decimal")
         low, top = (0, SU2_CATALOG_MAX_LEVEL) if head == "su2" else (1, ZN_CATALOG_MAX_N)
         if not low <= k <= top:
             raise SchemaError(f"catalog id {name!r}: parameter must be in {low}..{top}")

@@ -7,11 +7,10 @@ with inner = max(rank, size), the most products any sum over it takes, so
 the homomorphism, d-eigenvector and phi checks convert nothing.
 
 nimrep_from_graph builds the module of a fusion ring generated by label 1
-from N(x_1) = a graph's adjacency, through the ring's structure constants;
-over su2_fusion_ring(level) it is the Chebyshev recurrence, whose modules
-su2_nimrep_from_graph keeps, up to 128 int64 stacks of at most 2**16
-entries (64 MiB). ade_graph keeps one graph per tag, up to 128 graphs of at
-most 2**16 adjacency entries. verify_nimrep checks modules given as matrices.
+from N(x_1) = a graph's adjacency, through the ring's structure constants
+(over su2_fusion_ring(level), the Chebyshev recurrence), and keeps it in one
+LRU cache whichever ring and caller asked; ade_graph keeps one graph per
+tag. verify_nimrep checks modules given as matrices.
 
 A module holds what is derived from it, in nr._derived, outside its value
 and freed with it (modular._held): its character and support connectivity
@@ -42,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycloNumber, _first, _int_type, exact_ints
+from .cyclo import CycloNumber, _first, exact_ints
 from .errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -51,19 +50,20 @@ from .errors import (
     ShapeMismatch,
 )
 from .fusion import FusionRing, homomorphism_failure, regular_matrices, su2_fusion_ring
-from .modular import ModularData, _held, _idempotents
+from .modular import ModularData, _decimal, _held, _idempotents
 from .verdict import Check, Verdict, failed, passed
 
 _ADE_FAMILIES = ("A", "D", "E")
 # the largest n a graph tag may name, as its adjacency has n * n entries
 # (the largest catalog graph is A:29)
 _MAX_TAG_RANK = 1024
-# su2_nimrep_from_graph keeps at most _KEPT_MODULES modules, each an int64
-# stack of at most _KEPT_ENTRIES entries: 128 * 2**16 * 8 bytes = 64 MiB;
+# nimrep_from_graph keeps at most _KEPT_MODULES modules, each an int64 stack
+# of at most _KEPT_ENTRIES entries: 128 * 2**16 * 8 bytes = 64 MiB;
 # ade_graph keeps as many graphs of at most _KEPT_ENTRIES adjacency entries,
 # each a pointer per entry, so the same 64 MiB
 _KEPT_MODULES = 128
 _KEPT_ENTRIES = 2**16
+_kept_modules: dict = {}  # nimrep_from_graph's, least recently used first
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,8 @@ def _ade_rank(tag: str) -> tuple[str, int]:
     head, sep, tail = tag.partition(":")
     if not sep or head not in _ADE_FAMILIES:
         raise ShapeMismatch(f"unknown graph family tag {tag!r}")
-    try:
-        n = int(tail)
-    except ValueError:
-        raise ShapeMismatch(f"graph tag {tag!r} has a non-integer rank") from None
+    if (n := _decimal(tail)) is None:
+        raise ShapeMismatch(f"graph tag {tag!r} does not write its rank in plain decimal")
     if n > _MAX_TAG_RANK:
         raise ShapeMismatch(f"graph tag {tag!r} names more than {_MAX_TAG_RANK} vertices")
     if head == "A" and n < 1:
@@ -273,9 +271,27 @@ def _duality_failure(ring: FusionRing, M: np.ndarray) -> str | None:
 
 
 def nimrep_from_graph(ring: FusionRing, g: BoundaryGraph) -> NimRep:
-    """The module of ring with N(x_0) = I and N(x_1) = the adjacency A of g.
+    """The module of ring with N(x_0) = I and N(x_1) = the adjacency of g,
+    kept, frozen and shared, in an LRU cache of _KEPT_MODULES keyed on
+    (id(ring), g.vertices, g.adjacency) when its stack is int64 with at most
+    _KEPT_ENTRIES entries; any other is built on each call, as a failing
+    graph raises on each. A kept module pins its ring (so no other ring takes
+    its id) and the data held in its slots until it is evicted."""
+    key = (id(ring), g.vertices, g.adjacency)
+    nr = _kept_modules.pop(key, None)
+    if nr is None:
+        nr = _build_module(ring, g)
+        if nr.mats.dtype != np.int64 or nr.mats.size > _KEPT_ENTRIES:
+            return nr
+        if len(_kept_modules) >= _KEPT_MODULES:
+            del _kept_modules[next(iter(_kept_modules))]
+    _kept_modules[key] = nr
+    return nr
 
-    Every other N(c) is solved for from a product of ring._generation, as
+
+def _build_module(ring: FusionRing, g: BoundaryGraph) -> NimRep:
+    """nimrep_from_graph's module, built afresh: every N(c) but N(x_0) = I
+    and N(x_1) = A is solved for from a product of ring._generation, as
     A N(b) - sum of N_1b^x N(x) over the other labels x. The checks, each
     naming its first witness: non-negativity in generation order, duality on
     every label unless the ring is self-dual, and A N(b) = sum_c N_1b^c N(c)
@@ -318,26 +334,11 @@ def nimrep_from_graph(ring: FusionRing, g: BoundaryGraph) -> NimRep:
 
 
 def su2_nimrep_from_graph(g: BoundaryGraph, level: int) -> NimRep:
-    """nimrep_from_graph over su2_fusion_ring(level): the recurrence
-    N(x_{i+1}) = A N(x_i) - N(x_{i-1}), checked by A N(x_k) = N(x_{k-1}).
-    The module is kept, frozen and shared, in a typed cache of _KEPT_MODULES
-    (64 MiB) when its stack has at most _KEPT_ENTRIES entries and is int64 by
-    exact_ints' rule for max(s, 1) ** level, s the largest row sum of A,
-    which bounds them. A failing graph is never kept, and a bool level
-    raises as in su2_fusion_ring."""
+    """nimrep_from_graph over su2_fusion_ring(level), kept by its rule: the
+    recurrence N(x_{i+1}) = A N(x_i) - N(x_{i-1}). A bool level raises in su2_fusion_ring."""
     if level < 0:
         raise ShapeMismatch("level must be non-negative")
-    if (level + 1) * g.size**2 <= _KEPT_ENTRIES:
-        top = max(1, *map(sum, g.adjacency)) ** level
-        if _int_type(max(level + 1, g.size), top) is np.int64:
-            return _kept_su2_module(g.vertices, g.adjacency, level)
     return nimrep_from_graph(su2_fusion_ring(level), g)
-
-
-@lru_cache(maxsize=_KEPT_MODULES, typed=True)
-def _kept_su2_module(vertices: tuple[str, ...], adjacency, level: int) -> NimRep:
-    # keyed on plain tuples, which hash and compare faster than a BoundaryGraph
-    return nimrep_from_graph(su2_fusion_ring(level), BoundaryGraph._trusted(vertices, adjacency))
 
 
 def regular_nimrep(ring: FusionRing) -> NimRep:
@@ -400,12 +401,8 @@ def d_eigenvector(nr: NimRep, md: ModularData) -> tuple[CycloNumber, ...]:
     one: the first nonzero column x of the lambda_0 projector pushed through
     the rep, c * sum_S d(dual(S)) N(S) for a nonzero c that the normalization
     cancels, so one integer contraction of md.tensor[0] with the matrices.
-    N(a) x = d(a) x is checked before x is normalized.
-
-    The vector is held on nr for the datum object it was computed for, so a
-    repeated (nr, md) pair returns the same tuple; another datum replaces
-    it. A module whose unit multiplicity is not one holds no vector and
-    raises on every call.
+    N(a) x = d(a) x is checked before x is normalized. Held on nr per datum
+    object, as the module docstring says.
     """
     m = multiplicity_profile(nr, md)
     if m[0] != 1:

@@ -2,11 +2,12 @@
 byte determinism. All runs go through main(argv) in-process."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from fuselab.cli import JobSpec, main, run
+from fuselab.cli import JobSpec, main, render_report, run
 from fuselab.fusion import FusionRing
 from fuselab.io import write_data_file
 from fuselab.invariants import InvariantMatrix
@@ -410,3 +411,45 @@ def test_run_api_directly():
     assert report["ok"] is True
     code, report = run(JobSpec(command="mystery"))
     assert code == 2
+
+
+def test_graph_commands_build_each_module_once(tmp_path, monkeypatch):
+    # every graph command reaches its module through nimrep_from_graph's one
+    # cache: a repeated job prints the same bytes and builds nothing
+    from fuselab import nimrep
+
+    built = []
+
+    def counted(ring, g, _build=nimrep._build_module):
+        nr = _build(ring, g)  # a failing graph raises here and counts no build
+        built.append((ring.labels, g.vertices))
+        return nr
+
+    monkeypatch.setattr(nimrep, "_build_module", counted)
+    tadpole, loop = tmp_path / "tadpole.json", tmp_path / "loop.json"
+    write_data_file(tadpole, BoundaryGraph(("1", "tau"), ((0, 1), (1, 1))))
+    write_data_file(loop, BoundaryGraph(("a",), ((1,),)))
+    pairs = [(f"su2:{lvl}", f"A:{lvl + 1}") for lvl in range(1, 29)]
+    pairs += [(f"su2:{2 * n - 4}", f"D:{n}") for n in range(4, 17)]
+    pairs += [("su2:10", "E:6"), ("su2:16", "E:7"), ("su2:28", "E:8")]
+    pairs += [("fibonacci", f"custom:{tadpole}"), ("zn:3", f"custom:{loop}")]
+    pairs += [("su2:4", "A:3"), ("su2:3", "A:3")]
+
+    def reports():
+        out = []
+        for data, graph in pairs:
+            for command in ("nimrep check", "profile", "tm-dim", "diag-theorem"):
+                for fmt in ("structured", "human"):
+                    job = JobSpec(command=command, data=data, graph=graph, fmt=fmt)
+                    code, report = run(job)
+                    out.append((code, render_report(report, job)))
+        return out
+
+    nimrep._kept_modules.clear()
+    first = reports()
+    assert len(set(built)) == len(built) == 46
+    codes = Counter(code for code, _ in first)
+    assert codes == {0: 46 * 8, 1: 2 * 8}, codes
+    built.clear()
+    assert reports() == first
+    assert built == []

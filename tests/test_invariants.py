@@ -175,10 +175,10 @@ def test_tm_dim_computes_one_character_per_report(monkeypatch):
     monkeypatch.setattr(invariants, "character", counted)
     monkeypatch.setattr(nimrep, "character", counted)
     md = su2_modular_data(4)
-    # modules built here, not the kept ones, so no earlier test has asked about them
+    # modules built afresh, not the kept ones, so no earlier test has asked about them
     for nr in (
-        nimrep_from_graph(md.ring, d_graph(4)),
-        nimrep_from_graph(md.ring, disjoint_union(a_graph(5), a_graph(5))),
+        nimrep._build_module(md.ring, d_graph(4)),
+        nimrep._build_module(md.ring, disjoint_union(a_graph(5), a_graph(5))),
         regular_nimrep(md.ring),
     ):
         calls.clear()
@@ -224,7 +224,7 @@ def test_repeated_calls_return_the_held_values(monkeypatch):
     calls = []
     _count_pieces(monkeypatch, calls)
     md = su2_modular_data(6)
-    nr = nimrep_from_graph(md.ring, nimrep.ade_graph("D:5"))
+    nr = nimrep._build_module(md.ring, nimrep.ade_graph("D:5"))  # not kept: mats is cleared below
     first = _held_values(nr, md)
     assert sorted(set(calls)) == ["_d_image", "_profile", "rep_dimension"]
     calls.clear()
@@ -239,7 +239,7 @@ def test_an_equal_datum_is_recomputed_and_replaces_the_held_one(monkeypatch):
     calls = []
     _count_pieces(monkeypatch, calls)
     source = su2_modular_data(4)
-    nr = nimrep_from_graph(source.ring, d_graph(4))
+    nr = nimrep._build_module(source.ring, d_graph(4))
     old, new = (parse_data(data_to_json(source)) for _ in range(2))
     assert old == new and old is not new
     first = _held_values(nr, old)
@@ -273,9 +273,10 @@ def test_held_values_equal_a_cold_computation_on_the_C1_cases():
     for tag, lvl in cases:
         md = su2_modular_data(lvl)
         kept = su2_nimrep_from_graph(nimrep.ade_graph(tag), lvl)
+        assert nimrep_from_graph(md.ring, nimrep.ade_graph(tag)) is kept, tag
         held = [_held_values(kept, md) for _ in range(2)]
         assert all(a is b for a, b in zip(*held)), tag
-        cold = nimrep_from_graph(md.ring, nimrep.ade_graph(tag))
+        cold = nimrep._build_module(md.ring, nimrep.ade_graph(tag))
         assert not cold._derived
         want = (
             character.__wrapped__(cold),

@@ -2,6 +2,7 @@
 modules over any ring that label 1 generates), multiplicity profiles with a
 floating eigen-decomposition oracle, and d-eigenvectors."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -600,8 +601,7 @@ def test_built_objects_convert_no_tables(monkeypatch):
     assert d_eigenvector(nr, md) == lam
     assert [n for n in tables if n > 1] == []  # N is 3-d, a module stack 3-d, a matrix 2-d
     tables.clear()
-    nimrep._kept_su2_module.cache_clear()  # rebuild rather than return the kept module
-    assert np.array_equal(su2_nimrep_from_graph(ade_graph("D:5"), 6).mats, nr.mats)
+    assert np.array_equal(nimrep._build_module(nr.ring, ade_graph("D:5")).mats, nr.mats)
     assert tables == [3]  # one conversion per build, of the whole stack, in NimRep
     for table in (nr.ring.tensor, nr.mats, regular_matrices(nr.ring)):
         assert not table.flags.writeable
@@ -627,31 +627,100 @@ def test_bool_level_refused_after_its_int_is_kept():
 def test_failing_graph_raises_the_same_witness_and_is_not_kept():
     from fuselab import nimrep
 
-    kept = nimrep._kept_su2_module.cache_info().currsize
+    kept = dict(nimrep._kept_modules)
     texts = set()
     for _ in range(3):
         with pytest.raises(NotANimRep) as info:
             su2_nimrep_from_graph(a_graph(3), 4)
         texts.add(str(info.value))
     assert texts == {"recurrence for N(x_4) gives entry -1 at (0,2)"}
-    assert nimrep._kept_su2_module.cache_info().currsize == kept
+    assert nimrep._kept_modules == kept
 
 
 def test_module_cache_is_bounded():
     from fuselab import nimrep
 
-    nimrep._kept_su2_module.cache_clear()
-    limit = nimrep._kept_su2_module.cache_info().maxsize
-    assert limit == nimrep._KEPT_MODULES
-    for n in range(1, limit + 3):  # level 0 needs no Coxeter match: every graph passes
+    nimrep._kept_modules.clear()
+    limit = nimrep._KEPT_MODULES
+    first = su2_nimrep_from_graph(a_graph(1), 0)
+    for n in range(2, limit + 3):  # level 0 needs no Coxeter match: every graph passes
         assert su2_nimrep_from_graph(a_graph(n), 0).size == n
-    assert nimrep._kept_su2_module.cache_info().currsize == limit
+        assert su2_nimrep_from_graph(a_graph(1), 0) is first  # the most recently used
+        assert len(nimrep._kept_modules) <= limit
+    assert len(nimrep._kept_modules) == limit
+    # the least recently used go first: A:2 and A:3, never the A:1 asked for each round
+    assert su2_nimrep_from_graph(a_graph(1), 0) is first
+    held = {key[1] for key in nimrep._kept_modules}
+    assert a_graph(2).vertices not in held and a_graph(3).vertices not in held
     # A:41 at level 40 is a stack of 41**3 > 2**16 entries: built on every call, never kept
-    nimrep._kept_su2_module.cache_clear()
+    nimrep._kept_modules.clear()
     big = su2_nimrep_from_graph(a_graph(41), 40)
     assert big.mats.size > nimrep._KEPT_ENTRIES and big.mats.dtype == np.int64
     assert su2_nimrep_from_graph(a_graph(41), 40) is not big
-    assert nimrep._kept_su2_module.cache_info().currsize == 0
+    assert not nimrep._kept_modules
+
+
+def test_one_module_cache_for_every_ring():
+    from fuselab import nimrep
+
+    tadpole = BoundaryGraph(("1", "tau"), ((0, 1), (1, 1)))
+    loop = BoundaryGraph(("a",), ((1,),))
+    for name, g in (("fibonacci", tadpole), ("zn:3", loop)):
+        ring = load_catalog(name).ring
+        nr = nimrep_from_graph(ring, g)
+        assert nimrep_from_graph(ring, BoundaryGraph(g.vertices, g.adjacency)) is nr, name
+        assert nimrep._kept_modules[(id(ring), g.vertices, g.adjacency)] is nr, name
+    # x * x = 1 + 2**40 x acting on itself: entries past exact_ints' int64 range
+    big = 2**40
+    wide = FusionRing(("1", "x"), (0, 1), (((1, 0), (0, 1)), ((0, 1), (1, big))))
+    assert verify_axioms(wide).ok
+    g = BoundaryGraph(("1", "x"), ((0, 1), (1, big)))
+    kept = dict(nimrep._kept_modules)
+    nr = nimrep_from_graph(wide, g)
+    assert nr.mats.dtype == object and nr.mats[1].tolist() == [[0, 1], [1, big]]
+    assert nimrep_from_graph(wide, g) is not nr
+    # 41**3 > 2**16 entries, int64: too large to keep
+    assert su2_nimrep_from_graph(a_graph(41), 40) is not su2_nimrep_from_graph(a_graph(41), 40)
+    assert nimrep._kept_modules == kept
+    # equal rings that are not the same object never share a module, kept or
+    # evicted: more rings than the cache holds, asked about in two rounds
+    doc = data_to_json(load_catalog("fibonacci").ring)
+    rings = [parse_data(doc) for _ in range(nimrep._KEPT_MODULES + 8)]
+    for _ in range(2):
+        for ring in rings:
+            nr = nimrep_from_graph(ring, tadpole)
+            assert nr.ring is ring and nimrep_from_graph(ring, tadpole) is nr
+    nimrep._kept_modules.clear()
+
+
+def test_graph_tags_and_catalog_ids_are_spelled_canonically(capsys, tmp_path):
+    # int() also reads '_', spaces, signs, leading zeros and non-ASCII digits
+    from fuselab import cli, nimrep
+    from fuselab.errors import SchemaError
+
+    kept = nimrep._kept_ade_graph.cache_info().currsize
+    for tag in ("A:1_0", "A: 5", "A:5 ", "A:+5", "A:05", "A:٣", "A:-0", "A:"):
+        with pytest.raises(ShapeMismatch, match="does not write its rank in plain decimal"):
+            ade_graph(tag)
+    assert nimrep._kept_ade_graph.cache_info().currsize == kept
+    with pytest.raises(ShapeMismatch, match="A_n needs n >= 1"):
+        ade_graph("A:-5")
+    for name in ("su2:1_0", "su2: 5", "su2:+5", "su2:05", "su2:٣", "zn:٣", "zn:03", "su2:-0"):
+        with pytest.raises(SchemaError, match="does not write its parameter in plain decimal"):
+            load_catalog(name)
+    doc = {**data_to_json(a_graph(5)), "family": "A:05"}
+    with pytest.raises(SchemaError, match="graph tag 'A:05' does not write its rank in plain decimal"):
+        parse_data(doc)
+    path = tmp_path / "a05.json"
+    path.write_text(json.dumps(doc))
+    jobs = [("su2:٣", "A:٤"), ("su2:3", "A:٤"), ("su2:3", "A:04"), ("su2:03", "A:4")]
+    for data, graph in jobs + [("su2:3", f"custom:{path}")]:
+        assert cli.main(["tm-dim", "--data", data, "--graph", graph]) == 2, (data, graph)
+    assert cli.main(["tm-dim", "--data", "su2:3", "--graph", "A:4"]) == 0
+    capsys.readouterr()
+    # only ASCII digits make a catalog id; anything else is read as a file path
+    code, report = cli.run(cli.JobSpec(command="tm-dim", data="su2:٣", graph="A:4"))
+    assert code == 2 and report["error"]["type"] == "FileNotFoundError"
 
 
 def test_graph_kept_once_per_tag_and_cache_is_bounded():
