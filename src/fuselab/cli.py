@@ -33,7 +33,7 @@ from .errors import (
     ValidationFailed,
 )
 from .fusion import FusionRing, verify_axioms
-from .gauge import GaugeProblem, _solution, validate_mu
+from .gauge import GaugeProblem, solve_gauge, validate_mu
 from .invariants import (
     DEFAULT_ENTRY_BOUND,
     InvariantMatrix,
@@ -45,7 +45,7 @@ from .invariants import (
     verify_invariant,
 )
 from .io import cyclo_from_json, cyclo_to_json, parse_data_file
-from .modular import ModularData, catalog_names, load_catalog, spectrum
+from .modular import ModularData, _decimal, catalog_names, load_catalog, spectrum
 from .nimrep import (
     _ADE_FAMILIES,
     BoundaryGraph,
@@ -205,7 +205,7 @@ def _cmd_gauge_solve(job: JobSpec):
     payload: dict = {"nodes": list(obj.nodes)}
     checks = list(v.checks)
     if v.ok:
-        sol = _solution(obj)
+        sol = solve_gauge(obj)
         payload["components"] = [list(c) for c in sol.components]
         payload["lambda"] = [cyclo_to_json(x) for x in sol.lam]
     return checks, payload
@@ -411,9 +411,9 @@ def render_report(report: dict, job: JobSpec) -> str:
 
 
 def _positive(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
+    if (n := _decimal(text)) is None or n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return n
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -437,7 +437,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     search_args = argparse.ArgumentParser(add_help=False)
     search_args.add_argument(
-        "--bound", type=int, default=None, help="largest allowed matrix entry"
+        "--bound", type=_positive, default=None, help="largest allowed matrix entry"
     )
     search_args.add_argument(
         "--cap", type=_positive, default=None, help="lattice-point budget for enumeration"

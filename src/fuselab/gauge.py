@@ -23,7 +23,9 @@ A passing validation fixes the solution, so solving re-checks nothing:
 lambda_j = mu_jr, which the inverse pairs make 1 / mu_rj with no field
 inverse, and mu_ij * lambda_j = mu_ir * mu_rj * mu_jr = lambda_i on every
 pair by the star identity. Field elements are canonical, so this lambda is
-the same number, and prints the same, as 1 / mu_rj.
+the same number, and prints the same, as 1 / mu_rj. The verdict is held on
+the problem (modular._held), so a solve after validation, or a repeated
+one, makes no field product.
 
 The isomorphism checks take no inverse either. E(a) = Lambda^-1 N(a) Lambda
 exists exactly when no lambda_i is zero, and then Lambda E(a) = N(a) Lambda
@@ -32,16 +34,20 @@ zero lambda_i raises DegenerateScalar). Row j of E(a) sums to
 (N(a) lambda)_j / lambda_j, so "d-eigenvector" is one integer contraction
 N(a) lambda compared with d(a) lambda; only a failing row's witness takes
 one inverse. encircling_matrices alone builds E: one FieldTensor of the
-ratios R[j][i] = lambda_i / lambda_j, masked by the integer N(a).
+ratios R[j][i] = lambda_i / lambda_j, masked by the integer N(a). The phi
+verdict is held on the module for the last (lambda, datum) objects, so a
+repeated check of a module's held d_eigenvector does no field work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
+from operator import is_
 
-from .cyclo import ONE, CycloNumber, FieldTensor, _budgeted, inverses
+from .cyclo import ONE, CycloNumber, FieldTensor, _budgeted, _coerce, inverses
 from .errors import DegenerateScalar, GaugeInconsistent, MissingPair, ShapeMismatch
+from .modular import _held
 from .nimrep import _d_image
 from .verdict import Check, Verdict, failed, passed
 
@@ -56,6 +62,8 @@ class GaugeProblem:
     root: tuple[int, ...] = field(init=False, repr=False, compare=False)
     components: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _by_pair: dict = field(init=False, repr=False, compare=False)
+    # the results of _held functions on this problem, not part of its value
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -126,6 +134,7 @@ def _star_holds(gp: GaugeProblem) -> bool:
     return True
 
 
+@_held
 def validate_mu(gp: GaugeProblem) -> Verdict:
     """The value identities, on a pair set that gp's constructor holds
     closed (GaugeProblem.build raises MissingPair on an open one).
@@ -164,17 +173,12 @@ def validate_mu(gp: GaugeProblem) -> Verdict:
 
 def solve_gauge(gp: GaugeProblem) -> GaugeSolution:
     """lambda with mu_ij = lambda_i / lambda_j; per component the
-    lowest-index node is the root and gets lambda = 1."""
+    lowest-index node is the root and gets lambda = 1. Once validate_mu
+    passes, lambda_j = mu_jr for the root r of j's component."""
     v = validate_mu(gp)
     if not v.ok:
         bad = v.first_failure
         raise GaugeInconsistent(f"{bad.name}: {bad.witness}")
-    return _solution(gp)
-
-
-def _solution(gp: GaugeProblem) -> GaugeSolution:
-    """solve_gauge for a gp that passed validate_mu: lambda_j = mu_jr for
-    the root r of j's component."""
     mu = gp._by_pair
     return GaugeSolution(
         lam=tuple(mu[(j, r)] for j, r in enumerate(gp.root)),
@@ -182,19 +186,26 @@ def _solution(gp: GaugeProblem) -> GaugeSolution:
     )
 
 
-def _check_lambda(nr, lam) -> None:
-    """Lambda = diag(lam) is invertible with the boundary's size."""
+def _check_lambda(nr, lam) -> tuple[CycloNumber, ...]:
+    """lam as a tuple of CycloNumbers, lam itself when it is one, once
+    Lambda = diag(lam) is found invertible with the boundary's size. An
+    entry may be an int, Fraction or CycloNumber, never a bool."""
     if len(lam) != nr.size:
         raise ShapeMismatch("lambda length must match the boundary rank")
+    out = []
     for i, x in enumerate(lam):
-        if x.is_zero:
+        if (y := None if isinstance(x, bool) else _coerce(x)) is None:
+            raise ShapeMismatch(f"lambda[{i}] = {x!r} is not a cyclotomic or rational number")
+        if y.is_zero:
             raise DegenerateScalar(f"lambda[{i}] is zero")
+        out.append(y)
+    return lam if isinstance(lam, tuple) and all(map(is_, out, lam)) else tuple(out)
 
 
 def encircling_matrices(nr, lam) -> tuple[tuple[tuple[CycloNumber, ...], ...], ...]:
     """E(a)_{ji} = (lambda_i / lambda_j) N(a)_{ji}, one matrix per label:
     the ratio tensor R[j][i] = lambda_i / lambda_j masked by N(a)."""
-    _check_lambda(nr, lam)
+    lam = _check_lambda(nr, lam)
     both = FieldTensor.of([*lam, *inverses(lam)])
     lam_t, inv = both[:nr.size], both[nr.size:]
     R = inv.convolve(lam_t, lambda x, Y: x[None, :, None] * Y[:, None, :], 1)
@@ -209,8 +220,14 @@ def verify_phi_isomorphism(nr, lam, md) -> Verdict:
     md.tensor[0][a]. Row j of E(a) sums to (N(a) lambda)_j / lambda_j, so
     this is one integer contraction N(a) lambda compared with d(a) lambda;
     the witness is the first failing (a, j) in row-major order, and its row
-    sum takes the only inverse."""
-    _check_lambda(nr, lam)
+    sum takes the only inverse. The verdict is held on nr for the last
+    (lam, md) objects it was asked of."""
+    return _phi_verdict(nr, _check_lambda(nr, lam), md)
+
+
+@_held
+def _phi_verdict(nr, lam, md) -> Verdict:
+    """verify_phi_isomorphism for a lam that _check_lambda returned."""
     if md.rank != nr.ring.rank:
         raise ShapeMismatch("modular data rank differs from the ring rank")
     image, bad = _d_image(nr.mats, md.tensor[0], FieldTensor.of(lam))

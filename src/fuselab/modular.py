@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
+from operator import is_
 
 import numpy as np
 
@@ -101,19 +102,18 @@ def _phase(x, k: int) -> RationalPhase:
 
 
 def _held(fn):
-    """Memoize fn(obj) or fn(obj, md) in obj._derived, on the object itself
-    (a ModularData or a NimRep): computed on first use, freed with obj, and
-    found without hashing obj or md. Each function has one slot, (md, value),
-    reused only for the same datum object: another one, even an equal one,
-    is recomputed and replaces it, so obj pins at most one datum per
-    function. A call that raises holds nothing."""
+    """Memoize fn(obj, *args) in obj._derived, on the object itself (a
+    ModularData, a NimRep or a GaugeProblem): computed on first use, freed
+    with obj, and found without hashing obj or args. Each function has one
+    slot, (args, value), reused only when every argument is the same object:
+    any other, even an equal one, is recomputed and replaces it, so obj pins
+    at most one argument set per function. A call that raises holds nothing."""
 
     @wraps(fn)
-    def memo(obj, *md):
-        datum = md[0] if md else None
+    def memo(obj, *args):
         held = obj._derived.get(fn)
-        if held is None or held[0] is not datum:
-            held = obj._derived[fn] = (datum, fn(obj, *md))
+        if held is None or len(held[0]) != len(args) or not all(map(is_, held[0], args)):
+            held = obj._derived[fn] = (args, fn(obj, *args))
         return held[1]
 
     return memo

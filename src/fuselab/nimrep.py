@@ -14,12 +14,13 @@ tag. verify_nimrep checks modules given as matrices.
 
 A module holds what is derived from it, in nr._derived, outside its value
 and freed with it (modular._held): its character and support connectivity
-once, and its multiplicity profile, TM dimension report and d-eigenvector
-each for the last datum object they were asked of, one slot per function,
-so a module pins at most one datum per function. A repeated (module, datum)
-pair, as from the kept modules and catalog data, recomputes nothing; every
-check runs on a value's first computation, and a call that raises holds
-nothing.
+once, its multiplicity profile, TM dimension report and d-eigenvector each
+for the last datum object they were asked of, and its phi verdict
+(gauge.verify_phi_isomorphism) for the last (lambda, datum) objects, one
+slot per function, so a module pins at most one argument set per function.
+A repeated (module, datum) pair, as from the kept modules and catalog data,
+recomputes nothing; every check runs on a value's first computation, and a
+call that raises holds nothing.
 
 Profiles are exact: m[I] is the trace of the spectral projector for
 lambda_I pushed through the representation, which by linearity of the trace

@@ -341,6 +341,22 @@ def test_digits_must_be_positive(capsys):
     assert "result: PASS" in capsys.readouterr().out
 
 
+def test_integer_options_are_spelled_in_plain_decimal(capsys):
+    # int() reads these as 2; the parser refuses them, as it does for graph tags
+    for text in ("\u0662", " 2 ", "02", "+2", "2_0"):
+        for args in (
+            ["invariant", "search", "--data", "su2:4", "--bound", text],
+            ["invariant", "search", "--data", "su2:4", "--cap", text],
+            ["spectrum", "--data", "fibonacci", "--digits", text],
+        ):
+            assert main(args) == 2, args
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{args[-2]}: expected a positive integer, got {text!r}" in captured.err
+    code, doc = structured(capsys, ["invariant", "search", "--data", "su2:4", "--bound", "2"])
+    assert code == 0 and doc["inputs"]["bound"] == 2
+
+
 def test_non_positive_cap_exits_two(capsys, monkeypatch):
     # a cap below 1 is bad input, never a SearchBudgetExceeded failure
     for cap in ("0", "-5"):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuselab import gauge, nimrep
 from fuselab.cyclo import ONE, ZERO, CycloNumber, FieldTensor, sin_ratio, zeta
 from fuselab.errors import (
     DegenerateScalar,
@@ -23,6 +24,7 @@ from fuselab.gauge import (
     validate_mu,
     verify_phi_isomorphism,
 )
+from fuselab.io import data_to_json, parse_data
 from fuselab.modular import su2_modular_data
 from fuselab.nimrep import NimRep, a_graph, ade_graph, d_eigenvector, su2_nimrep_from_graph
 from fuselab.verdict import Verdict, failed, passed
@@ -684,3 +686,143 @@ def test_construction_makes_no_field_operation(monkeypatch):
     assert products == [] and inverses == []
     assert gp.root == (0, 1, 0, 1, 4, 0, 6)
     assert gp.components == ((0, 2, 5), (1, 3), (4,), (6,))
+
+
+# -- verdicts held on the module and on the problem -------------------------
+
+
+def count_phi_work(monkeypatch):
+    """Record each d-image contraction and FieldTensor the phi check makes."""
+    calls = []
+    image, of = gauge._d_image, FieldTensor.of.__func__
+
+    def counted_image(*args):
+        calls.append("_d_image")
+        return image(*args)
+
+    def counted_of(cls, values):
+        calls.append("of")
+        return of(cls, values)
+
+    monkeypatch.setattr(gauge, "_d_image", counted_image)
+    monkeypatch.setattr(FieldTensor, "of", classmethod(counted_of))
+    return calls
+
+
+def phi_slot(nr):
+    return nr._derived[gauge._phi_verdict.__wrapped__]
+
+
+def test_repeated_phi_check_returns_the_held_verdict(monkeypatch):
+    md = su2_modular_data(6)
+    nr = nimrep._build_module(md.ring, ade_graph("D:5"))
+    lam = d_eigenvector(nr, md)
+    calls = count_phi_work(monkeypatch)
+    first = verify_phi_isomorphism(nr, lam, md)
+    assert first.ok and calls == ["of", "_d_image"]
+    calls.clear()
+    for _ in range(3):
+        assert verify_phi_isomorphism(nr, lam, md) is first
+    assert calls == []
+    args, held = phi_slot(nr)
+    assert args[0] is lam and args[1] is md and held is first
+
+
+def test_phi_check_on_other_arguments_is_recomputed_and_replaces_the_slot(monkeypatch):
+    source = su2_modular_data(4)
+    nr = nimrep._build_module(source.ring, ade_graph("D:4"))
+    lam = d_eigenvector(nr, source)
+    first = verify_phi_isomorphism(nr, lam, source)
+    twin = parse_data(data_to_json(source))
+    assert twin == source and twin is not source
+    fresh = tuple(list(lam))
+    assert fresh == lam and fresh is not lam
+    calls = count_phi_work(monkeypatch)
+    # a list, an equal fresh tuple, the held tuple again, then an equal datum
+    for other_lam, md in ((list(lam), source), (fresh, source), (lam, source), (lam, twin)):
+        calls.clear()
+        v = verify_phi_isomorphism(nr, other_lam, md)
+        assert calls == ["of", "_d_image"]
+        assert v == first and v is not first
+        args, held = phi_slot(nr)
+        assert held is v and args[1] is md and args[0] == lam
+        # a tuple of CycloNumbers is held as it was given, a list as a new tuple
+        assert (args[0] is other_lam) == isinstance(other_lam, tuple)
+        first = v
+
+
+def test_failing_phi_check_gives_the_same_witness_on_every_call():
+    nr = su2_nimrep_from_graph(a_graph(3), 2)
+    md = su2_modular_data(2)
+    lam = d_eigenvector(nr, md)
+    shifted = (lam[0] + Fraction(1, 3), *lam[1:])
+    want = "row 0 of E(1) sums to (3*z8 - 3*z8^3)/4, not d(1)"
+    for arg in (shifted, shifted, list(shifted), shifted):
+        assert verify_phi_isomorphism(nr, arg, md).first_failure.witness == want
+
+
+def test_a_phi_check_that_raises_holds_nothing():
+    md = su2_modular_data(2)
+    nr = nimrep._build_module(md.ring, a_graph(3))
+    zero = (ONE, ZERO, ONE)
+    lam = d_eigenvector(nr, md)
+    for _ in range(3):
+        with pytest.raises(DegenerateScalar, match=r"^lambda\[1\] is zero$"):
+            verify_phi_isomorphism(nr, zero, md)
+        with pytest.raises(ShapeMismatch, match="modular data rank differs"):
+            verify_phi_isomorphism(nr, lam, su2_modular_data(4))
+    assert gauge._phi_verdict.__wrapped__ not in nr._derived
+
+
+def test_lambda_of_plain_numbers_is_coerced_or_refused():
+    md = su2_modular_data(2)
+    nr = su2_nimrep_from_graph(a_graph(3), 2)
+    exact = (ONE, rat(2), ONE)
+    for lam in ([1, 2, 1], (1, Fraction(2), 1), [ONE, 2, Fraction(1)]):
+        assert verify_phi_isomorphism(nr, lam, md) == verify_phi_isomorphism(nr, exact, md)
+        assert encircling_matrices(nr, lam) == encircling_matrices(nr, exact)
+    for lam, i, shown in (
+        ((1.0, 1.0, 1.0), 0, "1.0"),
+        ([1, True, 1], 1, "True"),
+        ((ONE, ONE, "1"), 2, "'1'"),
+        ([1, 1, complex(1)], 2, r"\(1\+0j\)"),
+    ):
+        message = rf"^lambda\[{i}\] = {shown} is not a cyclotomic or rational number$"
+        with pytest.raises(ShapeMismatch, match=message):
+            verify_phi_isomorphism(nr, lam, md)
+        with pytest.raises(ShapeMismatch, match=message):
+            encircling_matrices(nr, lam)
+    # the length is checked first, then each entry in order
+    with pytest.raises(ShapeMismatch, match="^lambda length must match"):
+        verify_phi_isomorphism(nr, (1.0, 1.0), md)
+    with pytest.raises(DegenerateScalar, match=r"^lambda\[0\] is zero$"):
+        verify_phi_isomorphism(nr, (0, 1.0, 1), md)
+
+
+def test_solve_after_validation_makes_no_product(monkeypatch):
+    lam = [zeta(24, 5 * k) * rat(k + 1) + rat(Fraction(1, 2)) for k in range(6)]
+    gp = GaugeProblem.build(tuple("abcdef"), clique_mu(lam, [range(4), range(4, 6)]))
+    v = validate_mu(gp)
+    calls = count_products(monkeypatch)
+    assert validate_mu(gp) is v
+    sol = solve_gauge(gp)
+    assert calls == []
+    assert sol.lam[1] * lam[0] == lam[1] and sol.components == ((0, 1, 2, 3), (4, 5))
+
+
+def test_corrupt_problem_raises_the_same_triangle_on_every_call(monkeypatch):
+    lam = [zeta(24, 5 * k) * rat(k + 1) + rat(Fraction(1, 2)) for k in range(5)]
+    mu = clique_mu(lam, [range(5)])
+    mu[(1, 3)], mu[(3, 1)] = mu[(1, 3)] * 2, mu[(3, 1)] / 2
+    gp = GaugeProblem.build(tuple("abcde"), mu)
+    v = validate_mu(gp)
+    assert v.first_failure.witness == "triangle (0,1,3)"
+    calls = count_products(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(GaugeInconsistent, match=r"^cocycle: triangle \(0,1,3\)$"):
+            solve_gauge(gp)
+        assert validate_mu(gp) is v
+    assert calls == []
+    # an equal problem is validated again, to the same verdict
+    twin = GaugeProblem(gp.nodes, gp.pairs, gp.mu)
+    assert validate_mu(twin) == v and calls

@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fuselab import invariants, nimrep
+from fuselab import gauge, invariants, nimrep
 from fuselab.cyclo import ZERO, CycloNumber, exact_ints
 from fuselab.errors import MultiplicityNotOne, SearchBudgetExceeded, ShapeMismatch
 from fuselab.invariants import (
@@ -194,13 +194,14 @@ def test_tm_dim_computes_one_character_per_report(monkeypatch):
 
 
 def _count_pieces(monkeypatch, calls):
-    """Record each call of the pieces a profile, TM report or d-eigenvector
-    is computed from, by name."""
+    """Record each call of the pieces a profile, TM report, d-eigenvector or
+    phi verdict is computed from, by name."""
     for module, name in (
         (nimrep, "_profile"),
         (invariants, "_profile"),
         (invariants, "rep_dimension"),
         (nimrep, "_d_image"),
+        (gauge, "_d_image"),
     ):
 
         def counted(*args, _fn=getattr(module, name), _name=name):
@@ -217,6 +218,7 @@ def _held_values(nr, md):
         multiplicity_profile(nr, md),
         tm_dimension_report(nr, md),
         nimrep.d_eigenvector(nr, md),
+        gauge.verify_phi_isomorphism(nr, nimrep.d_eigenvector(nr, md), md),
     )
 
 
@@ -245,11 +247,14 @@ def test_an_equal_datum_is_recomputed_and_replaces_the_held_one(monkeypatch):
     first = _held_values(nr, old)
     calls.clear()
     second = _held_values(nr, new)
-    assert calls.count("_profile") == 2 and "rep_dimension" in calls and "_d_image" in calls
+    # one _d_image for the d-eigenvector, one for the phi verdict
+    assert calls.count("_profile") == 2 and "rep_dimension" in calls and calls.count("_d_image") == 2
     assert second[0] is first[0]  # the character is the module's alone
     assert second[2:] == first[2:] and all(a is not b for a, b in zip(second[2:], first[2:]))
     slots = [nr._derived[fn.__wrapped__] for fn in (multiplicity_profile, tm_dimension_report)]
-    assert all(held is new for held, _ in slots)
+    assert all(args[0] is new for args, _ in slots)
+    args, _ = nr._derived[gauge._phi_verdict.__wrapped__]
+    assert args[0] is second[4] and args[1] is new
     # the replaced datum is pinned by no slot of the module
     ref = weakref.ref(old)
     del old, first
@@ -278,14 +283,16 @@ def test_held_values_equal_a_cold_computation_on_the_C1_cases():
         assert all(a is b for a, b in zip(*held)), tag
         cold = nimrep._build_module(md.ring, nimrep.ade_graph(tag))
         assert not cold._derived
+        lam = nimrep.d_eigenvector.__wrapped__(cold, md)
         want = (
             character.__wrapped__(cold),
             invariants._support_connected.__wrapped__(cold),
             multiplicity_profile.__wrapped__(cold, md),
             tm_dimension_report.__wrapped__(cold, md),
-            nimrep.d_eigenvector.__wrapped__(cold, md),
+            lam,
+            gauge._phi_verdict.__wrapped__(cold, lam, md),
         )
-        assert held[0] == want, tag
+        assert held[0] == want and want[5].ok, tag
 
 def test_diagonal_profile_path_graphs():
     for lev in (1, 3, 6):
