@@ -19,9 +19,8 @@ norm, about phi(n) products, so each number keeps its inverse once taken,
 and inverses(xs) pays that cost once per order for a whole batch.
 
 A FieldTensor holds an array of field elements as integer layers in basis
-coordinates. It keeps a bound on the size of its layers, taken from them at
-most once, so repeated products on one tensor (md.tensor) pick int64 or
-Python ints without rescanning it.
+coordinates. Each product picks int64 or Python ints from the largest layer
+entry of its operands, as exact_ints does.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ def _budgeted(n: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
 def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     """Pairs (p, p^v) with p^v exactly dividing n."""
     out = []
@@ -532,19 +530,12 @@ class FieldTensor:
     """An exact array over Q(zeta_n): entry x is sum_k layers[k][x] *
     zeta_n^exps[k] / den, integer layers in basis coordinates, so equal
     entries have equal layers. Products are cyclic convolutions over the
-    exponent axis and one reduction, in int64 where exact_ints allows.
+    exponent axis and one reduction, in int64 where exact_ints allows."""
 
-    Each tensor keeps an upper bound on the absolute values of its layers,
-    taken from them at most once, so the int64 choice for a tensor used many
-    times (md.tensor) costs one scan. An index of a tensor inherits its
-    bound; where that bound rules out int64, the index's own maximum is taken
-    once instead, so every choice is the one exact_ints would make."""
+    __slots__ = ("order", "den", "exps", "layers")
 
-    __slots__ = ("order", "den", "exps", "layers", "_top", "_exact")
-
-    def __init__(self, order: int, den: int, exps, layers: np.ndarray, top: int | None = None):
+    def __init__(self, order: int, den: int, exps, layers: np.ndarray):
         self.order, self.den, self.exps, self.layers = order, den, np.asarray(exps), layers
-        self._top, self._exact = top, False
 
     @classmethod
     def of(cls, values) -> "FieldTensor":
@@ -569,13 +560,11 @@ class FieldTensor:
         """The tensor of a numpy index into the entries."""
         index = index if isinstance(index, tuple) else (index,)
         layers = self.layers[(slice(None), *index)]
-        return FieldTensor(self.order, self.den, self.exps, layers, self._top)
+        return FieldTensor(self.order, self.den, self.exps, layers)
 
     def _ints(self, inner: int) -> np.ndarray:
-        """exact_ints(self.layers, inner), decided from the kept bound."""
-        if self._top is None or (not self._exact and _int_type(inner, self._top) is object):
-            self._top, self._exact = _magnitude(self.layers), True
-        out = self.layers.astype(_int_type(inner, self._top), copy=False).view()
+        """exact_ints(self.layers, inner), a read-only view when the dtype fits."""
+        out = self.layers.astype(_int_type(inner, _magnitude(self.layers)), copy=False).view()
         out.setflags(write=False)
         return out
 

@@ -50,6 +50,14 @@ class FusionRing:
                         raise ShapeMismatch(f"N[{a}][{b}][{c}] = {v!r} is not an integer")
         object.__setattr__(self, "tensor", exact_ints(self.N, r))
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the ring's value (labels, dual, N), taken on first use and held."""
+        return hash((self.labels, self.dual, self.N))
+
     @property
     def rank(self) -> int:
         return len(self.labels)

@@ -57,11 +57,10 @@ class GaugeProblem:
     nodes: tuple[str, ...]
     pairs: tuple[tuple[int, int], ...]
     mu: tuple[CycloNumber, ...]
-    # derived from pairs and mu, not part of the value: each node's root (the
-    # least node of its component), the components in root order, mu by pair
+    # derived from pairs, not part of the value: each node's root (the least
+    # node of its component) and the components in root order
     root: tuple[int, ...] = field(init=False, repr=False, compare=False)
     components: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _by_pair: dict = field(init=False, repr=False, compare=False)
     # the results of _held functions on this problem, not part of its value
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -98,7 +97,6 @@ class GaugeProblem:
             _budgeted(lcm(*(by_pair[(i, j)].order for i in comp for j in comp)))
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "components", tuple(map(tuple, comps.values())))
-        object.__setattr__(self, "_by_pair", by_pair)
 
     @classmethod
     def build(cls, nodes, mu_map) -> "GaugeProblem":
@@ -112,8 +110,8 @@ class GaugeProblem:
         )
 
     def mu_map(self) -> dict[tuple[int, int], CycloNumber]:
-        """A copy of mu by pair, which the caller may change."""
-        return dict(self._by_pair)
+        """mu by pair, a new dict the caller may change."""
+        return dict(zip(self.pairs, self.mu))
 
 
 @dataclass(frozen=True)
@@ -122,10 +120,9 @@ class GaugeSolution:
     components: tuple[tuple[int, ...], ...]
 
 
-def _star_holds(gp: GaugeProblem) -> bool:
+def _star_holds(gp: GaugeProblem, mu: dict) -> bool:
     """mu_ij = mu_ir * mu_rj for i < j, both apart from the root r of their
-    component."""
-    mu = gp._by_pair
+    component, mu by pair."""
     for r, *rest in gp.components:
         for a, i in enumerate(rest):
             for j in rest[a + 1:]:
@@ -144,7 +141,7 @@ def validate_mu(gp: GaugeProblem) -> Verdict:
     is the star identity; only when it fails does the row-major triangle
     scan run, to find the witness.
     """
-    mu = gp._by_pair
+    mu = gp.mu_map()
     checks: list[Check] = []
     for i in range(len(gp.nodes)):
         if mu[(i, i)] != ONE:
@@ -158,7 +155,7 @@ def validate_mu(gp: GaugeProblem) -> Verdict:
             )
     checks.append(passed("inverse-pairs"))
 
-    if not _star_holds(gp):
+    if not _star_holds(gp, mu):
         comp = {c[0]: c for c in gp.components}
         for i, r in enumerate(gp.root):
             for j in comp[r]:
@@ -179,11 +176,11 @@ def solve_gauge(gp: GaugeProblem) -> GaugeSolution:
     if not v.ok:
         bad = v.first_failure
         raise GaugeInconsistent(f"{bad.name}: {bad.witness}")
-    mu = gp._by_pair
-    return GaugeSolution(
-        lam=tuple(mu[(j, r)] for j, r in enumerate(gp.root)),
-        components=gp.components,
-    )
+    lam = [None] * len(gp.nodes)
+    for (j, r), x in zip(gp.pairs, gp.mu):
+        if r == gp.root[j]:
+            lam[j] = x
+    return GaugeSolution(lam=tuple(lam), components=gp.components)
 
 
 def _check_lambda(nr, lam) -> tuple[CycloNumber, ...]:

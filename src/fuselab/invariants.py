@@ -27,7 +27,7 @@ import numpy as np
 
 from .cyclo import CycloNumber, _first, exact_ints
 from .errors import SearchBudgetExceeded, ShapeMismatch
-from .modular import ModularData, _held
+from .modular import ModularData, _decimal, _held
 from .nimrep import NimRep, _profile, character, multiplicity_profile
 from .verdict import Check, Verdict, failed, passed
 
@@ -347,15 +347,16 @@ def _positive(name: str, value) -> int:
 
 
 def _search_cap(explicit: int | None) -> int:
-    """The explicit cap, else FUSELAB_SEARCH_CAP, else the default; anything
-    but an integer of at least 1 (a bool included) is bad input."""
+    """The explicit cap, else FUSELAB_SEARCH_CAP in plain ASCII decimal, else
+    the default; anything but an integer of at least 1 (a bool included) is
+    bad input."""
     if explicit is not None:
         return _positive("cap", explicit)
     env = os.environ.get(SEARCH_CAP_ENV)
     if env is None:
         return DEFAULT_SEARCH_CAP
     try:
-        return _positive(SEARCH_CAP_ENV, int(env))
+        return _positive(SEARCH_CAP_ENV, _decimal(env))
     except ValueError:
         raise ValueError(f"{SEARCH_CAP_ENV} must be a positive integer, got {env!r}") from None
 

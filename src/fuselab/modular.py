@@ -9,10 +9,10 @@ Conventions:
   * T data is a vector of RationalPhase exponents, never a complex matrix.
   * md.tensor holds S as one exact FieldTensor; S^2, the Verlinde identity
     and sum, and Z*S - S*Z in invariants are integer products on it.
-  * Values derived from one datum (inverse dimensions, the points and
-    their norms, spectrum, idempotent family and its tensor, and the
-    commutant in invariants) are computed once and held on that object, so
-    they go away with it.
+  * Values derived from one datum (the points and their norms, spectrum,
+    idempotent family and its tensor, and the commutant in invariants) are
+    computed once and held on that object, so they go away with it. The
+    inverse dimensions need no slot: each d(I) keeps its own inverse.
   * lambda_I(S) = S_{IS} / d(I) is the point of Spec(F) attached to I; the
     pairing is <a, b> = sum_S a(S) * b(dual(S)).
   * The spectrum and the idempotent family are contractions on md.tensor:
@@ -213,8 +213,8 @@ def verify_modular_data(md: ModularData) -> Verdict:
     return Verdict(tuple(checks))
 
 
-@_held
 def _inverse_dims(md: ModularData) -> tuple[CycloNumber, ...]:
+    """1/d(I) for every label, inverted once per number and kept on it."""
     for i, x in enumerate(md.d):
         if x.is_zero:
             raise DegenerateScalar(f"quantum dimension d[{i}] is zero")
@@ -228,7 +228,7 @@ def _scaled_rows(x, Y):
 
 @_held
 def _points(md: ModularData) -> FieldTensor:
-    """V[I][S] = lambda_I(S) = S_{IS} / d(I), from the kept inverse dimensions."""
+    """V[I][S] = lambda_I(S) = S_{IS} / d(I), each 1/d(I) kept on its d(I)."""
     return md.tensor.convolve(FieldTensor.of(_inverse_dims(md)), _scaled_rows, 1)
 
 

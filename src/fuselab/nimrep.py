@@ -274,11 +274,12 @@ def _duality_failure(ring: FusionRing, M: np.ndarray) -> str | None:
 def nimrep_from_graph(ring: FusionRing, g: BoundaryGraph) -> NimRep:
     """The module of ring with N(x_0) = I and N(x_1) = the adjacency of g,
     kept, frozen and shared, in an LRU cache of _KEPT_MODULES keyed on
-    (id(ring), g.vertices, g.adjacency) when its stack is int64 with at most
+    (ring, g.vertices, g.adjacency) when its stack is int64 with at most
     _KEPT_ENTRIES entries; any other is built on each call, as a failing
-    graph raises on each. A kept module pins its ring (so no other ring takes
-    its id) and the data held in its slots until it is evicted."""
-    key = (id(ring), g.vertices, g.adjacency)
+    graph raises on each. Equal rings, such as one parsed from a file again,
+    share one kept module, which pins the ring it was built over and the
+    data held in its slots until it is evicted."""
+    key = (ring, g.vertices, g.adjacency)
     nr = _kept_modules.pop(key, None)
     if nr is None:
         nr = _build_module(ring, g)

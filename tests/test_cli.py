@@ -370,7 +370,7 @@ def test_non_positive_cap_exits_two(capsys, monkeypatch):
     assert doc["error"]["category"] == "input"
     assert doc["error"]["type"] == "ValueError"
     assert "FUSELAB_SEARCH_CAP must be a positive integer" in doc["error"]["message"]
-    for env in ("abc", "1e6"):
+    for env in ("abc", "1e6", "٢", " 2 ", "02", "+2", "1_000"):
         monkeypatch.setenv("FUSELAB_SEARCH_CAP", env)
         code, doc = structured(capsys, ["invariant", "search", "--data", "su2:4"])
         assert code == 2, env

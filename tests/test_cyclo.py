@@ -31,15 +31,6 @@ from fuselab.cyclo import (
     zeta,
 )
 from fuselab.errors import DegenerateScalar, ShapeMismatch
-from fuselab.invariants import rep_dimension
-from fuselab.modular import ModularData, su2_modular_data, verify_modular_data, verlinde
-from fuselab.nimrep import (
-    ade_graph,
-    character,
-    d_eigenvector,
-    multiplicity_profile,
-    su2_nimrep_from_graph,
-)
 
 
 def approx(x: CycloNumber, digits: int = 30) -> mpmath.mpc:
@@ -277,7 +268,7 @@ def test_batch_inverse_of_zero_signals():
     assert inverses([]) == ()
 
 
-# -- the bound a FieldTensor keeps on its layers ----------------------------
+# -- the integer type a FieldTensor's products take -------------------------
 
 
 @pytest.mark.parametrize(
@@ -297,7 +288,7 @@ def test_kept_bound_picks_the_dtype_exact_ints_picks(inner, top, sign):
     want = exact_ints(t.layers, inner).dtype
     assert want == (np.int64 if inner * top * top < 2**62 else object)
     assert t.apply(lambda L: L, inner).layers.dtype == want
-    # an index inherits the bound, yet takes int64 wherever its own entries allow
+    # an index takes int64 wherever its own entries allow
     for index in (slice(0, 1), slice(1, 3), 2, [2, 0]):
         sub = t[index]
         assert sub.apply(lambda L: L, inner).layers.dtype == exact_ints(sub.layers, inner).dtype
@@ -310,7 +301,7 @@ def test_kept_bound_picks_the_dtype_exact_ints_picks(inner, top, sign):
     assert row.convolve(t, outer, inner).scalar((1, 0)) == -2 * sign * top
 
 
-def test_indexed_tensors_keep_a_valid_bound():
+def test_indexed_tensors_stay_exact():
     rng = random.Random(3106)
     grid = [[zeta(12, rng.randrange(12)) * rng.randint(-2**40, 2**40) + rng.randint(-9, 9)
              for _ in range(4)] for _ in range(3)]
@@ -320,10 +311,39 @@ def test_indexed_tensors_keep_a_valid_bound():
     for index in (0, (slice(1, None), 2), (slice(None), slice(None, None, 2)), [2, 0],
                   (slice(None), [1, 3]), (1, 2)):
         sub = T[index]
-        for t in (sub, sub[0] if sub.layers.ndim > 1 else sub):
-            assert t._top >= cyclo._magnitude(t.layers)
         want = np.asarray(grid, dtype=object)[index]
         assert not sub.apply(lambda L: 3 * L, 1).differs(FieldTensor.of(want * 3)).any()
+
+
+_near_int64_sqrt = st.one_of(
+    st.sampled_from([2**30 - 1, 2**30, 2**31 - 1, 2**31]), st.integers(2**29, 2**32)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_near_int64_sqrt, st.integers(0, 11), st.sampled_from([1, -1])),
+             min_size=6, max_size=6),
+    st.integers(1, 4),
+    st.sampled_from([0, slice(1, 3), [2, 0], (slice(None), 1), (1, 0)]),
+)
+def test_products_on_indexed_tensors_take_exact_ints_dtype(entries, inner, index):
+    # layer entries of about 2**31: int64 or Python ints depending on inner
+    grid = np.empty((3, 2), dtype=object)
+    grid.flat[:] = [sign * m * zeta(12, e) for m, e, sign in entries]
+    sub, want = FieldTensor.of(grid.tolist())[index], grid[index]
+    scaled = sub.apply(lambda L: 3 * L, inner)
+    assert scaled.layers.dtype == exact_ints(sub.layers, inner).dtype
+    assert not scaled.differs(FieldTensor.of(want * 3)).any()
+    seen = []
+
+    def entrywise(x, Y):
+        seen.append(Y.dtype)
+        return x * Y
+
+    square = sub.convolve(sub, entrywise, inner)
+    assert set(seen) == {exact_ints(sub.layers, inner * len(sub.exps)).dtype}
+    assert not square.differs(FieldTensor.of(want * want)).any()
 
 
 def test_entries_past_int64_stay_exact():
@@ -336,29 +356,6 @@ def test_entries_past_int64_stay_exact():
     square = row.convolve(row, lambda u, V: u * V, 1)
     assert square.layers.dtype == object
     assert square.scalar((0,)) == x * x and square.scalar((1,)) == ONE
-
-
-def test_md_tensor_layers_are_scanned_once(monkeypatch):
-    base = su2_modular_data(6)
-    md = ModularData(base.ring, base.S, base.t)
-    scans = []
-    magnitude = cyclo._magnitude
-
-    def counted(arr):
-        if np.may_share_memory(arr, md.tensor.layers):
-            scans.append(arr.shape)
-        return magnitude(arr)
-
-    monkeypatch.setattr(cyclo, "_magnitude", counted)
-    assert verify_modular_data(md).ok
-    verlinde(md)
-    for tag in ("A:7", "D:5"):
-        nr = su2_nimrep_from_graph(ade_graph(tag), 6)
-        for _ in range(2):
-            multiplicity_profile(nr, md)
-            rep_dimension(character(nr), md)
-            d_eigenvector(nr, md)
-    assert scans == [md.tensor.layers.shape]
 
 
 def test_galois_norm_check_survives_python_O():

@@ -655,6 +655,9 @@ def test_mu_map_is_a_copy():
     mu = clique_mu([ONE, rat(2), zeta(5)], [(0, 2), (1,)])
     gp = GaugeProblem.build(("a", "b", "c"), mu)
     held = (gp.pairs, gp.mu, gp.root, gp.components, gp.mu_map())
+    assert held[4] == mu and gp.mu_map() is not gp.mu_map()
+    # the problem keeps no pair map of its own: mu_map builds a fresh one
+    assert not [k for k, v in vars(gp).items() if isinstance(v, dict) and k != "_derived"]
     copy = gp.mu_map()
     copy[(0, 2)] = rat(7)
     del copy[(2, 0)]
@@ -808,6 +811,8 @@ def test_solve_after_validation_makes_no_product(monkeypatch):
     sol = solve_gauge(gp)
     assert calls == []
     assert sol.lam[1] * lam[0] == lam[1] and sol.components == ((0, 1, 2, 3), (4, 5))
+    mu = gp.mu_map()
+    assert sol.lam == tuple(mu[(j, r)] for j, r in enumerate(gp.root))
 
 
 def test_corrupt_problem_raises_the_same_triangle_on_every_call(monkeypatch):

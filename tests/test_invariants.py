@@ -552,7 +552,7 @@ def test_search_cap_must_be_positive(monkeypatch):
             enumerate_invariants(md, 2, cap=cap)
     with pytest.raises(ValueError, match="cap must be a positive integer, got True"):
         enumerate_invariants(md, 2, cap=True)
-    for env in ("-3", "abc", "1e6"):
+    for env in ("-3", "abc", "1e6", "٢", " 2 ", "02", "+2", "1_000"):
         monkeypatch.setenv("FUSELAB_SEARCH_CAP", env)
         with pytest.raises(ValueError, match="FUSELAB_SEARCH_CAP must be a positive integer"):
             enumerate_invariants(md, 2)

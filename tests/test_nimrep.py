@@ -669,7 +669,7 @@ def test_one_module_cache_for_every_ring():
         ring = load_catalog(name).ring
         nr = nimrep_from_graph(ring, g)
         assert nimrep_from_graph(ring, BoundaryGraph(g.vertices, g.adjacency)) is nr, name
-        assert nimrep._kept_modules[(id(ring), g.vertices, g.adjacency)] is nr, name
+        assert nimrep._kept_modules[(ring, g.vertices, g.adjacency)] is nr, name
     # x * x = 1 + 2**40 x acting on itself: entries past exact_ints' int64 range
     big = 2**40
     wide = FusionRing(("1", "x"), (0, 1), (((1, 0), (0, 1)), ((0, 1), (1, big))))
@@ -682,14 +682,15 @@ def test_one_module_cache_for_every_ring():
     # 41**3 > 2**16 entries, int64: too large to keep
     assert su2_nimrep_from_graph(a_graph(41), 40) is not su2_nimrep_from_graph(a_graph(41), 40)
     assert nimrep._kept_modules == kept
-    # equal rings that are not the same object never share a module, kept or
-    # evicted: more rings than the cache holds, asked about in two rounds
-    doc = data_to_json(load_catalog("fibonacci").ring)
-    rings = [parse_data(doc) for _ in range(nimrep._KEPT_MODULES + 8)]
+    # equal rings share one entry, as a ring parsed from a file again does:
+    # more rings than the cache holds, asked about in two rounds, add none
+    fib = load_catalog("fibonacci").ring
+    shared = nimrep_from_graph(fib, tadpole)
+    rings = [parse_data(data_to_json(fib)) for _ in range(nimrep._KEPT_MODULES + 8)]
     for _ in range(2):
         for ring in rings:
-            nr = nimrep_from_graph(ring, tadpole)
-            assert nr.ring is ring and nimrep_from_graph(ring, tadpole) is nr
+            assert ring is not fib and nimrep_from_graph(ring, tadpole) is shared
+    assert shared.ring is fib and nimrep._kept_modules == kept
     nimrep._kept_modules.clear()
 
 
