@@ -2,12 +2,15 @@
 enumeration, the TM dimension formulas, and the diagonal-matching verdict.
 
 The commutant is the rational solution space of Z*S = S*Z intersected with
-the T-compatibility conditions (Z_IJ = 0 unless t_I = t_J), over the label
-pairs in matching T classes; each layer of the integer tensor md.tensor
-gives exact rows. Elimination takes one row i of Z*S - S*Z at a time and
-stops once every echelon basis vector commutes with S exactly, a check on
-the same tensor: the solutions of any subset of the constraints contain the
-commutant, so the two are then equal. No float takes part.
+the T-compatibility conditions (Z_IJ = 0 unless t_I = t_J). Its unknowns are
+the label pairs in one T class, compared as integer classes held on the
+datum. Row i of Z*S - S*Z is one integer slab cut from the layers of
+md.tensor, eliminated fraction-free into a reduced echelon form of
+primitive Python-int rows. After each i, the echelon basis, scaled to one
+integer stack, is checked against every layer in one contraction, and the
+elimination stops once every member commutes with S exactly: the solutions
+of any subset of the constraints contain the commutant, so the two are then
+equal. No float takes part, and no Fraction until the basis is returned.
 
 The bounded enumeration walks the integer lattice of commutant coordinates
 in blocks of _BLOCK points: one exact integer matrix product per block
@@ -21,11 +24,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
-from .cyclo import CycloNumber, _first, exact_ints
+from .cyclo import CycloNumber, _first, _int_type, _magnitude, exact_ints
 from .errors import SearchBudgetExceeded, ShapeMismatch
 from .modular import ModularData, _decimal, _held
 from .nimrep import NimRep, _profile, character, multiplicity_profile
@@ -175,13 +178,25 @@ def _as_entries(Z) -> tuple[tuple[int | None, ...], ...]:
     return InvariantMatrix.from_rows(Z).entries
 
 
-def _s_commutation_residual(Z, md: ModularData) -> tuple[int, int] | None:
-    """The first (i, j) in row-major order where Z*S - S*Z is nonzero, or None.
-    Z is rational, so both products apply it to each layer of md.tensor."""
-    den = lcm(*(x.denominator for row in Z for x in row))
-    Zi = exact_ints([[int(x * den) for x in row] for row in Z], md.rank)
-    S = md.tensor
-    return _first(S.apply(lambda L: Zi @ L, md.rank).differs(S.apply(lambda L: L @ Zi, md.rank)))
+def _commutator_support(Z: np.ndarray, md: ModularData) -> np.ndarray:
+    """The (i, j) where Z*S - S*Z is nonzero for some member of the integer
+    stack Z of shape (k, r, r): one contraction of every member with every
+    layer L of md.tensor, Z*L against L*Z, in int64 where exact_ints allows
+    and Python ints otherwise. The layers are coordinates over a basis of
+    the field, so a rational Z commutes with S exactly when it commutes
+    with each layer."""
+    L = md.tensor.layers
+    dtype = _int_type(md.rank, max(_magnitude(Z), _magnitude(L)))
+    Z, L = Z.astype(dtype, copy=False)[:, None], L.astype(dtype, copy=False)
+    return (Z @ L != L @ Z).any(axis=(0, 1))
+
+
+@_held
+def _t_classes(md: ModularData) -> tuple[int, ...]:
+    """Each label's T class as an int: t_I = t_J exactly when the classes of
+    I and J are equal."""
+    classes: dict = {}
+    return tuple(classes.setdefault(t, len(classes)) for t in md.t)
 
 
 def verify_invariant(Z, md: ModularData) -> Verdict:
@@ -216,7 +231,7 @@ def verify_invariant(Z, md: ModularData) -> Verdict:
     )
 
     if all(x is not None for row in entries for x in row):
-        at = _s_commutation_residual(entries, md)
+        at = _first(_commutator_support(exact_ints(entries)[None], md))
         witness = None if at is None else f"(Z*S - S*Z) nonzero at ({at[0]},{at[1]})"
         checks.append(
             passed("s-commutation") if witness is None else failed("s-commutation", witness)
@@ -224,12 +239,13 @@ def verify_invariant(Z, md: ModularData) -> Verdict:
     else:
         checks.append(failed("s-commutation", "matrix has unknown entries"))
 
+    t = _t_classes(md)
     witness = next(
         (
             f"Z[{i},{j}] != 0 but t[{i}] != t[{j}]"
             for i in range(r)
             for j in range(r)
-            if entries[i][j] and md.t[i] != md.t[j]
+            if entries[i][j] and t[i] != t[j]
         ),
         None,
     )
@@ -239,102 +255,82 @@ def verify_invariant(Z, md: ModularData) -> Verdict:
     return Verdict(tuple(checks))
 
 
-def _rref_insert(row: dict[int, Fraction], pivots: dict[int, dict[int, Fraction]]) -> bool:
-    """Reduce a sparse row against the pivot set; install it if independent.
-
-    Pivot rows are kept fully reduced (true RREF: a pivot row holds its own
-    column plus free columns only), so every pivot column present anywhere
-    in the incoming row must be eliminated, not just its leading one.
-    """
-    while row:
-        hit = next((c for c in sorted(row) if c in pivots), None)
-        if hit is None:
-            break
-        f = row.pop(hit)
-        for c, v in pivots[hit].items():
-            if c == hit:
-                continue
-            nv = row.get(c, Fraction(0)) - f * v
-            if nv:
-                row[c] = nv
-            else:
-                row.pop(c, None)
-    if not row:
-        return False
-    lead = min(row)
-    inv = Fraction(1) / row.pop(lead)
-    new = {c: v * inv for c, v in row.items()}
-    new[lead] = Fraction(1)
-    for existing in pivots.values():
-        f = existing.get(lead)
-        if f is not None:
-            del existing[lead]
-            for c, v in new.items():
-                if c == lead:
-                    continue
-                nv = existing.get(c, Fraction(0)) - f * v
-                if nv:
-                    existing[c] = nv
-                else:
-                    existing.pop(c, None)
-    pivots[lead] = new
-    return True
+def _constraint_rows(L: np.ndarray, a: np.ndarray, b: np.ndarray, i: int):
+    """Row i of Z*S - S*Z over the unknowns Z_{a_u b_u}, as integer rows
+    (den times basis coordinates), one per layer e of md.tensor and column
+    j: L_e[b_u, j] on Z_{i b_u} and -L_e[i, a_u] on Z_{a_u j}. The slab is
+    built in the layers' dtype, and its distinct nonzero rows come back as
+    tuples of Python ints."""
+    n = len(a)
+    slab = np.zeros((len(L), L.shape[1], n), dtype=L.dtype)
+    own = np.flatnonzero(a == i)
+    slab[:, :, own] = L[:, b[own], :].transpose(0, 2, 1)
+    slab[:, b, np.arange(n)] -= L[:, i, a]
+    rows = slab.reshape(-1, n)
+    return dict.fromkeys(map(tuple, rows[rows.any(axis=1)].tolist()))
 
 
-def _constraint_rows(md: ModularData, unknowns, i: int):
-    """Row i of Z*S - S*Z as integer rows over the unknowns, one per column j
-    and layer L of md.tensor (den times basis coordinates): L_kj on Z_ik and
-    -L_ik on Z_kj."""
-    L = md.tensor.layers
-    rows = np.zeros((len(L), md.rank, len(unknowns)), dtype=L.dtype)
-    for u, (a, b) in enumerate(unknowns):
-        if a == i:
-            rows[:, :, u] += L[:, b, :]
-        rows[:, b, u] -= L[:, i, a]
-    for row in rows.reshape(-1, len(unknowns)):
-        if row.any():
-            yield {int(u): Fraction(int(row[u])) for u in np.flatnonzero(row)}
-
-
-def _basis_from_pivots(pivots, unknowns):
-    free = [u for u in range(len(unknowns)) if u not in pivots]
-    vectors = []
-    for f in free:
-        x = {f: Fraction(1)}
-        for pc, prow in pivots.items():
-            coeff = prow.get(f)
-            if coeff:
-                x[pc] = -coeff
-        vectors.append(x)
-    return free, vectors
-
-
-def _vector_to_matrix(x, unknowns, rank: int):
-    rows = [[Fraction(0)] * rank for _ in range(rank)]
-    for u, v in x.items():
-        i, j = unknowns[u]
-        rows[i][j] = v
-    return tuple(tuple(row) for row in rows)
+def _rref_insert(x, pivots: dict[int, list[int]]) -> None:
+    """Fraction-free reduced echelon step over Python ints. Each pivot row
+    is primitive, positive at its own column and zero at every other pivot
+    column. x is reduced against them; what is left, if anything, becomes a
+    pivot row at its first nonzero column, which is cleared from the others."""
+    for c, p in pivots.items():
+        f = x[c]
+        if f:
+            x = [p[c] * u - f * v for u, v in zip(x, p)]
+    g = gcd(*x)
+    if not g:
+        return
+    lead = next(c for c, v in enumerate(x) if v)
+    g = g if x[lead] > 0 else -g
+    x = [v // g for v in x]
+    for c, p in pivots.items():
+        f = p[lead]
+        if f:
+            p = [x[lead] * u - f * v for u, v in zip(p, x)]
+            h = gcd(*p)
+            pivots[c] = [v // h for v in p]
+    pivots[lead] = x
 
 
 @_held
 def commutant_basis(md: ModularData) -> CommutantBasis:
     """Exact rational basis of {Z : Z S = S Z, Z_IJ = 0 unless t_I = t_J}.
 
-    The rows of Z*S - S*Z are eliminated one row index i at a time; after
-    each, the echelon basis of what has been eliminated so far is returned
-    if every member commutes with S, since it then spans the commutant."""
-    r = md.rank
-    unknowns = [(i, j) for i in range(r) for j in range(r) if md.t[i] == md.t[j]]
-    pivots: dict[int, dict[int, Fraction]] = {}
+    The unknowns are the entries Z_IJ with t_I = t_J. The rows of Z*S - S*Z
+    are eliminated one row index i at a time, as one integer slab per i,
+    into a fraction-free reduced echelon form over Python ints. After each
+    i, the free-column basis of what has been eliminated so far, scaled by
+    the lcm m of the pivot entries to one integer stack, is checked against
+    every layer of md.tensor in one contraction. Once every member commutes
+    with S exactly, it spans the commutant and is returned, each entry v
+    made Fraction(v, m) only then. The reduced echelon form of the row
+    space is unique, so the basis does not depend on the order of the rows."""
+    r, t = md.rank, _t_classes(md)
+    unknowns = [(i, j) for i in range(r) for j in range(r) if t[i] == t[j]]
+    a, b = np.array(unknowns).T
+    pivots: dict[int, list[int]] = {}
     for i in range(r):
-        for row in _constraint_rows(md, unknowns, i):
+        for row in _constraint_rows(md.tensor.layers, a, b, i):
             _rref_insert(row, pivots)
-        free, vectors = _basis_from_pivots(pivots, unknowns)
-        mats = [_vector_to_matrix(x, unknowns, r) for x in vectors]
-        if all(_s_commutation_residual(m, md) is None for m in mats):
+        free = [u for u in range(len(unknowns)) if u not in pivots]
+        m = lcm(*(p[c] for c, p in pivots.items()))
+        coords = [[0] * len(unknowns) for _ in free]
+        for x, f in zip(coords, free):
+            x[f] = m
+            for c, p in pivots.items():
+                x[c] = -p[f] * (m // p[c])
+        coords = exact_ints(coords).reshape(len(free), len(unknowns))
+        stack = np.zeros((len(free), r, r), dtype=coords.dtype)
+        stack[:, a, b] = coords
+        if not _commutator_support(stack, md).any():
+            zero = Fraction(0)
             return CommutantBasis(
-                basis=tuple(mats),
+                basis=tuple(
+                    tuple(tuple(Fraction(v, m) if v else zero for v in row) for row in mat)
+                    for mat in stack.tolist()
+                ),
                 freePositions=tuple(unknowns[f] for f in free),
             )
     raise AssertionError("exact commutant elimination is inconsistent")

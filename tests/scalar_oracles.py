@@ -1,15 +1,23 @@
-"""Scalar reference loops for the tensor routes of fusion and modular.
+"""Scalar reference loops for the tensor routes of fusion, modular and
+invariants.
 
 fusion.multiply, modular.spectrum and modular.idempotent_family are
 contractions on FieldTensor read back in one batch. These are the entry by
 entry CycloNumber loops they replaced, kept as independent oracles: they
 share no code with the tensor routes beyond CycloNumber itself, and they
-raise the same errors in the same order.
+raise the same errors in the same order. scalar_commutant_basis is the
+Fraction elimination that invariants.commutant_basis replaced.
 """
 
-from fuselab.cyclo import ZERO
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
+
+from fuselab.cyclo import ZERO, _first, exact_ints
 from fuselab.errors import DegenerateScalar, ShapeMismatch
 from fuselab.fusion import FusionElement
+from fuselab.invariants import CommutantBasis
 from fuselab.modular import SpectrumPoint
 
 
@@ -64,3 +72,91 @@ def scalar_idempotent_family(md):
 def raw(x):
     """The canonical form of a CycloNumber, field by field."""
     return x._order, x._num, x._den
+
+
+def _rref_insert(row, pivots):
+    """Reduce a sparse Fraction row against the pivot set; install it if
+    independent. Pivot rows are kept fully reduced (a pivot row holds its
+    own column plus free columns only), so every pivot column present
+    anywhere in the incoming row is eliminated, not just its leading one."""
+    while row:
+        hit = next((c for c in sorted(row) if c in pivots), None)
+        if hit is None:
+            break
+        f = row.pop(hit)
+        for c, v in pivots[hit].items():
+            if c == hit:
+                continue
+            nv = row.get(c, Fraction(0)) - f * v
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+    if not row:
+        return
+    lead = min(row)
+    inv = Fraction(1) / row.pop(lead)
+    new = {c: v * inv for c, v in row.items()}
+    new[lead] = Fraction(1)
+    for existing in pivots.values():
+        f = existing.get(lead)
+        if f is not None:
+            del existing[lead]
+            for c, v in new.items():
+                if c == lead:
+                    continue
+                nv = existing.get(c, Fraction(0)) - f * v
+                if nv:
+                    existing[c] = nv
+                else:
+                    existing.pop(c, None)
+    pivots[lead] = new
+
+
+def _constraint_rows(md, unknowns, i):
+    """Row i of Z*S - S*Z as sparse Fraction rows over the unknowns, one
+    per column j and layer L of md.tensor: L_kj on Z_ik and -L_ik on Z_kj."""
+    L = md.tensor.layers
+    rows = np.zeros((len(L), md.rank, len(unknowns)), dtype=L.dtype)
+    for u, (a, b) in enumerate(unknowns):
+        if a == i:
+            rows[:, :, u] += L[:, b, :]
+        rows[:, b, u] -= L[:, i, a]
+    for row in rows.reshape(-1, len(unknowns)):
+        if row.any():
+            yield {int(u): Fraction(int(row[u])) for u in np.flatnonzero(row)}
+
+
+def _s_commutation_residual(Z, md):
+    """The first (i, j) where Z*S - S*Z is nonzero for a rational Z, or None."""
+    den = lcm(*(x.denominator for row in Z for x in row))
+    Zi = exact_ints([[int(x * den) for x in row] for row in Z], md.rank)
+    S = md.tensor
+    return _first(S.apply(lambda L: Zi @ L, md.rank).differs(S.apply(lambda L: L @ Zi, md.rank)))
+
+
+def scalar_commutant_basis(md):
+    """The Fraction elimination commutant_basis replaced: rows of Z*S - S*Z
+    inserted one at a time into a sparse reduced echelon form, one row
+    index i at a time, until every member of the echelon basis, built as a
+    Fraction matrix, commutes with S."""
+    r = md.rank
+    unknowns = [(i, j) for i in range(r) for j in range(r) if md.t[i] == md.t[j]]
+    pivots = {}
+    for i in range(r):
+        for row in _constraint_rows(md, unknowns, i):
+            _rref_insert(row, pivots)
+        free = [u for u in range(len(unknowns)) if u not in pivots]
+        mats = []
+        for f in free:
+            rows = [[Fraction(0)] * r for _ in range(r)]
+            a, b = unknowns[f]
+            rows[a][b] = Fraction(1)
+            for pc, prow in pivots.items():
+                if prow.get(f):
+                    a, b = unknowns[pc]
+                    rows[a][b] = -prow[f]
+            mats.append(tuple(tuple(row) for row in rows))
+        if all(_s_commutation_residual(m, md) is None for m in mats):
+            return CommutantBasis(basis=tuple(mats), freePositions=tuple(unknowns[f] for f in free))
+    raise AssertionError("exact commutant elimination is inconsistent")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fuselab import gauge, invariants, nimrep
-from fuselab.cyclo import ZERO, CycloNumber, exact_ints
+from fuselab.cyclo import ZERO, CycloNumber, RationalPhase, exact_ints
 from fuselab.errors import MultiplicityNotOne, SearchBudgetExceeded, ShapeMismatch
 from fuselab.invariants import (
     CommutantBasis,
@@ -27,7 +27,7 @@ from fuselab.invariants import (
     verify_invariant,
 )
 from fuselab.io import data_to_json, parse_data
-from fuselab.modular import ModularData, load_catalog, su2_modular_data
+from fuselab.modular import ModularData, catalog_names, load_catalog, su2_modular_data
 from fuselab.nimrep import (
     a_graph,
     character,
@@ -39,6 +39,7 @@ from fuselab.nimrep import (
     regular_nimrep,
     su2_nimrep_from_graph,
 )
+from scalar_oracles import scalar_commutant_basis
 
 # the known block invariant at level 10: pairs {0,6}, {3,7}, {4,10}
 E6_PAIRS = ((0, 6), (3, 7), (4, 10))
@@ -429,10 +430,60 @@ def test_commutant_path_uses_no_float(monkeypatch):
 
     mds = [load_catalog("su2:16"), load_catalog("zn:8")]
     expected = [commutant_basis(md) for md in mds]
-    monkeypatch.setattr("fuselab.invariants.np.linalg.matrix_rank", no_float)
+    for name in ("matrix_rank", "solve", "lstsq", "svd", "qr"):
+        monkeypatch.setattr(f"fuselab.invariants.np.linalg.{name}", no_float)
     monkeypatch.setattr("fuselab.cyclo.embed_complex", no_float)
     fresh = [ModularData(md.ring, md.S, md.t) for md in mds]
     assert [commutant_basis(md) for md in fresh] == expected
+
+
+def test_commutant_basis_matches_the_fraction_oracle():
+    # every catalog id, and the all-zero-t variants of su2:0 .. su2:10, whose
+    # T filter keeps every entry (su2:10 then has 121 unknowns, dimension 19)
+    names = catalog_names()
+    cases = [load_catalog(name) for name in names]
+    cases += [
+        ModularData(md.ring, md.S, [0] * md.rank)
+        for md in map(load_catalog, names[: names.index("su2:10") + 1])
+    ]
+    assert commutant_basis(cases[-7]).dimension == 7  # su2:4 with t = 0
+    for md in cases:
+        fresh = ModularData(md.ring, md.S, md.t)
+        assert commutant_basis(md) == scalar_commutant_basis(fresh), md.ring.labels
+
+
+def test_commutant_of_layers_past_int64():
+    # S * 2**40 is not modular data (the constructor does not verify), but
+    # Z commutes with c * S exactly when it commutes with S; its layers hold
+    # Python ints, so the slab, the elimination and the exit run on them
+    for name in ("su2:10", "zn:8", "ising"):
+        md = load_catalog(name)
+        big = ModularData(md.ring, [[x * 2**40 for x in row] for row in md.S], md.t)
+        assert big.tensor.layers.dtype == object
+        assert commutant_basis(big) == commutant_basis(md), name
+
+
+def test_t_classes_are_compared_as_ints(monkeypatch):
+    # once a datum's T classes are held, the unknowns and the t-compatibility
+    # check compare ints, never T-phases
+    source = su2_modular_data(10)
+    md = ModularData(source.ring, source.S, source.t)
+    classes = invariants._t_classes(md)
+    assert [classes[i] == classes[j] for i in range(11) for j in range(11)] == [
+        md.t[i] == md.t[j] for i in range(11) for j in range(11)
+    ]
+
+    def no_phase_eq(self, other):
+        raise AssertionError("T-phases were compared")
+
+    monkeypatch.setattr(RationalPhase, "__eq__", no_phase_eq)
+    assert commutant_basis(md).dimension == 3
+    checks = {c.name: c for c in verify_invariant(e6_block_matrix(), md).checks}
+    assert checks["t-compatibility"].passed
+    rows = [list(row) for row in identity_matrix(11).entries]
+    rows[0][1] = 1
+    checks = {c.name: c for c in verify_invariant(rows, md).checks}
+    assert checks["t-compatibility"].witness == "Z[0,1] != 0 but t[0] != t[1]"
 
 
 def test_e6_pattern_in_commutant_span():
