@@ -6,9 +6,10 @@ the T-compatibility conditions (Z_IJ = 0 unless t_I = t_J). Its unknowns are
 the label pairs in one T class, compared as integer classes held on the
 datum. Row i of Z*S - S*Z is one integer slab cut from the layers of
 md.tensor, eliminated fraction-free into a reduced echelon form of
-primitive Python-int rows. After each i, the echelon basis, scaled to one
-integer stack, is checked against every layer in one contraction, and the
-elimination stops once every member commutes with S exactly: the solutions
+primitive Python-int rows. After each i, the members of the echelon basis,
+scaled to one integer stack, are checked against every layer one at a time
+up to the first that fails, and the elimination stops once every member
+commutes with S exactly: the solutions
 of any subset of the constraints contain the commutant, so the two are then
 equal. No float takes part, and no Fraction until the basis is returned.
 
@@ -303,9 +304,10 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     into a fraction-free reduced echelon form over Python ints. After each
     i, the free-column basis of what has been eliminated so far, scaled by
     the lcm m of the pivot entries to one integer stack, is checked against
-    every layer of md.tensor in one contraction. Once every member commutes
-    with S exactly, it spans the commutant and is returned, each entry v
-    made Fraction(v, m) only then. The reduced echelon form of the row
+    every layer of md.tensor one member at a time, up to the first member
+    that does not commute. Once every member commutes with S exactly, it
+    spans the commutant and is returned, each entry v made Fraction(v, m)
+    only then. The reduced echelon form of the row
     space is unique, so the basis does not depend on the order of the rows."""
     r, t = md.rank, _t_classes(md)
     unknowns = [(i, j) for i in range(r) for j in range(r) if t[i] == t[j]]
@@ -324,7 +326,7 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
         coords = exact_ints(coords).reshape(len(free), len(unknowns))
         stack = np.zeros((len(free), r, r), dtype=coords.dtype)
         stack[:, a, b] = coords
-        if not _commutator_support(stack, md).any():
+        if not any(_commutator_support(Z[None], md).any() for Z in stack):
             zero = Fraction(0)
             return CommutantBasis(
                 basis=tuple(

@@ -21,7 +21,10 @@ Conventions:
     by row by the inverse norms. Tensors are read back as CycloNumbers in
     one batch each, and only where scalars are needed: the norms, to be
     inverted, and the results of spectrum and idempotent_family. A
-    multiplicity profile reads none of them.
+    multiplicity profile needs none of them: nimrep holds d(I) S_{I,dual(S)}
+    and d(I)^2 <lambda_I, lambda_I> on the datum and takes no inverse.
+  * verify_modular_data's Verlinde scan stops after row 1 when label 1
+    generates the ring (its docstring has the conditions and the argument).
 
 The two idempotent routes are deliberately independent: the spectral one
 divides by the norm <lambda, lambda> computed from the pairing, while
@@ -51,7 +54,7 @@ from .cyclo import (
     zeta,
 )
 from .errors import DegenerateScalar, NonIntegralVerlinde, SchemaError, ShapeMismatch
-from .fusion import FusionElement, FusionRing, su2_fusion_ring
+from .fusion import FusionElement, FusionRing, regular_matrices, su2_fusion_ring
 from .verdict import Check, Verdict, failed, passed
 
 
@@ -162,6 +165,17 @@ def verify_modular_data(md: ModularData) -> Verdict:
     S_am S_bm and one comparison, about _PAIR_ENTRIES entries per exponent.
     N's symmetry is one comparison over all pairs. The witness is the first
     failing pair in row-major order, as a scan of a, then b >= a would find.
+
+    The scan stops once the blocks holding rows a = 0 and a = 1 have passed,
+    if no d is zero, N is symmetric and _row_one_generates holds. For a
+    column m let y_c = S_cm / S_0m and M(a)_{cb} = N_ab^c: the identity of a
+    pair (a, b), divided by S_0m^2, reads (y M(a))_b = y_a y_b. Rows 0 and 1
+    with N_10 = N_01 give y M(0) = y and y M(1) = y_1 y, and each generation
+    step M(c) = M(1) M(b) - sum_x n_x M(x) gives y M(c) = (y_1 y_b - sum_x
+    n_x y_x) y = y_c y by the pair (1, b). So y M(a) = y_a y for every a,
+    and every pair holds. The conditions are checked only when a block past
+    row 1 is left; when one fails, the scan goes on to the same row-major
+    witness.
     """
     r, dual = md.rank, md.ring.dual
     checks: list[Check] = []
@@ -187,8 +201,10 @@ def verify_modular_data(md: ModularData) -> Verdict:
     )
 
     square = T.convolve(T, lambda x, Y: x @ Y, r)
-    want = [[md.globalDim if j == dual[i] else ZERO for j in range(r)] for i in range(r)]
-    ssq_fail = _first(np.triu(square.differs(FieldTensor.of(want))))
+    dc = FieldTensor.of([md.globalDim])
+    want = np.zeros((len(dc.exps), r, r), dtype=dc.layers.dtype)
+    want[:, np.arange(r), list(dual)] = dc.layers
+    ssq_fail = _first(np.triu(square.differs(FieldTensor(dc.order, dc.den, dc.exps, want))))
     checks.append(
         passed("s-squared") if ssq_fail is None else failed("s-squared", f"(I,J)={ssq_fail}")
     )
@@ -204,6 +220,10 @@ def verify_modular_data(md: ModularData) -> Verdict:
             m = _first(wrong[k])
             ver_fail = (int(a[k]), int(b[k]), "asymmetric N" if m is None else m[0])
             break
+        # rows 0 and 1 have passed in this block, and a block past row 1 is left
+        if (a[0], b[0]) <= (1, r - 1) <= (a[-1], b[-1]) < (r - 1, r - 1):
+            if zero_d is None and not asym.any() and _row_one_generates(md.ring):
+                break
     checks.append(
         passed("verlinde-consistency")
         if ver_fail is None
@@ -211,6 +231,19 @@ def verify_modular_data(md: ModularData) -> Verdict:
     )
 
     return Verdict(tuple(checks))
+
+
+def _row_one_generates(ring: FusionRing) -> bool:
+    """Whether label 1 generates the ring (ring._generation) and the regular
+    matrices M(a)_{cb} = N_ab^c satisfy M(1) M(b) = sum_c N_1b^c M(c) for
+    every b: then each step x_c = x_1 x_b - ... of the generation holds for
+    the matrices, M(c) = M(1) M(b) - ..."""
+    try:
+        ring._generation
+    except ShapeMismatch:
+        return False
+    M, N = regular_matrices(ring), ring.tensor
+    return np.array_equal(M[1] @ M, (N[1] @ M.reshape(ring.rank, -1)).reshape(M.shape))
 
 
 def _inverse_dims(md: ModularData) -> tuple[CycloNumber, ...]:

@@ -24,13 +24,10 @@ call that raises holds nothing.
 
 Profiles are exact: m[I] is the trace of the spectral projector for
 lambda_I pushed through the representation, which by linearity of the trace
-is sum_S coeff_S(e_{lambda_I}) * chi[S] with integer characters chi. The
-coefficients E[I][S] = e_{lambda_I}(S) are one tensor per datum, row I of S
-with its columns permuted by the duality, times 1 / (d(I) <lambda_I,
-lambda_I>) (modular._idempotents), so a profile is one integer contraction
-of E with chi and reads no coefficient back as a CycloNumber; the lambda_0
-projector column of d_eigenvector is one contraction of md.tensor[0] with
-the module matrices. The float eigen-decomposition never feeds a result
+is sum_S e_{lambda_I}(S) * chi[S] with integer characters chi, computed with
+no field inverse and no coefficient read back as a CycloNumber (_profile);
+the lambda_0 projector column of d_eigenvector is one contraction of
+md.tensor[0] with the module matrices. The float eigen-decomposition never feeds a result
 here; it lives in the test suite as an independent oracle.
 """
 
@@ -42,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycloNumber, _first, exact_ints
+from .cyclo import CycloNumber, FieldTensor, _first, _int_type, _magnitude, exact_ints
 from .errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -51,7 +48,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fusion import FusionRing, homomorphism_failure, regular_matrices, su2_fusion_ring
-from .modular import ModularData, _decimal, _held, _idempotents
+from .modular import ModularData, _decimal, _held
 from .verdict import Check, Verdict, failed, passed
 
 _ADE_FAMILIES = ("A", "D", "E")
@@ -356,32 +353,64 @@ def character(nr: NimRep) -> tuple[int, ...]:
 
 @_held
 def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
-    """m[I] = trace of the lambda_I spectral projector inside the rep,
-    sum_S e_{lambda_I}(S) * chi[S]: one integer contraction of the per-datum
-    tensor E of the idempotent family with chi, read off its layers label by
-    label. A zero quantum dimension is named before a zero norm."""
+    """m[I] = trace of the lambda_I spectral projector inside the rep, as
+    _profile computes it from the module's character. A zero quantum
+    dimension is named before a zero norm."""
     return _profile(md, character(nr), nr.size)
 
 
+@_held
+def _trace_terms(md: ModularData):
+    """(P, B, at, B.take(at), top), held on the datum: the layers of P[I][S] =
+    d(I) S_{I,dual(S)} as exact ints for sums of rank products, those of
+    B[I] = sum_S S_IS S_{I,dual(S)} = d(I)^2 <lambda_I, lambda_I> in the same
+    frame (one convolution makes both), each B[I]'s first nonzero layer as a
+    flat index into B, and B's largest |entry|."""
+    for i, x in enumerate(md.d):
+        if x.is_zero:
+            raise DegenerateScalar(f"quantum dimension d[{i}] is zero")
+    r, T = md.rank, md.tensor
+    # row I of W is (S_I0, ..., S_I(r-1), d(I)); x[I][S] = S_{I,dual(S)}
+    W = FieldTensor(T.order, T.den, T.exps, np.concatenate((T.layers, T.layers[:, 0, :, None]), 2))
+
+    def terms(x, Y):
+        return np.concatenate((x * Y[:, :, r:], (x * Y[:, :, :r]).sum(2, keepdims=True)), 2)
+
+    Q = T[:, list(md.ring.dual)].convolve(W, terms, r)
+    B = Q.layers[:, :, r]
+    nonzero = B != 0
+    if (zero := _first(~nonzero.any(axis=0))) is not None:
+        raise DegenerateScalar(f"lambda_{zero[0]} has zero norm")
+    at = nonzero.argmax(axis=0) * r + np.arange(r)
+    return Q[:, :r]._ints(r), B, at, B.take(at), _magnitude(B)
+
+
 def _profile(md: ModularData, chi: tuple[int, ...], size: int) -> tuple[int, ...]:
-    """multiplicity_profile of a module with character chi and size boundary labels."""
+    """multiplicity_profile of a module with character chi and size boundary
+    labels: e_{lambda_I}(S) = P[I][S] / B[I] (_trace_terms), so m[I] = A[I] /
+    B[I] for A = P chi, one integer contraction. m[I] is rational exactly when
+    the layers of A[I] and B[I] are proportional (cross multiplied at B[I]'s
+    pivot layer), and is then the ratio of the pivot entries: no inverse."""
     if md.ring.rank != len(chi):
         raise ShapeMismatch("modular data rank differs from the ring rank")
     v = exact_ints(chi, md.rank)
-    m = _idempotents(md).apply(lambda L: L @ v, md.rank)
-    irrational = m.layers[m.exps != 0].any(axis=0)
-    rational = m.layers[m.exps == 0].sum(axis=0)
+    P, B, at, b, top = _trace_terms(md)
+    A = P @ v
+    dtype = _int_type(1, max(_magnitude(A), top))
+    A, B, b = (x.astype(dtype, copy=False) for x in (A, B, b))
+    a = A.take(at)
+    irrational = (A * b != a * B).any(axis=0)
     out: list[int] = []
-    for I in range(md.rank):
+    for I, (num, den) in enumerate(zip(a.tolist(), b.tolist())):
         if irrational[I]:
             raise NonIntegralMultiplicity(f"projector trace for label {I} is irrational")
-        num = int(rational[I])
-        if num < 0 or num % m.den:
+        num, den = (-num, -den) if den < 0 else (num, den)
+        if num < 0 or num % den:
             raise NonIntegralMultiplicity(
-                f"projector trace for label {I} is {Fraction(num, m.den)}, "
+                f"projector trace for label {I} is {Fraction(num, den)}, "
                 "not a non-negative integer"
             )
-        out.append(num // m.den)
+        out.append(num // den)
     if sum(out) != size:
         raise NonIntegralMultiplicity(
             f"profile sums to {sum(out)}, expected {size} boundary labels"

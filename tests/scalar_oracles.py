@@ -6,7 +6,9 @@ contractions on FieldTensor read back in one batch. These are the entry by
 entry CycloNumber loops they replaced, kept as independent oracles: they
 share no code with the tensor routes beyond CycloNumber itself, and they
 raise the same errors in the same order. scalar_commutant_basis is the
-Fraction elimination that invariants.commutant_basis replaced.
+Fraction elimination that invariants.commutant_basis replaced, and
+idempotent_profile the route through the inverted idempotent family that
+nimrep._profile replaced.
 """
 
 from fractions import Fraction
@@ -15,10 +17,10 @@ from math import lcm
 import numpy as np
 
 from fuselab.cyclo import ZERO, _first, exact_ints
-from fuselab.errors import DegenerateScalar, ShapeMismatch
+from fuselab.errors import DegenerateScalar, NonIntegralMultiplicity, ShapeMismatch
 from fuselab.fusion import FusionElement
 from fuselab.invariants import CommutantBasis
-from fuselab.modular import SpectrumPoint
+from fuselab.modular import SpectrumPoint, _idempotents
 
 
 def scalar_multiply(ring, x, y):
@@ -67,6 +69,34 @@ def scalar_idempotent_family(md):
         inv_norm = p.normSq.inverse()
         family.append(FusionElement(tuple(p.values[dual[s]] * inv_norm for s in range(md.rank))))
     return tuple(family)
+
+
+def idempotent_profile(md, chi, size):
+    """The multiplicity profile as one integer contraction of chi with the
+    tensor of the idempotent family, whose coefficients take the inverse
+    dimensions and inverse norms, read off label by label."""
+    if md.ring.rank != len(chi):
+        raise ShapeMismatch("modular data rank differs from the ring rank")
+    v = exact_ints(chi, md.rank)
+    m = _idempotents(md).apply(lambda L: L @ v, md.rank)
+    irrational = m.layers[m.exps != 0].any(axis=0)
+    rational = m.layers[m.exps == 0].sum(axis=0)
+    out = []
+    for I in range(md.rank):
+        if irrational[I]:
+            raise NonIntegralMultiplicity(f"projector trace for label {I} is irrational")
+        num = int(rational[I])
+        if num < 0 or num % m.den:
+            raise NonIntegralMultiplicity(
+                f"projector trace for label {I} is {Fraction(num, m.den)}, "
+                "not a non-negative integer"
+            )
+        out.append(num // m.den)
+    if sum(out) != size:
+        raise NonIntegralMultiplicity(
+            f"profile sums to {sum(out)}, expected {size} boundary labels"
+        )
+    return tuple(out)
 
 
 def raw(x):

@@ -567,6 +567,147 @@ def test_verlinde_names_the_first_bad_entry_past_the_first_block():
     assert str(err.value) == "entry (1,2,3) = -1 is not a non-negative integer"
 
 
+def _ring(labels, products):
+    """A self-dual fusion ring from products[a][b] = the labels in a * b."""
+    r = len(labels)
+    N = tuple(
+        tuple(tuple(products[a][b].count(c) for c in range(r)) for b in range(r)) for a in range(r)
+    )
+    return FusionRing(labels=labels, dual=tuple(range(r)), N=N)
+
+
+def _broken_conditions(md):
+    """Which conditions of the Verlinde scan's early exit md breaks, each
+    checked here on its own: nonzero dimensions, symmetric N, unit rows,
+    generation by label 1, and the homomorphism row M(1) M(b) = sum_c
+    N_1b^c M(c) of the regular matrices M(a)_{cb} = N_ab^c."""
+    r, N = md.rank, md.ring.N
+    broken = set()
+    if any(x.is_zero for x in md.d):
+        broken.add("zero d")
+    if any(N[a][b] != N[b][a] for a in range(r) for b in range(r)):
+        broken.add("asymmetric N")
+    unit = [[int(b == c) for c in range(r)] for b in range(r)]
+    if [list(row) for row in N[0]] != unit or [list(N[b][0]) for b in range(r)] != unit:
+        broken.add("unit rows")
+    reached = {0, 1}
+    while True:
+        new = {c for b in reached for c in range(r) if N[1][b][c] and c not in reached}
+        if not new:
+            break
+        reached |= new
+    if len(reached) < r:
+        broken.add("generation")
+    M = [[[N[a][b][c] for b in range(r)] for c in range(r)] for a in range(r)]
+    for b in range(r):
+        for x in range(r):
+            for y in range(r):
+                left = sum(M[1][x][z] * M[b][z][y] for z in range(r))
+                if left != sum(N[1][b][c] * M[c][x][y] for c in range(r)):
+                    broken.add("homomorphism row")
+    return broken
+
+
+def _datum(ring, S):
+    """Data over ring with the given S and every t zero."""
+    return ModularData(ring, S, [0] * len(S))
+
+
+def test_verlinde_scan_goes_on_past_row_one_when_a_condition_fails(monkeypatch):
+    # one label pair per block, so that the conditions are checked after
+    # pair (1, r - 1) and a failure past row 1 lies in a later block; each
+    # datum passes rows 0 and 1 and fails later, with the named property
+    # broken. The exit needs no unit rows (rows 0 and 1 give y M(0) = y),
+    # and with unit rows, generation and the homomorphism row N is
+    # symmetric, so those two cases test the verdict only
+    monkeypatch.setattr(modular, "_PAIR_ENTRIES", 1)
+    # Z2 x Z2 with labels (0,0), (1,0), (0,1), (1,1): label 1 generates {0, 1}
+    # only. The toric code's S with column 3 of rows 2 and 3 doubled keeps
+    # y_3 = y_1 y_2 but breaks y_2^2 = 1
+    pointed = _ring(("1", "e", "m", "f"), [[[b ^ a] for b in range(4)] for a in range(4)])
+    toric = [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]
+    doubled = [row[:3] + [row[3] * (2 if i >= 2 else 1)] for i, row in enumerate(toric)]
+    # su(2) at level 4 with S_04 = S_14 = 0: rows 0 and 1 read 0 = 0 at m = 4
+    su4 = su2_modular_data(4)
+    zero_d = [list(row) for row in su4.S]
+    zero_d[0][4] = zero_d[1][4] = ZERO
+    # a ring whose label 2 copies the unit in S, with N_02 = N_20 = x_0
+    copy = _ring(("1", "x", "y"), [[[0], [1], [0]], [[1], [2], [1]], [[0], [1], [1]]])
+    cases = [
+        (_datum(pointed, doubled), "generation", (2, 2, 3)),
+        (_datum(su4.ring, zero_d), "zero d", (2, 2, 4)),
+        (_raised(su4, (2, 3, 1)), "asymmetric N", None),
+        (_datum(copy, [[1, 1, 1], [1, -1, 1], [1, 1, 1]]), "unit rows", (2, 2, 1)),
+        (_raised(su4, (2, 3, 4), (3, 2, 4)), "homomorphism row", None),
+    ]
+    for md, condition, witness in cases:
+        assert condition in _broken_conditions(md), condition
+        v = verify_modular_data(md)
+        want = _loop_verdict(md, v.checks[:2])
+        assert v.describe() == want.describe() and v.as_dict() == want.as_dict(), condition
+        a, b, m = ast.literal_eval(v.checks[-1].witness.split("=", 1)[1])
+        assert a >= 2, condition
+        assert witness is None or (a, b, m) == witness, condition
+    assert verify_modular_data(_datum(pointed, toric)).ok
+
+
+def test_verlinde_failures_past_row_one_show_in_row_one():
+    # S' = P S P with P fixing labels 0 and 1, and S' = G S G with signs
+    # g_0 = g_1 = 1, at ranks with several blocks: N is the datum's own and
+    # no dimension is zero, so every condition of the early exit holds, and
+    # its argument puts the first failure in row 1 (a <= 1) wherever the
+    # change sits; the verdict is the scalar loop's
+    rng = random.Random(2507)
+    cases = []
+    for _ in range(6):
+        md = su2_modular_data(rng.randint(9, 16))
+        i, j = rng.sample(range(2, md.rank), 2)
+        cases.append(_swapped(md, i, j))
+        first = rng.randrange(2, md.rank)  # the first label with g = -1
+        g = [1] * first + [rng.choice([1, -1]) for _ in range(first, md.rank)]
+        g[first] = -1
+        S = [[md.S[x][y] * (g[x] * g[y]) for y in range(md.rank)] for x in range(md.rank)]
+        cases.append(ModularData(md.ring, S, [t.value for t in md.t]))
+    for md in cases:
+        assert not _broken_conditions(md)
+        v = verify_modular_data(md)
+        want = _loop_verdict(md, v.checks[:2])
+        assert v.describe() == want.describe() and v.as_dict() == want.as_dict()
+        assert [c.name for c in v.checks if not c.passed] == ["verlinde-consistency"]
+        a, b, _ = ast.literal_eval(v.checks[-1].witness.split("=", 1)[1])
+        assert a <= 1
+        row_one, last = _pair_block(md, 1, md.rank - 1)
+        assert row_one < last  # blocks past row 1 were left
+
+
+def test_valid_data_contract_only_the_blocks_through_row_one(monkeypatch):
+    blocks, checked = modular._pair_blocks, []
+    contracted = []
+
+    def counted(T):
+        for a, b, pairs in blocks(T):
+            contracted.append((int(a[-1]), int(b[-1])))
+            yield a, b, pairs
+
+    def conditions(ring):
+        checked.append(ring.rank)
+        return generates(ring)
+
+    generates = modular._row_one_generates
+    md, small = su2_modular_data(28), su2_modular_data(8)  # built and verified once
+    monkeypatch.setattr(modular, "_pair_blocks", counted)
+    monkeypatch.setattr(modular, "_row_one_generates", conditions)
+    assert verify_modular_data(md).ok
+    last = _pair_block(md, 1, md.rank - 1)[0]
+    assert (last, _pair_block(md, md.rank - 1, md.rank - 1)[1]) == (3, 25)
+    assert len(contracted) == last + 1 and contracted[-1] >= (1, md.rank - 1)
+    assert checked == [29]
+    # a rank whose pairs fit in one block checks no condition
+    contracted.clear(), checked.clear()
+    assert verify_modular_data(small).ok
+    assert (len(contracted), checked) == (1, [])
+
+
 def test_large_order_entry_rejected_at_s_squared():
     # S[1][1] = -1 + zeta_4099 puts the common order at 5 * 4099
     doc = data_to_json(fibonacci_modular_data())

@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scalar_oracles import scalar_idempotent_family
+from scalar_oracles import idempotent_profile, scalar_idempotent_family
 
-from fuselab.cyclo import ONE, ZERO, CycloNumber, exact_ints, sin_ratio
+from fuselab import cyclo, modular
+from fuselab.cyclo import ONE, ZERO, CycloNumber, exact_ints, sin_ratio, zeta
 from fuselab.errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -21,11 +22,20 @@ from fuselab.errors import (
     ShapeMismatch,
 )
 from fuselab.fusion import FusionRing, su2_fusion_ring, verify_axioms
+from fuselab.invariants import tm_dimension_report
 from fuselab.io import data_to_json, parse_data
-from fuselab.modular import SpectrumPoint, catalog_names, load_catalog, su2_modular_data
+from fuselab.modular import (
+    ModularData,
+    SpectrumPoint,
+    catalog_names,
+    ising_modular_data,
+    load_catalog,
+    su2_modular_data,
+)
 from fuselab.nimrep import (
     BoundaryGraph,
     NimRep,
+    _profile,
     a_graph,
     ade_graph,
     character,
@@ -395,8 +405,8 @@ def test_profile_does_linear_scalar_work(monkeypatch):
     monkeypatch.setattr(CycloNumber, "__rmul__", counted)
     monkeypatch.setattr(SpectrumPoint, "__init__", no_point)
     assert multiplicity_profile(nr, md) == (1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0, 1)
-    # two batch inverses of r numbers each; the scalar family took r^2 = 289 and more
-    assert len(products) <= 8 * md.rank, len(products)
+    # integer contractions on md.tensor only; the scalar family took r^2 = 289 and more
+    assert products == []
     assert points == []
 
 
@@ -470,6 +480,161 @@ def test_profiles_pinned_at_low_levels():
     nr = su2_nimrep_from_graph(a_graph(3), 2)
     with pytest.raises(NonIntegralMultiplicity, match="label 0 is irrational"):
         multiplicity_profile(raw_module(nr, [[[1]], [[1]], [[0]]]), md2)
+
+
+# -- the inverse-free profile against the idempotent route ------------------
+
+
+def profile_outcome(fn, md, chi, size):
+    try:
+        return "ok", fn(md, chi, size)
+    except (NonIntegralMultiplicity, DegenerateScalar, ShapeMismatch) as err:
+        return type(err).__name__, str(err)
+
+
+def test_profile_matches_the_idempotent_route_on_the_C1_cases():
+    cases = [(f"A:{lvl + 1}", lvl) for lvl in range(1, 29)]
+    cases += [(f"D:{n}", 2 * n - 4) for n in range(4, 17)] + [("E:6", 10), ("E:7", 16), ("E:8", 28)]
+    assert len(cases) == 44
+    for tag, lvl in cases:
+        md = su2_modular_data(lvl)
+        nr = su2_nimrep_from_graph(ade_graph(tag), lvl)
+        got = profile_outcome(_profile, md, character(nr), nr.size)
+        assert got[0] == "ok", (tag, lvl, got)
+        assert got == profile_outcome(idempotent_profile, md, character(nr), nr.size), (tag, lvl)
+
+
+def _profile_datum(md, kind, rng):
+    """md with one seeded change to S: a symmetric pair raised by 1, an
+    entry plus zeta_7, a symmetric pair times 2**40 zeta_3 (Python-int
+    layers), all of S times zeta_8 (the same profiles, but every B[I] is
+    i d(C), zero in its first layer when d(C) is rational), a zero
+    dimension, or a row I >= 1 made (x, i x, 0, ..., 0), whose norm
+    x^2 + (i x)^2 is zero over a self-dual ring."""
+    r = md.rank
+    S = [list(row) for row in md.S]
+    i, j = rng.randrange(r), rng.randrange(r)
+    if kind == "pair+1":
+        S[i][j] = S[j][i] = S[i][j] + 1
+    elif kind == "entry+zeta7":
+        S[i][j] = S[i][j] + zeta(7)
+    elif kind == "pair*2**40*zeta3":
+        S[i][j] = S[j][i] = S[i][j] * CycloNumber(3, {1: 2**40})
+    elif kind == "times zeta8":
+        S = [[x * zeta(8) for x in row] for row in S]
+    elif kind == "zero d":
+        S[0][j] = ZERO
+    elif kind == "zero norm":
+        I, x = rng.randrange(1, r), S[0][j] + 1
+        S[I] = [x, x * zeta(4)] + [ZERO] * (r - 2)
+    return ModularData(md.ring, S, [t.value for t in md.t])
+
+
+def _profile_character(md, rng):
+    """A character for md's rank and the boundary size it is checked against:
+    a combination, with coefficients in -1..2, of the characters of modules
+    at md's level (the regular module alone off su(2)), sometimes with one
+    random entry changed by up to 3 or by 2**70, and a size off by one at
+    times."""
+    r = md.rank
+    if md.ring == su2_fusion_ring(r - 1):
+        tags = [f"A:{r}"] + [f"D:{n}" for n in range(4, 17) if 2 * n - 4 == r - 1]
+        tags += [tag for tag, lvl in (("E:6", 10), ("E:7", 16), ("E:8", 28)) if lvl == r - 1]
+        modules = [su2_nimrep_from_graph(ade_graph(tag), r - 1) for tag in tags]
+    else:
+        modules = [regular_nimrep(md.ring)]
+    chi = [0] * r
+    for nr in modules:
+        c = rng.randint(-1, 2)
+        chi = [x + c * y for x, y in zip(chi, character(nr))]
+    change = rng.choice([0, 0, 1, 2, 3, -3, 2**70])
+    chi[rng.randrange(r)] += change
+    return tuple(chi), chi[0] + rng.choice([0, 0, 0, 1])
+
+
+def _failure_kind(kind, value):
+    if kind == "ok":
+        return kind
+    for key in ("is zero", "zero norm", "irrational", "profile sums"):
+        if key in value:
+            return key
+    q = Fraction(value.split(" is ")[1].split(",")[0])
+    return "negative" if q < 0 else "non-integer"
+
+
+def test_profile_matches_the_idempotent_route_on_perturbed_data_and_characters():
+    rng = random.Random(2506)
+    names = [n for n in catalog_names() if load_catalog(n).rank <= 13]
+    kinds = (
+        "none", "pair+1", "entry+zeta7", "pair*2**40*zeta3", "times zeta8", "zero d", "zero norm"
+    )
+    seen = Counter()
+    for step in range(420):
+        md = load_catalog(rng.choice(names))
+        kind = kinds[step % len(kinds)]
+        if kind == "zero norm" and (md.rank < 2 or md.ring.dual != tuple(range(md.rank))):
+            kind = "zero d"
+        if kind != "none":
+            md = _profile_datum(md, kind, rng)
+        chi, size = _profile_character(md, rng)
+        got = profile_outcome(_profile, md, chi, size)
+        assert got == profile_outcome(idempotent_profile, md, chi, size), (step, kind)
+        seen[_failure_kind(*got)] += 1
+    assert set(seen) == {
+        "ok", "is zero", "zero norm", "irrational", "negative", "non-integer", "profile sums"
+    }, seen
+
+
+def test_profile_errors_keep_their_order_and_messages():
+    ising = ising_modular_data()
+    # a zero d is named before a zero norm, and both before the character is read
+    S = [list(row) for row in ising.S]
+    S[0][2] = ZERO
+    S[1] = [ONE, zeta(4), ZERO]
+    both = ModularData(ising.ring, S, [t.value for t in ising.t])
+    for fn in (_profile, idempotent_profile):
+        with pytest.raises(DegenerateScalar, match=r"^quantum dimension d\[2\] is zero$"):
+            fn(both, (3, 1, 0), 3)
+    S[0][2] = ONE
+    no_norm = ModularData(ising.ring, S, [t.value for t in ising.t])
+    for fn in (_profile, idempotent_profile):
+        with pytest.raises(DegenerateScalar, match=r"^lambda_1 has zero norm$"):
+            fn(no_norm, (3, 1, 0), 3)
+    md1 = su2_modular_data(1)  # m = ((chi0 + chi1) / 2, (chi0 - chi1) / 2)
+    for chi, size, message in (
+        ((1, 0), 1, "projector trace for label 0 is 1/2, not a non-negative integer"),
+        ((0, 2), 0, "projector trace for label 1 is -1, not a non-negative integer"),
+        ((2, 0), 3, "profile sums to 2, expected 3 boundary labels"),
+        ((1, 2, 3), 1, "modular data rank differs from the ring rank"),
+    ):
+        for fn in (_profile, idempotent_profile):
+            with pytest.raises((NonIntegralMultiplicity, ShapeMismatch)) as err:
+                fn(md1, chi, size)
+            assert str(err.value) == message
+    for fn in (_profile, idempotent_profile):  # m[0] = sqrt(2) / 4
+        with pytest.raises(NonIntegralMultiplicity, match="^projector trace for label 0 is irr"):
+            fn(su2_modular_data(2), (0, 1, 0), 1)
+
+
+def test_a_fresh_tm_dimension_report_takes_no_field_inverse(monkeypatch):
+    md = parse_data(data_to_json(su2_modular_data(16)))  # nothing held on it
+    nr = su2_nimrep_from_graph(ade_graph("D:10"), 16)
+    calls = []
+
+    def refused(*args):
+        calls.append(args)
+        raise AssertionError("a field inverse was taken")
+
+    monkeypatch.setattr(CycloNumber, "inverse", refused)
+    monkeypatch.setattr(CycloNumber, "_inverted", refused)
+    monkeypatch.setattr(cyclo, "inverses", refused)
+    monkeypatch.setattr(modular, "inverses", refused)
+    for fn in (modular._points, modular._norms, modular._idempotents):
+        monkeypatch.setattr(modular, fn.__name__, refused)
+    rep = tm_dimension_report(nr, md)
+    assert (rep.multOfUnit, rep.indecomposable) == (1, True)
+    assert multiplicity_profile(nr, md) == (1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0, 1)
+    assert calls == []
 
 
 # -- the truncation identity against the generic homomorphism check --------
