@@ -16,8 +16,6 @@ import re
 import sys
 from dataclasses import dataclass
 
-import mpmath
-
 from .cyclo import embed_complex
 from .errors import (
     DegenerateScalar,
@@ -344,6 +342,8 @@ def run(job: JobSpec) -> tuple[int, dict]:
 
 
 def _approx(doc: dict, digits: int) -> str:
+    import mpmath  # only human reports with cyclotomic values need it
+
     z = embed_complex(cyclo_from_json(doc, "value"), digits)
     if abs(mpmath.im(z)) < mpmath.mpf(10) ** (-digits):
         return mpmath.nstr(mpmath.re(z), digits)

@@ -20,16 +20,17 @@ and inverses(xs) pays that cost once per order for a whole batch.
 
 A FieldTensor holds an array of field elements as integer layers in basis
 coordinates. Each product picks int64 or Python ints from the largest layer
-entry of its operands, as exact_ints does.
+entry of its operands, as exact_ints does. FieldTensor.of (from numbers)
+and FieldTensor.decode (from a file's dense coefficients, with no
+CycloNumber) make canonical tensors, equal exactly when their entries are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-import mpmath
 import numpy as np
 
 from .errors import DegenerateScalar, ShapeMismatch
@@ -526,6 +527,22 @@ def _reduced(n: int, exps, layers: np.ndarray):
     return basis[keep], out[keep].reshape((len(keep),) + layers.shape[1:])
 
 
+def _least_order(n: int, exps, layers: np.ndarray):
+    """_reduced's (exps, layers) at order n brought down to the least order
+    holding every entry, the lcm of their canonical orders, by _canonical's
+    descent: while the exponents share a factor g with n, divide by g."""
+    while (g := gcd(n, *exps.tolist())) > 1:
+        n //= g
+        exps, layers = _reduced(n, exps // g, layers)
+    return n, exps, layers
+
+
+def _value_key(arr: np.ndarray) -> tuple:
+    """An integer array's shape and entries as Python ints, equal for equal
+    values whatever the dtype (int64 or object)."""
+    return arr.shape, tuple(arr.ravel().tolist())
+
+
 class FieldTensor:
     """An exact array over Q(zeta_n): entry x is sum_k layers[k][x] *
     zeta_n^exps[k] / den, integer layers in basis coordinates, so equal
@@ -555,6 +572,48 @@ class FieldTensor:
                 lifted[e * (n // x._order)][u] = c * (den // x._den)
         exps, coords = _reduced(n, range(n), exact_ints(lifted))
         return cls(n, den, exps, coords[:, index].reshape((len(exps),) + grid.shape))
+
+    @classmethod
+    def decode(cls, shape, groups) -> "FieldTensor":
+        """The tensor FieldTensor.of makes of entries given as dense rational
+        coefficients, with no CycloNumber made: groups holds (n, at, num,
+        den) per declared order n, num[k][e] / den[k][e] (den nonzero) the
+        coefficient of zeta_n^e in the entry at flat index at[k]. Each group
+        is scaled to one common denominator, reduced at n and brought down
+        to its least order; only then are the groups placed at the lcm of
+        those orders, refused past the budget before any array of that
+        order exists (1 declared at order 181 and -1 at 182 cost nothing),
+        and reduced there once. Last, the gcd of the denominator and all
+        layers is divided out."""
+        D = 1
+        for _, _, num, den in groups:
+            D = lcm(D, *set(den[num != 0].tolist()))
+        parts = []
+        for n, at, num, den in groups:
+            if max(D, _magnitude(num), _magnitude(den)) >= 2**31:
+                num, den = num.astype(object), den.astype(object)
+            parts.append((at, *_least_order(n, *_reduced(n, range(n), (num * (D // den)).T))))
+        order = _budgeted(lcm(*(n for _, n, _, _ in parts)))
+        dtype = np.result_type(*(layers for *_, layers in parts))
+        full = np.zeros((order, prod(shape)), dtype=dtype)
+        for at, n, exps, layers in parts:
+            full[exps[:, None] * (order // n), at] = layers
+        exps, layers = _reduced(order, range(order), full)
+        g = gcd(D, int(np.gcd.reduce(layers, axis=None)))
+        return cls(order, D // g, exps, (layers // g).reshape((len(exps), *shape)))
+
+    def __eq__(self, other):
+        """Equal order, denominator, exponents and layer values, whatever the dtype."""
+        if not isinstance(other, FieldTensor):
+            return NotImplemented
+        return (
+            (self.order, self.den) == (other.order, other.den)
+            and np.array_equal(self.exps, other.exps)
+            and np.array_equal(self.layers, other.layers)
+        )
+
+    def __hash__(self):
+        return hash((self.order, self.den, _value_key(self.exps), _value_key(self.layers)))
 
     def __getitem__(self, index) -> "FieldTensor":
         """The tensor of a numpy index into the entries."""
@@ -629,12 +688,14 @@ class FieldTensor:
         return tuple(out) if shape else out[0]
 
 
-def embed_complex(x: CycloNumber, digits: int) -> mpmath.mpc:
+def embed_complex(x: CycloNumber, digits: int) -> "mpmath.mpc":
     """Floating-point embedding sum_e c_e * exp(2*pi*i*e/n).
 
     Deterministic; computed with 10 guard digits so the error is far below
     the promised 10^(-digits+2) bound.
     """
+    import mpmath
+
     if not isinstance(digits, int) or digits < 1:
         raise ValueError(f"digits must be a positive integer, got {digits!r}")
     with mpmath.workdps(digits + 10):

@@ -3,60 +3,83 @@ regular representation, whose homomorphism identity is associativity.
 
 Index 0 is always the unit. The tensor is stored dense, N[a][b][c] being the
 multiplicity of label c inside a*b; at this scale (rank <= ~64) density is
-simpler than sparsity. Made with the ring, ring.tensor holds N as one
-read-only exact integer array (exact_ints(N, rank): int64 unless a sum of
-rank products could wrap, Python ints then), so the axioms, products and
-the regular matrices read it and convert nothing.
+simpler than sparsity. The ring's value is (labels, dual, tensor):
+ring.tensor holds N as one read-only exact integer array (exact_ints(N,
+rank): int64 unless a sum of rank products could wrap, Python ints then),
+made with the ring, and the axioms, the generation plan, products and the
+regular matrices read it and convert nothing. A data file's N and the
+su(2) rule go straight into it; ring.N, N as nested tuples, is a view made
+from the tensor on first use and held, for callers that want scalars.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
-from .cyclo import ZERO, CycloNumber, FieldTensor, _coerce, _first, _magnitude, exact_ints
+from .cyclo import ZERO, CycloNumber, FieldTensor, _coerce, _first, _magnitude, _value_key
+from .cyclo import exact_ints
 from .errors import ShapeMismatch
 from .verdict import Check, Verdict, failed, passed
 
 
-@dataclass(frozen=True)
 class FusionRing:
-    labels: tuple[str, ...]
-    dual: tuple[int, ...]
-    N: tuple[tuple[tuple[int, ...], ...], ...]
-    # N as one read-only exact integer array, made with the ring; not part of its value
-    tensor: np.ndarray = field(init=False, repr=False, compare=False)
+    """A fusion ring, valued by (labels, dual, tensor): ring.tensor holds N
+    as one read-only exact (rank, rank, rank) integer array, and equal values
+    compare and hash equal whatever its dtype. N may be given as that array
+    or as nested sequences of ints; ring.N, the same table as nested tuples,
+    is made from the tensor on first use and held."""
 
-    def __post_init__(self):
-        r = len(self.labels)
+    def __init__(self, labels, dual, N):
+        labels, dual = tuple(labels), tuple(dual)
+        r = len(labels)
         if r == 0:
             raise ShapeMismatch("a fusion ring needs at least the unit label at index 0")
-        if len(self.dual) != r:
-            raise ShapeMismatch(f"dual has length {len(self.dual)}, expected {r}")
-        if any(type(x) is not int for x in self.dual) or sorted(self.dual) != list(range(r)):
+        if len(dual) != r:
+            raise ShapeMismatch(f"dual has length {len(dual)}, expected {r}")
+        if any(type(x) is not int for x in dual) or sorted(dual) != list(range(r)):
             raise ShapeMismatch("dual is not a permutation of the label indices")
-        if len(self.N) != r:
-            raise ShapeMismatch(f"N has {len(self.N)} planes, expected {r}")
-        for a, plane in enumerate(self.N):
-            if len(plane) != r:
-                raise ShapeMismatch(f"N[{a}] has {len(plane)} rows, expected {r}")
-            for b, row in enumerate(plane):
-                if len(row) != r:
-                    raise ShapeMismatch(f"N[{a}][{b}] has length {len(row)}, expected {r}")
-                for c, v in enumerate(row):
-                    if not isinstance(v, int) or isinstance(v, bool):
-                        raise ShapeMismatch(f"N[{a}][{b}][{c}] = {v!r} is not an integer")
-        object.__setattr__(self, "tensor", exact_ints(self.N, r))
+        tensor = _int_table(N, r)
+        if tensor is None:  # name the first plane, row or entry of the wrong length or type
+            if len(N) != r:
+                raise ShapeMismatch(f"N has {len(N)} planes, expected {r}")
+            for a, plane in enumerate(N):
+                if len(plane) != r:
+                    raise ShapeMismatch(f"N[{a}] has {len(plane)} rows, expected {r}")
+                for b, row in enumerate(plane):
+                    if len(row) != r:
+                        raise ShapeMismatch(f"N[{a}][{b}] has length {len(row)}, expected {r}")
+                    for c, v in enumerate(row):
+                        if not isinstance(v, int) or isinstance(v, bool):
+                            raise ShapeMismatch(f"N[{a}][{b}][{c}] = {v!r} is not an integer")
+            tensor = exact_ints(N, r)
+        self.labels, self.dual, self.tensor = labels, dual, tensor
+
+    def __eq__(self, other):
+        if not isinstance(other, FusionRing):
+            return NotImplemented
+        return (self.labels, self.dual) == (other.labels, other.dual) and np.array_equal(
+            self.tensor, other.tensor
+        )
 
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        """The hash of the ring's value (labels, dual, N), taken on first use and held."""
-        return hash((self.labels, self.dual, self.N))
+        """The hash of the ring's value, taken on first use and held."""
+        return hash((self.labels, self.dual, _value_key(self.tensor)))
+
+    @cached_property
+    def N(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """N[a][b][c] as nested tuples of ints, made from ring.tensor on first use and held."""
+        return tuple(tuple(map(tuple, plane)) for plane in self.tensor.tolist())
+
+    def __repr__(self):
+        return f"FusionRing(labels={self.labels!r}, dual={self.dual!r}, N={self.N!r})"
 
     @property
     def rank(self) -> int:
@@ -71,7 +94,7 @@ class FusionRing:
         the largest sum_c N_1b^c. A label never reached raises ShapeMismatch."""
         if self.rank == 1:
             return (0,), (), (), 1
-        terms = [tuple((c, n) for c, n in enumerate(row) if n) for row in self.N[1]]
+        terms = [tuple((c, n) for c, n in enumerate(row) if n) for row in self.tensor[1].tolist()]
         order, steps, waiting = [0, 1], [], [1]  # x_1 x_0 = x_1 needs no check
         while True:
             for b in waiting:
@@ -98,6 +121,20 @@ class FusionRing:
     @property
     def unit(self) -> "FusionElement":
         return self.basis_element(0)
+
+
+def _int_table(N, r: int) -> np.ndarray | None:
+    """exact_ints(N, r) as an (r, r, r) array when N is an integer array of
+    that shape, or r lists or tuples of r rows of r ints; None otherwise.
+    The checks map over one flattened level at a time, in C."""
+    if isinstance(N, np.ndarray):
+        return exact_ints(N, r) if N.shape == (r, r, r) and N.dtype.kind in "iu" else None
+    level = [N]
+    for _ in range(3):
+        if not set(map(type, level)) <= {list, tuple} or set(map(len, level)) != {r}:
+            return None
+        level = list(chain.from_iterable(level))
+    return exact_ints(level, r).reshape(r, r, r) if set(map(type, level)) == {int} else None
 
 
 @dataclass(frozen=True)
@@ -134,12 +171,12 @@ def verify_axioms(ring: FusionRing) -> Verdict:
     tuple in row-major order; the entrywise laws are searches on ring.tensor.
     """
     r = ring.rank
-    N, T, dual = ring.N, ring.tensor, ring.dual
+    T, dual = ring.tensor, ring.dual
     checks: list[Check] = []
 
     if (bad := _first(T < 0)) is not None:
         a, b, c = bad
-        return Verdict((*checks, failed("non-negativity", f"N[{a}][{b}][{c}] = {N[a][b][c]}")))
+        return Verdict((*checks, failed("non-negativity", f"N[{a}][{b}][{c}] = {T[bad]}")))
     checks.append(passed("non-negativity"))
 
     eye = np.eye(r, dtype=bool)
@@ -149,13 +186,14 @@ def verify_axioms(ring: FusionRing) -> Verdict:
 
     if dual[0] != 0:
         return Verdict((*checks, failed("duality", "dual(0) != 0")))
+    unit = T[:, :, 0].tolist()
     for a in range(r):
         if dual[dual[a]] != a:
             return Verdict((*checks, failed("duality", f"dual(dual({a})) = {dual[dual[a]]}")))
         for b in range(r):
             want = 1 if b == dual[a] else 0
-            if N[a][b][0] != want:
-                witness = f"N[{a}][{b}][0] = {N[a][b][0]}, expected {want}"
+            if unit[a][b] != want:
+                witness = f"N[{a}][{b}][0] = {unit[a][b]}, expected {want}"
                 return Verdict((*checks, failed("duality", witness)))
     checks.append(passed("duality"))
 
@@ -177,27 +215,19 @@ def verify_axioms(ring: FusionRing) -> Verdict:
 def su2_fusion_ring(level: int) -> FusionRing:
     """Truncated Clebsch-Gordan rules at height h = level + 2.
 
-    N_{ab}^c = 1 iff |a-b| <= c <= min(a+b, 2*level-a-b) and c = a+b mod 2.
-    Built once per level and shared by every caller. The cache is typed, so
-    1.0 never reaches the entry of level 1: a bad level always raises.
+    N_{ab}^c = 1 iff |a-b| <= c <= min(a+b, 2*level-a-b) and c = a+b mod 2,
+    one mask over the (a, b, c) grid. Built once per level and shared by
+    every caller. The cache is typed, so 1.0 never reaches the entry of
+    level 1: a bad level always raises.
     """
     if not isinstance(level, int) or isinstance(level, bool) or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level!r}")
     r = level + 1
-    N = tuple(
-        tuple(
-            tuple(
-                1
-                if abs(a - b) <= c <= min(a + b, 2 * level - a - b) and (a + b + c) % 2 == 0
-                else 0
-                for c in range(r)
-            )
-            for b in range(r)
-        )
-        for a in range(r)
-    )
+    a, b, c = np.ogrid[:r, :r, :r]
+    rule = (abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * level - a - b))
+    rule &= (a + b + c) % 2 == 0
     labels = tuple(f"x{a}" for a in range(r))
-    return FusionRing(labels=labels, dual=tuple(range(r)), N=N)
+    return FusionRing(labels=labels, dual=tuple(range(r)), N=rule.astype(np.int64))
 
 
 def multiply(ring: FusionRing, x: FusionElement, y: FusionElement) -> FusionElement:

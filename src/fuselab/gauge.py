@@ -9,6 +9,8 @@ then symmetric, then closed under composition, and ShapeMismatch the first
 component, in root order, whose values share no field within the budget.
 It keeps each node's root, the least node of its component, so solving is
 spanning-star propagation from the roots; no general cohomology machinery.
+It checks J on the set of pairs alone, so validate_mu builds the problem's
+one pair-to-value map (mu_map).
 
 The cocycle check is the star identity mu_ij = mu_ir * mu_rj, r the root of
 the component of i and j: O(n^2) products per component instead of the
@@ -68,33 +70,37 @@ class GaugeProblem:
         n = len(self.nodes)
         if len(self.mu) != len(self.pairs):
             raise ShapeMismatch("mu values must align with the pair list")
-        by_pair = {}
-        for (i, j), x in zip(self.pairs, self.mu):
+        present = set()
+        for i, j in self.pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ShapeMismatch(f"pair ({i},{j}) references a missing node")
-            if (i, j) in by_pair:
+            if (i, j) in present:
                 raise ShapeMismatch(f"pair ({i},{j}) listed twice")
-            by_pair[(i, j)] = x
+            present.add((i, j))
         for i in range(n):
-            if (i, i) not in by_pair:
+            if (i, i) not in present:
                 raise MissingPair(f"missing reflexive pair ({i},{i})")
         others: dict[int, list[int]] = {}
         for i, j in self.pairs:
-            if (j, i) not in by_pair:
+            if (j, i) not in present:
                 raise MissingPair(f"pair ({i},{j}) present but ({j},{i}) missing")
             if i != j:
                 others.setdefault(i, []).append(j)
         for i, js in others.items():
             for j in js:
                 for k in others[j]:
-                    if (i, k) not in by_pair:
+                    if (i, k) not in present:
                         raise MissingPair(f"pairs ({i},{j}), ({j},{k}) present but ({i},{k}) missing")
         root = tuple(min((i, *others.get(i, ()))) for i in range(n))
+        # a closed J holds every pair of a component, so its orders are those of the pairs from it
+        orders: dict[int, list[int]] = {r: [] for r in root}
+        for (i, _), x in zip(self.pairs, self.mu):
+            orders[root[i]].append(x.order)
+        for found in orders.values():
+            _budgeted(lcm(*found))
         comps: dict[int, list[int]] = {}
         for i, r in enumerate(root):
             comps.setdefault(r, []).append(i)
-        for comp in comps.values():
-            _budgeted(lcm(*(by_pair[(i, j)].order for i in comp for j in comp)))
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "components", tuple(map(tuple, comps.values())))
 

@@ -32,7 +32,7 @@ import numpy as np
 from .cyclo import CycloNumber, _first, _int_type, _magnitude, exact_ints
 from .errors import SearchBudgetExceeded, ShapeMismatch
 from .modular import ModularData, _decimal, _held
-from .nimrep import NimRep, _profile, character, multiplicity_profile
+from .nimrep import NimRep, _character_ints, _profile, multiplicity_profile
 from .verdict import Check, Verdict, failed, passed
 
 DEFAULT_ENTRY_BOUND = 3
@@ -142,7 +142,7 @@ def tm_dimension_report(nr: NimRep, md: ModularData) -> TMDimensionReport:
     The report is then held on nr, for that datum object only, as are its
     character and support connectivity for good: a repeated (nr, md) pair
     returns the same report, and another datum replaces it."""
-    chi = character(nr)
+    chi = _character_ints(nr)
     dTM = rep_dimension(chi, md)
     mult = _profile(md, chi, nr.size)[0]
     routes = (

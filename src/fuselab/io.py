@@ -7,6 +7,10 @@ exactly: a cyclotomic number as {"order": n, "coeffs": [[num, den], ...]}
 (dense over exponents 0..n-1), a T-phase as a [num, den] pair. No decimal
 floats anywhere, so serialize -> parse is the identity.
 
+A modular-data file's S goes straight into md.tensor (FieldTensor.decode)
+and a ring's N into ring.tensor, with no CycloNumber or nested tuple made;
+an entry is decoded one by one only to name the first bad one.
+
 Loading is never silent about bad data: structural problems (wrong shapes,
 bad keys, an asymmetric adjacency, a non-closed pair set) raise SchemaError
 or MissingPair; mathematically invalid fusion rings and modular data raise
@@ -22,14 +26,18 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 
-from .cyclo import MAX_FIELD_ORDER, CycloNumber, RationalPhase
+import numpy as np
+
+from .cyclo import MAX_FIELD_ORDER, CycloNumber, FieldTensor, RationalPhase
 from .errors import SchemaError, ShapeMismatch, ValidationFailed
-from .fusion import FusionRing, verify_axioms
+from .fusion import FusionRing, _int_table, verify_axioms
 from .gauge import GaugeProblem
 from .invariants import InvariantMatrix
-from .modular import ModularData, verify_modular_data
+from .modular import ModularData, _check_shapes, verify_modular_data
 from .nimrep import BoundaryGraph
 
 KINDS = ("fusion-ring", "modular-data", "graph", "gauge", "invariant")
@@ -62,11 +70,10 @@ def cyclo_to_json(x: CycloNumber) -> dict:
     """Dense [num, den] pairs in lowest terms, read off the canonical integer
     numerators and their common denominator."""
     den = x._den
-    pairs = []
-    for e in range(x.order):
-        c = x._num.get(e, 0)
+    pairs = [[0, 1] for _ in range(x.order)]
+    for e, c in x._num.items():
         g = gcd(c, den)
-        pairs.append([c // g, den // g])
+        pairs[e] = [c // g, den // g]
     return {"order": x.order, "coeffs": pairs}
 
 
@@ -98,6 +105,55 @@ def cyclo_from_json(obj, where: str) -> CycloNumber:
     return CycloNumber._raw(order, {k: num * (common // den) for k, num, den in terms}, common)
 
 
+def _s_groups(S_raw: list) -> list:
+    """S's entries in row-major order as FieldTensor.decode's groups, after
+    cyclo_from_json's checks as C-level passes over the flattened lists.
+    Only when one fails is S walked entry by entry: cyclo_from_json raises
+    the first bad entry's error with its field path, and entries that pass
+    (subclasses of dict, list or int) are written as plain JSON again."""
+    entries = list(chain.from_iterable(S_raw))
+    ok = set(map(type, entries)) <= {dict}
+    if ok:
+        try:
+            orders, coeffs = (list(map(itemgetter(key), entries)) for key in ("order", "coeffs"))
+        except KeyError:
+            ok = False
+    ok = (
+        ok
+        and set(map(type, orders)) <= {int}
+        and 1 <= min(orders, default=1)
+        and max(orders, default=1) <= MAX_FIELD_ORDER
+        and set(map(type, coeffs)) <= {list}
+        and list(map(len, coeffs)) == orders
+    )
+    if ok:
+        pairs = list(chain.from_iterable(coeffs))
+        ok = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+    if ok:
+        ok = set(map(type, chain.from_iterable(pairs))) <= {int}
+    if ok:
+        try:
+            values = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+        except OverflowError:  # an entry past int64: Python ints
+            values = np.array(list(chain.from_iterable(pairs)), dtype=object)
+        num, den = values[0::2], values[1::2]
+        ok = den.all()
+    if not ok:
+        where = "modular-data.S[{}][{}]".format
+        return _s_groups([
+            [cyclo_to_json(cyclo_from_json(x, where(i, j))) for j, x in enumerate(row)]
+            for i, row in enumerate(S_raw)
+        ])
+    declared = np.array(orders, dtype=np.int64)
+    starts = np.cumsum(declared) - declared  # each entry's first pair
+    groups = []
+    for n in sorted(set(orders)):
+        at = np.flatnonzero(declared == n)
+        pair = starts[at, None] + np.arange(n)
+        groups.append((n, at, num[pair], den[pair]))
+    return groups
+
+
 def phase_to_json(t: RationalPhase) -> list[int]:
     return [t.value.numerator, t.value.denominator]
 
@@ -119,11 +175,14 @@ def _ring_fields(ring: FusionRing) -> dict:
     return {
         "labels": list(ring.labels),
         "dual": list(ring.dual),
-        "N": [[list(row) for row in plane] for plane in ring.N],
+        "N": ring.tensor.tolist(),
     }
 
 
 def _ring_from_fields(doc: dict, where: str) -> FusionRing:
+    """The ring of a document's fields. N goes straight into ring.tensor;
+    only when it is not r planes of r rows of r integers is it walked entry
+    by entry, to raise the first bad entry's or shape's error."""
     labels = _str_list(_require(doc, "labels", where), f"{where}.labels")
     dual_raw = _require(doc, "dual", where)
     if not isinstance(dual_raw, list):
@@ -133,10 +192,15 @@ def _ring_from_fields(doc: dict, where: str) -> FusionRing:
     )
     N_raw = _require(doc, "N", where)
     try:
-        N = tuple(
-            tuple(tuple(x if type(x) is int else _int(x, f"{where}.N") for x in row) for row in plane)
-            for plane in N_raw
-        )
+        N = _int_table(N_raw, len(labels))
+        if N is None:
+            N = tuple(
+                tuple(
+                    tuple(x if type(x) is int else _int(x, f"{where}.N") for x in row)
+                    for row in plane
+                )
+                for plane in N_raw
+            )
         ring = FusionRing(labels=labels, dual=dual, N=N)
     except (TypeError, ShapeMismatch) as err:
         raise SchemaError(f"{where}: {err}") from None
@@ -199,16 +263,15 @@ def parse_data(doc):
         S_raw = _require(doc, "S", "modular-data")
         if not isinstance(S_raw, list) or not all(isinstance(r, list) for r in S_raw):
             raise SchemaError("modular-data.S: expected a matrix")
-        S = [
-            [cyclo_from_json(x, f"modular-data.S[{i}][{j}]") for j, x in enumerate(row)]
-            for i, row in enumerate(S_raw)
-        ]
+        groups = _s_groups(S_raw)
         t_raw = _require(doc, "t", "modular-data")
         if not isinstance(t_raw, list):
             raise SchemaError("modular-data.t: expected a list")
         t = [phase_from_json(x, f"modular-data.t[{k}]") for k, x in enumerate(t_raw)]
+        r = ring.rank
         try:
-            md = ModularData(ring, S, t)
+            _check_shapes(r, S_raw, t)
+            md = ModularData(ring, FieldTensor.decode((r, r), groups), t)
         except ShapeMismatch as err:
             raise SchemaError(f"modular-data: {err}") from None
         v = verify_modular_data(md)

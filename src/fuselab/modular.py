@@ -3,12 +3,15 @@ the spectrum of the fusion algebra, and both idempotent constructions.
 
 Conventions:
   * S is unnormalized, so S[0][I] = d(I) and the global dimension is
-    d(C) = sum_I d(I)^2 with (S^2)_{IJ} = d(C) * delta_{J, dual(I)}. The
-    constructor ModularData(ring, S, t) checks S and t and derives md.d,
-    md.globalDim = d(C) and md.tensor from S; none of them is an argument.
+    d(C) = sum_I d(I)^2 with (S^2)_{IJ} = d(C) * delta_{J, dual(I)}.
+  * A datum's value is (ring, md.tensor, t): md.tensor holds S as one
+    canonical FieldTensor, and S^2, the Verlinde identity and sum, and
+    Z*S - S*Z in invariants are integer products on it. The constructor
+    ModularData(ring, S, t) takes S as scalars, kept as md.S, or as that
+    tensor (a file's S is decoded straight into it, and su(2)'s is
+    gathered from the tensor of its sine ratios). md.S when not given,
+    md.d and md.globalDim = d(C) are made on first use and held.
   * T data is a vector of RationalPhase exponents, never a complex matrix.
-  * md.tensor holds S as one exact FieldTensor; S^2, the Verlinde identity
-    and sum, and Z*S - S*Z in invariants are integer products on it.
   * Values derived from one datum (the points and their norms, spectrum,
     idempotent family and its tensor, and the commutant in invariants) are
     computed once and held on that object, so they go away with it. The
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from operator import is_
 
 import numpy as np
@@ -58,35 +61,55 @@ from .fusion import FusionElement, FusionRing, regular_matrices, su2_fusion_ring
 from .verdict import Check, Verdict, failed, passed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModularData:
-    ring: FusionRing
-    S: tuple[tuple[CycloNumber, ...], ...]
-    t: tuple[RationalPhase, ...]
-    # S[0], sum_I d(I)^2 and S as one exact integer tensor, derived from S; not part of the value
-    d: tuple[CycloNumber, ...] = field(init=False, repr=False, compare=False)
-    globalDim: CycloNumber = field(init=False, repr=False, compare=False)
-    tensor: FieldTensor = field(init=False, repr=False, compare=False)
-    # the results of _held functions on this object, not part of its value
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """Valued by (ring, tensor, t); S is given as rows of int, Fraction or
+    CycloNumber entries, kept as md.S, or as its canonical FieldTensor (see
+    the module docstring for what is made on first use)."""
 
-    def __post_init__(self):
-        r = self.ring.rank
-        S = tuple(tuple(_entry(x, i, j) for j, x in enumerate(xs)) for i, xs in enumerate(self.S))
-        t = tuple(self.t)
-        if len(S) != r or any(len(row) != r for row in S):
-            raise ShapeMismatch(f"S must be {r}x{r}")
-        if len(t) != r:
-            raise ShapeMismatch(f"t must have length {r}")
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "t", tuple(_phase(x, k) for k, x in enumerate(t)))
-        object.__setattr__(self, "d", S[0])
-        object.__setattr__(self, "globalDim", sum((x * x for x in S[0]), ZERO))
-        object.__setattr__(self, "tensor", FieldTensor.of(S))
+    ring: FusionRing
+    tensor: FieldTensor = field(repr=False)
+    t: tuple[RationalPhase, ...]
+
+    def __init__(self, ring: FusionRing, S, t):
+        t = tuple(t)
+        if isinstance(S, FieldTensor):
+            tensor, S = S, None
+            _check_shapes(ring.rank, tensor.layers[0], t)
+        else:
+            S = tuple(tuple(_entry(x, i, j) for j, x in enumerate(xs)) for i, xs in enumerate(S))
+            _check_shapes(ring.rank, S, t)
+        t = tuple(_phase(x, k) for k, x in enumerate(t))
+        if S is not None:
+            tensor = FieldTensor.of(S)
+            object.__setattr__(self, "S", S)
+        for name, value in (("ring", ring), ("tensor", tensor), ("t", t), ("_derived", {})):
+            # _derived holds the results of _held functions, not part of the value
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def S(self) -> tuple[tuple[CycloNumber, ...], ...]:
+        return self.tensor.scalars()
+
+    @cached_property
+    def d(self) -> tuple[CycloNumber, ...]:
+        return self.S[0] if "S" in self.__dict__ else self.tensor[0].scalars()
+
+    @cached_property
+    def globalDim(self) -> CycloNumber:
+        return _global_dim(self).scalar(())
 
     @property
     def rank(self) -> int:
         return self.ring.rank
+
+
+def _check_shapes(r: int, S, t) -> None:
+    """ShapeMismatch unless S has r rows of r entries and t has r entries."""
+    if len(S) != r or any(len(row) != r for row in S):
+        raise ShapeMismatch(f"S must be {r}x{r}")
+    if len(t) != r:
+        raise ShapeMismatch(f"t must have length {r}")
 
 
 def _entry(x, i: int, j: int) -> CycloNumber:
@@ -180,18 +203,20 @@ def verify_modular_data(md: ModularData) -> Verdict:
     r, dual = md.rank, md.ring.dual
     checks: list[Check] = []
 
+    T = md.tensor
     checks.append(
-        passed("dimension-row") if md.d[0] == ONE else failed("dimension-row", "d[0] != 1")
+        passed("dimension-row")
+        if T.scalar((0, 0)) == ONE
+        else failed("dimension-row", "d[0] != 1")
     )
 
-    zero_d = next((i for i in range(r) if md.d[i].is_zero), None)
+    zero_d = _zero_dimension(T)
     checks.append(
         passed("nonzero-dimensions")
         if zero_d is None
         else failed("nonzero-dimensions", f"d[{zero_d}] = 0")
     )
 
-    T = md.tensor
     sym = _first(np.triu(T.differs(T.apply(lambda L: L.transpose(0, 2, 1), 1)), 1))
     checks.append(passed("symmetry") if sym is None else failed("symmetry", f"(I,J)={sym}"))
 
@@ -201,9 +226,9 @@ def verify_modular_data(md: ModularData) -> Verdict:
     )
 
     square = T.convolve(T, lambda x, Y: x @ Y, r)
-    dc = FieldTensor.of([md.globalDim])
+    dc = _global_dim(md)
     want = np.zeros((len(dc.exps), r, r), dtype=dc.layers.dtype)
-    want[:, np.arange(r), list(dual)] = dc.layers
+    want[:, np.arange(r), list(dual)] = dc.layers[:, None]
     ssq_fail = _first(np.triu(square.differs(FieldTensor(dc.order, dc.den, dc.exps, want))))
     checks.append(
         passed("s-squared") if ssq_fail is None else failed("s-squared", f"(I,J)={ssq_fail}")
@@ -233,6 +258,12 @@ def verify_modular_data(md: ModularData) -> Verdict:
     return Verdict(tuple(checks))
 
 
+def _zero_dimension(T: FieldTensor) -> int | None:
+    """The first label I with d(I) = S[0][I] = 0, read off md.tensor's layers, or None."""
+    hit = _first(~T.layers[:, 0].any(axis=0))
+    return None if hit is None else hit[0]
+
+
 def _row_one_generates(ring: FusionRing) -> bool:
     """Whether label 1 generates the ring (ring._generation) and the regular
     matrices M(a)_{cb} = N_ab^c satisfy M(1) M(b) = sum_c N_1b^c M(c) for
@@ -244,6 +275,13 @@ def _row_one_generates(ring: FusionRing) -> bool:
         return False
     M, N = regular_matrices(ring), ring.tensor
     return np.array_equal(M[1] @ M, (N[1] @ M.reshape(ring.rank, -1)).reshape(M.shape))
+
+
+@_held
+def _global_dim(md: ModularData) -> FieldTensor:
+    """d(C) = sum_I d(I)^2 as a tensor, one contraction of row 0 of md.tensor with itself."""
+    d = md.tensor[0]
+    return d.convolve(d, lambda x, Y: Y @ x, md.rank)
 
 
 def _inverse_dims(md: ModularData) -> tuple[CycloNumber, ...]:
@@ -396,19 +434,27 @@ def _checked(md: ModularData, name: str) -> ModularData:
 
 @lru_cache(maxsize=None)
 def su2_modular_data(level: int) -> ModularData:
-    """Affine su(2) data at the given level: S from sine ratios, t from
+    """Affine su(2) data at the given level: S[a][b] is the sine ratio
+    (a+1)(b+1) of the 2h ones (row 0 holds every one up to sign), t from
     conformal weights shifted by the central charge."""
     ring = su2_fusion_ring(level)
     h = level + 2
-    sr = tuple(sin_ratio(k, h) for k in range(2 * h))
-    S = tuple(
-        tuple(sr[((a + 1) * (b + 1)) % (2 * h)] for b in range(level + 1))
-        for a in range(level + 1)
-    )
+    at = np.arange(1, level + 2)
     t = tuple(
         Fraction(a * (a + 2), 4 * h) - Fraction(level, 8 * h) for a in range(level + 1)
     )
-    return _checked(ModularData(ring, S, t), f"su2:{level}")
+    values = tuple(sin_ratio(k, h) for k in range(2 * h))
+    return _checked(_gathered(ring, values, (at[:, None] * at) % (2 * h), t), f"su2:{level}")
+
+
+def _gathered(ring: FusionRing, values, at: np.ndarray, t) -> ModularData:
+    """The datum with S[a][b] = values[at[a, b]]: md.tensor is gathered from
+    the tensor of values, so it is S's canonical tensor when S holds every
+    value up to sign, and md.S keeps the gathered numbers, as if made on
+    first use."""
+    md = ModularData(ring, FieldTensor.of(values)[at], t)
+    object.__setattr__(md, "S", tuple(tuple(values[k] for k in row) for row in at.tolist()))
+    return md
 
 
 @lru_cache(maxsize=None)
@@ -446,24 +492,17 @@ def zn_modular_data(n: int) -> ModularData:
     """Cyclic anyons: pointed fusion j + k mod n, quadratic T-phases."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    N = tuple(
-        tuple(
-            tuple(1 if c == (a + b) % n else 0 for c in range(n)) for b in range(n)
-        )
-        for a in range(n)
-    )
+    x = np.arange(n)
     ring = FusionRing(
         labels=tuple(str(j) for j in range(n)),
         dual=tuple((-j) % n for j in range(n)),
-        N=N,
+        N=((x[:, None, None] + x[:, None]) % n == x).astype(np.int64),  # c = a + b mod n
     )
-    if n % 2:
-        S = tuple(tuple(zeta(n, (2 * j * k) % n) for k in range(n)) for j in range(n))
-        t = tuple(Fraction(j * j, n) for j in range(n))
-    else:
-        S = tuple(tuple(zeta(n, (j * k) % n) for k in range(n)) for j in range(n))
-        t = tuple(Fraction(j * j, 2 * n) for j in range(n))
-    return _checked(ModularData(ring, S, t), f"zn:{n}")
+    # S[j][k] = zeta_n^(2jk) for odd n and zeta_n^(jk) for even n: row 1 holds every root
+    roots = tuple(zeta(n, k) for k in range(n))
+    at = (x[:, None] * x * (2 if n % 2 else 1)) % n
+    t = tuple(Fraction(j * j, n if n % 2 else 2 * n) for j in range(n))
+    return _checked(_gathered(ring, roots, at, t), f"zn:{n}")
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -48,7 +48,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fusion import FusionRing, homomorphism_failure, regular_matrices, su2_fusion_ring
-from .modular import ModularData, _decimal, _held
+from .modular import ModularData, _decimal, _held, _zero_dimension
 from .verdict import Check, Verdict, failed, passed
 
 _ADE_FAMILIES = ("A", "D", "E")
@@ -352,11 +352,18 @@ def character(nr: NimRep) -> tuple[int, ...]:
 
 
 @_held
+def _character_ints(nr: NimRep) -> np.ndarray:
+    """character(nr) as the exact integer array that _profile reads."""
+    chi = character(nr)
+    return exact_ints(chi, len(chi))
+
+
+@_held
 def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
     """m[I] = trace of the lambda_I spectral projector inside the rep, as
     _profile computes it from the module's character. A zero quantum
     dimension is named before a zero norm."""
-    return _profile(md, character(nr), nr.size)
+    return _profile(md, _character_ints(nr), nr.size)
 
 
 @_held
@@ -366,10 +373,9 @@ def _trace_terms(md: ModularData):
     B[I] = sum_S S_IS S_{I,dual(S)} = d(I)^2 <lambda_I, lambda_I> in the same
     frame (one convolution makes both), each B[I]'s first nonzero layer as a
     flat index into B, and B's largest |entry|."""
-    for i, x in enumerate(md.d):
-        if x.is_zero:
-            raise DegenerateScalar(f"quantum dimension d[{i}] is zero")
     r, T = md.rank, md.tensor
+    if (i := _zero_dimension(T)) is not None:
+        raise DegenerateScalar(f"quantum dimension d[{i}] is zero")
     # row I of W is (S_I0, ..., S_I(r-1), d(I)); x[I][S] = S_{I,dual(S)}
     W = FieldTensor(T.order, T.den, T.exps, np.concatenate((T.layers, T.layers[:, 0, :, None]), 2))
 
@@ -385,15 +391,16 @@ def _trace_terms(md: ModularData):
     return Q[:, :r]._ints(r), B, at, B.take(at), _magnitude(B)
 
 
-def _profile(md: ModularData, chi: tuple[int, ...], size: int) -> tuple[int, ...]:
-    """multiplicity_profile of a module with character chi and size boundary
-    labels: e_{lambda_I}(S) = P[I][S] / B[I] (_trace_terms), so m[I] = A[I] /
-    B[I] for A = P chi, one integer contraction. m[I] is rational exactly when
+def _profile(md: ModularData, chi, size: int) -> tuple[int, ...]:
+    """multiplicity_profile of a module with character chi (a tuple of ints,
+    or the array _character_ints holds) and size boundary labels:
+    e_{lambda_I}(S) = P[I][S] / B[I] (_trace_terms), so m[I] = A[I] / B[I]
+    for A = P chi, one integer contraction. m[I] is rational exactly when
     the layers of A[I] and B[I] are proportional (cross multiplied at B[I]'s
     pivot layer), and is then the ratio of the pivot entries: no inverse."""
     if md.ring.rank != len(chi):
         raise ShapeMismatch("modular data rank differs from the ring rank")
-    v = exact_ints(chi, md.rank)
+    v = chi if isinstance(chi, np.ndarray) else exact_ints(chi, md.rank)
     P, B, at, b, top = _trace_terms(md)
     A = P @ v
     dtype = _int_type(1, max(_magnitude(A), top))

@@ -8,7 +8,10 @@ share no code with the tensor routes beyond CycloNumber itself, and they
 raise the same errors in the same order. scalar_commutant_basis is the
 Fraction elimination that invariants.commutant_basis replaced, and
 idempotent_profile the route through the inverted idempotent family that
-nimrep._profile replaced.
+nimrep._profile replaced. scalar_s_tensor is the decode that
+FieldTensor.decode replaced in io, one CycloNumber per S entry pooled by
+FieldTensor.of, and scalar_su2_table the generator-expression truncated
+Clebsch-Gordan table that su2_fusion_ring's mask replaced.
 """
 
 from fractions import Fraction
@@ -16,11 +19,37 @@ from math import lcm
 
 import numpy as np
 
-from fuselab.cyclo import ZERO, _first, exact_ints
+from fuselab.cyclo import ZERO, FieldTensor, _first, exact_ints
 from fuselab.errors import DegenerateScalar, NonIntegralMultiplicity, ShapeMismatch
 from fuselab.fusion import FusionElement
 from fuselab.invariants import CommutantBasis
+from fuselab.io import cyclo_from_json
 from fuselab.modular import SpectrumPoint, _idempotents
+
+
+def scalar_s_tensor(S_raw):
+    """md.tensor of a modular-data document's S through one CycloNumber per
+    entry, then FieldTensor.of; errors name the entry as parse_data does."""
+    return FieldTensor.of([
+        [cyclo_from_json(x, f"modular-data.S[{i}][{j}]") for j, x in enumerate(row)]
+        for i, row in enumerate(S_raw)
+    ])
+
+
+def scalar_su2_table(level):
+    """N_ab^c = 1 iff |a-b| <= c <= min(a+b, 2*level-a-b) and a+b+c is even,
+    as nested tuples built entry by entry."""
+    r = level + 1
+    return tuple(
+        tuple(
+            tuple(
+                1 if abs(a - b) <= c <= min(a + b, 2 * level - a - b) and (a + b + c) % 2 == 0 else 0
+                for c in range(r)
+            )
+            for b in range(r)
+        )
+        for a in range(r)
+    )
 
 
 def scalar_multiply(ring, x, y):

@@ -2,8 +2,11 @@
 byte determinism. All runs go through main(argv) in-process."""
 
 import json
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -469,3 +472,26 @@ def test_graph_commands_build_each_module_once(tmp_path, monkeypatch):
     built.clear()
     assert reports() == first
     assert built == []
+
+
+_FIBONACCI_AT_8_DIGITS = """fuselab spectrum
+  inputs: data=fibonacci
+  labels: (1, tau)
+  lambda[1]: (1.0, 1.618034)  normSq = 3.618034
+  lambda[tau]: (1.0, -0.61803399)  normSq = 1.381966
+  result: PASS
+"""
+
+
+def test_mpmath_is_imported_only_to_print_numbers(capsys):
+    # a fresh interpreter: the import and a diag-theorem job leave mpmath out
+    code = (
+        "import sys; from fuselab.cli import JobSpec, run; "
+        "run(JobSpec(command='diag-theorem', data='su2:10', graph='E:6')); "
+        "sys.exit('mpmath imported' if 'mpmath' in sys.modules else 0)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["spectrum", "--data", "fibonacci", "--digits", "8"]) == 0
+    assert capsys.readouterr().out == _FIBONACCI_AT_8_DIGITS

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_oracles import raw, scalar_multiply
+from scalar_oracles import raw, scalar_multiply, scalar_su2_table
 
 from fuselab.cyclo import ONE, ZERO, CycloNumber, exact_ints, zeta
 from fuselab.errors import ShapeMismatch
@@ -237,6 +237,27 @@ def test_su2_selection_rule():
                     abs(a - b) <= c <= min(a + b, 12 - a - b) and (a + b - c) % 2 == 0
                 )
                 assert ring.N[a][b][c] == want
+
+
+def test_su2_mask_matches_the_entrywise_rule_at_every_catalog_level():
+    for level in range(29):
+        ring = su2_fusion_ring.__wrapped__(level)
+        assert ring.N == scalar_su2_table(level), level
+        assert ring.tensor.dtype == np.int64 and not ring.tensor.flags.writeable, level
+
+
+def test_ring_value_ignores_the_tensor_dtype():
+    ring = su2_fusion_ring(6)
+    twin = object.__new__(FusionRing)
+    twin.labels, twin.dual, twin.tensor = ring.labels, ring.dual, ring.tensor.astype(object)
+    assert twin == ring and hash(twin) == hash(ring) and twin.N == ring.N
+    listed = FusionRing(list(ring.labels), list(ring.dual), [list(map(list, p)) for p in ring.N])
+    assert listed == ring and hash(listed) == hash(ring)
+    other = FusionRing(("y0", *ring.labels[1:]), ring.dual, ring.tensor)
+    assert other != ring
+    wide = FusionRing(("0", "1"), (0, 1), (((1, 0), (0, 1)), ((0, 1), (1, 2**40))))
+    assert wide.tensor.dtype == object
+    assert wide == FusionRing(("0", "1"), (0, 1), wide.tensor) and wide.N[1][1] == (1, 2**40)
 
 
 def test_multiply_idempotent_at_level_one():

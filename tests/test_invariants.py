@@ -173,7 +173,6 @@ def test_tm_dim_computes_one_character_per_report(monkeypatch):
         calls.append(nr)
         return character(nr)
 
-    monkeypatch.setattr(invariants, "character", counted)
     monkeypatch.setattr(nimrep, "character", counted)
     md = su2_modular_data(4)
     # modules built afresh, not the kept ones, so no earlier test has asked about them

@@ -1,18 +1,24 @@
 """File format: exact serialization, validation on load, and schema errors
 that name the offending key."""
 
+import hashlib
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracles import scalar_s_tensor
 
-from fuselab.cyclo import CycloNumber, zeta
+from fuselab import cyclo
+from fuselab.cyclo import MAX_FIELD_ORDER, CycloNumber, FieldTensor, zeta
 from fuselab.errors import MissingPair, SchemaError, ValidationFailed
 from fuselab.gauge import GaugeProblem
 from fuselab.invariants import InvariantMatrix
 from fuselab.io import (
+    _s_groups,
     cyclo_from_json,
     cyclo_to_json,
     data_to_json,
@@ -21,7 +27,7 @@ from fuselab.io import (
     parse_data_file,
     write_data_file,
 )
-from fuselab.modular import catalog_names, load_catalog, su2_modular_data
+from fuselab.modular import catalog_names, fibonacci_modular_data, load_catalog, su2_modular_data
 from fuselab.nimrep import d_graph, e_graph
 
 
@@ -401,3 +407,151 @@ def test_mutated_documents_fail_only_with_loader_errors(data):
         parse_data(doc)
     except (SchemaError, MissingPair, ValidationFailed):
         pass
+
+
+# -- the encoded bytes and the direct decode --------------------------------
+
+# sha256 of dumps_data(load_catalog(name)): the file format is part of the contract
+_CATALOG_DIGESTS = {
+    "su2:0": "d7db8866f1641801ff7c63b1f050bdaecc07d8606aacfd64e3fe5c809c303d1d",
+    "su2:1": "60b5086b175f47c1bdb0dfff2c7a569e698c6d201354b95e7794c017cd5591f6",
+    "su2:2": "8ae09c477c32f5e9d5df076d0d8b03d7e4999a6326ad21301d8cacbbe1ecebdf",
+    "su2:3": "427d1e44b2499784eae249804c5700aa91538abe982b1cb46f7496038b4f44c5",
+    "su2:4": "88a7fdaae0ab68ef0ff727cb17220506edd72086b97bda059fb424ab1b05656a",
+    "su2:5": "8f007938f8ccdce1466addd1172d2b4d33d688fd6b76a9116b543a1a6465edab",
+    "su2:6": "fb120acfa01d6fdf8c93c4108b9c32d54c432a1aa703a057275520c9d5d3948c",
+    "su2:7": "f89d089a57c0076a54d52ad546118b6309780aec9cc32288dc45840d05fa523d",
+    "su2:8": "293832e2cc4f63a2a260b90aa3dd88aa77de61855322beac18afecd60c8d8684",
+    "su2:9": "d7ef298a813df15d24f804d451d4581eaaf239c88bec444d3fa587b0b045a5eb",
+    "su2:10": "fe72303ee099f97f78f1f546b2e8a0d327d719ecdec5465685af1f59aa57813c",
+    "su2:11": "72669c401fb0eb1f19a54e75c4372454d4970029d1fe785ecf3a7d151655e36d",
+    "su2:12": "96e5e0a191924c90fdbc397386f579a40335f60446ce32ede3879d08befaae5e",
+    "su2:13": "0150eff44dd39176cb911473d3322320254f003fa50df9dc66efc030f510d908",
+    "su2:14": "ab8a6a1aaeda0940d375a3a8acd371d7a903fcc7281f366344c4a913be8aa214",
+    "su2:15": "0e32ca49cd3e6e7ca1c4cff0e3a6d1cfa4f87eca2fa8b68dd636c939b29cc50a",
+    "su2:16": "8a4ebeb75d62155274eabf32372e5576e0e14e2e9b987945ef3a1b972145a8ab",
+    "su2:17": "c4ec808b8090ea856718ffc69cf4df330469137b5ef0c6fb683a46d1e8918da6",
+    "su2:18": "9aee23e9099b1d37f989fc39f9ada801a445fc938e4a3eb29863e42e9e9368bb",
+    "su2:19": "0cafa3ea1efd4fe74ed4128350c177f98bfa51a895a5034208a7e60fec388c0d",
+    "su2:20": "e0f0b26adcc33725dfe4d2a1c0b63a4d934588ebaaa50af95dfa20687b1020ea",
+    "su2:21": "c4c7f2bbe35500650329f71e394a8c95345eb366a535dc6b7fd9a480ebc12cb6",
+    "su2:22": "09b145b257196539cc0404f149091b7f320a925752590da29a6d958e34f11938",
+    "su2:23": "e054073cfab9a630e842b715765752b6a8895a6416e98e66801b6a86d568e8f9",
+    "su2:24": "46e069b033e13777643d21cc044ce8276c2607a293d1954ac9d63d666ac6c9ea",
+    "su2:25": "f84b2d538379f81d0d0f20ddedb9c68f3ccfeececa673a2ff43efba7bc0d4353",
+    "su2:26": "e27bbd951a44e4e24a3e6936208ea535ee3513055eb15bba270cffaaef0dc38c",
+    "su2:27": "27eef5bc9570c6cdabb4144d5523697165c44944bf06680204f92fdd64059d63",
+    "su2:28": "d8a012c1f3028311a7ea48fc99ce7cb5e678400d101f8b174e538fddf62a56a5",
+    "fibonacci": "c56167f0d55a97394d7eada5d0b9e1012ab95c1ca0ca919d52f20e5d019bed11",
+    "ising": "05b973ba66e922a2d55caa68558e357945782b35f3992b822c5b03dd29195502",
+    "zn:1": "5dfdb730f4c72c2ef39dba702592d233261add81c3e82e3e3bf2c2675e154c23",
+    "zn:2": "c2e2eab87acd8f0d8da119a6b2b29782eb2e18b64c72f19a3083b3f68a18243f",
+    "zn:3": "8dea3d4a68a735074015efdf689f7d18b4ab3f6fd6fced42f799ebbf6eb556ee",
+    "zn:4": "a6487ae93d55e4e4cb77a089c194619a655c23205fac9592655d77c6a5cce22a",
+    "zn:5": "3658900319352e59f446475a6cdad0f810ff673cc0f8c60be404fa7012cef3cc",
+    "zn:6": "311eab2152773adaacbd9c506286612cca4f4c268dfda53029f5578de896b572",
+    "zn:7": "3f6f9991134ea8c0e40be915280bc4c3b9ac0d7412ffd61cf741a38dab352ed1",
+    "zn:8": "1f3dd8a2faceabe8535e76b81886e9539709f4384a373050fba68d42bbda69f8",
+}
+
+
+def test_catalog_files_keep_their_bytes():
+    assert set(_CATALOG_DIGESTS) == set(catalog_names())
+    for name, want in _CATALOG_DIGESTS.items():
+        assert hashlib.sha256(dumps_data(load_catalog(name)).encode()).hexdigest() == want, name
+
+
+def _spelled(x, rng):
+    """An S entry's JSON, the same number spelled another way: at a multiple
+    of its order, each fraction unreduced by a random factor with a random
+    sign on both parts, and explicit zeros over denominators 1, 2 or -3."""
+    m = rng.choice([1, 1, 2, 3])
+    coeffs = [[0, rng.choice([1, 2, -3])] for _ in range(x["order"] * m)]
+    for e, (num, den) in enumerate(x["coeffs"]):
+        k = rng.choice([1, -1, 2, -5])
+        coeffs[e * m] = [k * num, k * den]
+    return {"order": x["order"] * m, "coeffs": coeffs}
+
+
+def _decoded(S_raw):
+    r = len(S_raw)
+    return FieldTensor.decode((r, r), _s_groups(S_raw))
+
+
+def _same_tensor(a, b):
+    return (a.order, a.den, a.exps.tolist(), a.layers.tolist()) == (
+        b.order, b.den, b.exps.tolist(), b.layers.tolist()
+    )
+
+
+def test_direct_decode_matches_the_scalar_route_on_respelled_catalog_data():
+    rng = random.Random(2604)
+    names = [name for name in catalog_names() if load_catalog(name).rank <= 18]
+    assert len(names) == 28
+    for name in names:
+        source = load_catalog(name)
+        for _ in range(2):
+            doc = json.loads(json.dumps(data_to_json(source)))
+            doc["S"] = [[_spelled(x, rng) for x in row] for row in doc["S"]]
+            assert _same_tensor(_decoded(doc["S"]), scalar_s_tensor(doc["S"])), name
+            md = parse_data(doc)
+            assert _same_tensor(md.tensor, source.tensor), name
+            assert md == source and hash(md) == hash(source), name
+
+
+def _random_entry(rng):
+    n = rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 20])
+    big = rng.choice([1, 1, 1, 2**40, 2**70])
+    coeffs = [[0, 1] for _ in range(n)]
+    for e in rng.sample(range(n), rng.randint(0, n)):
+        coeffs[e] = [rng.randint(-4, 4) * big, rng.choice([1, 2, 3, 4, -6, 2**65 + 1])]
+    return {"order": n, "coeffs": coeffs}
+
+
+def test_direct_decode_matches_the_scalar_route_on_random_entries():
+    # any S of mixed orders, zeros, rationals, unreduced and negative
+    # denominators and Python-int coefficients, not modular data
+    rng = random.Random(2605)
+    for _ in range(150):
+        r = rng.randint(1, 5)
+        S_raw = [[_random_entry(rng) for _ in range(r)] for _ in range(r)]
+        assert _same_tensor(_decoded(S_raw), scalar_s_tensor(S_raw)), S_raw
+
+
+def test_entries_declared_at_coprime_orders_decode_at_their_least_orders(monkeypatch):
+    # 1 at order 181 and -1 = zeta_182^91 at order 182: lcm 32,942 is over the
+    # budget, but both are rational, so the datum is catalog fibonacci's
+    doc = data_to_json(fibonacci_modular_data())
+    minus = [[0, 1] for _ in range(182)]
+    minus[91] = [1, 1]
+    doc["S"][0][0] = {"order": 181, "coeffs": [[1, 1]] + [[0, 1]] * 180}
+    doc["S"][1][1] = {"order": 182, "coeffs": minus}
+    orders = []
+    reduced = cyclo._reduced
+    monkeypatch.setattr(cyclo, "_reduced", lambda n, *args: orders.append(n) or reduced(n, *args))
+    md = parse_data(doc)
+    assert md == fibonacci_modular_data() and hash(md) == hash(fibonacci_modular_data())
+    assert max(orders) == 182
+    assert _same_tensor(md.tensor, scalar_s_tensor(doc["S"]))
+
+
+def test_over_budget_orders_are_refused_before_any_array_of_that_order(monkeypatch):
+    # zeta_101, zeta_103 and zeta_107 have the common order 1,113,121
+    doc = data_to_json(fibonacci_modular_data())
+    for (i, j), n in zip(((0, 1), (1, 0), (1, 1)), (101, 103, 107)):
+        coeffs = [[0, 1] for _ in range(n)]
+        coeffs[1] = [1, 1]
+        doc["S"][i][j] = {"order": n, "coeffs": coeffs}
+    orders = []
+    reduced = cyclo._reduced
+    monkeypatch.setattr(cyclo, "_reduced", lambda n, *args: orders.append(n) or reduced(n, *args))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError) as info:
+            parse_data(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "modular-data: field order 1113121 exceeds the budget of 32768"
+    assert max(orders) <= MAX_FIELD_ORDER and max(orders) == 107
+    assert peak < 2**22  # one int64 array of that order for these 4 entries is 35 MB

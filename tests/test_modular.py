@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scalar_oracles import raw, scalar_idempotent_family, scalar_spectrum
 
 from fuselab import modular
-from fuselab.cyclo import ONE, ZERO, CycloNumber, RationalPhase, sin_ratio, zeta
+from fuselab.cyclo import ONE, ZERO, CycloNumber, FieldTensor, RationalPhase, sin_ratio, zeta
 from fuselab.errors import (
     DegenerateScalar,
     NonIntegralVerlinde,
@@ -748,6 +748,29 @@ def test_field_order_over_budget_is_refused(tmp_path, capsys):
     ]}
     with pytest.raises(SchemaError, match="field order 1022117 exceeds the budget"):
         parse_data(gauge)
+
+
+def test_gathered_catalog_tensors_are_the_tensors_of_their_entries():
+    # su(2) and Z_n gather S from the tensor of their sine ratios or roots;
+    # that equals pooling S itself
+    for name in catalog_names():
+        md = load_catalog(name)
+        T, want = md.tensor, FieldTensor.of(md.S)
+        assert (T.order, T.den, T.exps.tolist(), T.layers.tolist()) == (
+            want.order, want.den, want.exps.tolist(), want.layers.tolist()
+        ), name
+        assert md.globalDim == sum((x * x for x in md.d), ZERO), name
+
+
+def test_datum_value_ignores_the_tensor_dtype():
+    for name in ("su2:5", "ising", "zn:4"):
+        md = load_catalog(name)
+        T = md.tensor
+        wide = FieldTensor(T.order, T.den, T.exps, T.layers.astype(object))
+        twin = ModularData(md.ring, wide, md.t)
+        assert twin == md and hash(twin) == hash(md), name
+        assert twin.S == md.S and twin.d == md.d and twin.globalDim == md.globalDim, name
+        assert twin != ModularData(md.ring, wide, [t.value + Fraction(1, 3) for t in md.t])
 
 
 def test_catalog_round_trip_keeps_datum_identity():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scalar_oracles import idempotent_profile, scalar_idempotent_family
 
-from fuselab import cyclo, modular
+from fuselab import cyclo, modular, nimrep
 from fuselab.cyclo import ONE, ZERO, CycloNumber, exact_ints, sin_ratio, zeta
 from fuselab.errors import (
     DegenerateScalar,
@@ -616,6 +616,18 @@ def test_profile_errors_keep_their_order_and_messages():
             fn(su2_modular_data(2), (0, 1, 0), 1)
 
 
+def test_a_held_character_is_not_converted_again(monkeypatch):
+    md = su2_modular_data(10)
+    nr = nimrep_from_graph(md.ring, ade_graph("E:6"))
+    want = multiplicity_profile(nr, md)  # holds the character as an exact array
+    calls = []
+    monkeypatch.setattr(nimrep, "exact_ints", lambda *args: calls.append(args) or exact_ints(*args))
+    fresh = parse_data(data_to_json(md))  # an equal datum: profile and report are computed again
+    assert multiplicity_profile(nr, fresh) == want
+    assert tm_dimension_report(nr, fresh).multOfUnit == want[0]
+    assert calls == []
+
+
 def test_a_fresh_tm_dimension_report_takes_no_field_inverse(monkeypatch):
     md = parse_data(data_to_json(su2_modular_data(16)))  # nothing held on it
     nr = su2_nimrep_from_graph(ade_graph("D:10"), 16)
@@ -700,6 +712,14 @@ def test_truncation_identity_matches_generic_check():
 
 def test_nimrep_shares_the_catalog_ring():
     assert su2_nimrep_from_graph(ade_graph("E:6"), 10).ring is su2_modular_data(10).ring
+
+
+def test_a_reparsed_ring_shares_the_catalog_rings_module():
+    catalog = su2_modular_data(16)
+    parsed = parse_data(json.loads(json.dumps(data_to_json(catalog))))
+    assert parsed.ring is not catalog.ring and parsed.ring == catalog.ring
+    g = ade_graph("D:10")
+    assert nimrep_from_graph(parsed.ring, g) is nimrep_from_graph(catalog.ring, g)
 
 
 def test_library_graphs_equal_validated_graphs():
