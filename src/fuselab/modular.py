@@ -26,8 +26,9 @@ Conventions:
     inverted, and the results of spectrum and idempotent_family. A
     multiplicity profile needs none of them: nimrep holds d(I) S_{I,dual(S)}
     and d(I)^2 <lambda_I, lambda_I> on the datum and takes no inverse.
-  * verify_modular_data's Verlinde scan stops after row 1 when label 1
-    generates the ring (its docstring has the conditions and the argument).
+  * verify_modular_data settles valid data with one convolution; S^2 and
+    the Verlinde pairs past row 1 are formed only to name a failure (its
+    docstring has the conditions and the arguments).
 
 The two idempotent routes are deliberately independent: the spectral one
 divides by the norm <lambda, lambda> computed from the pairing, while
@@ -164,14 +165,14 @@ def _rows(x, Y):
 _PAIR_ENTRIES = 512
 
 
-def _pair_blocks(T: FieldTensor):
-    """The label pairs a <= b of S = T in row-major order, in blocks of
-    max(1, _PAIR_ENTRIES // rank) pairs: yields (a, b, P) with a and b index
+def _pair_blocks(T: FieldTensor, row: int = 0):
+    """The label pairs a <= b, a >= row, of S = T in row-major order, in blocks
+    of max(1, _PAIR_ENTRIES // rank) pairs: yields (a, b, P) with a and b index
     arrays and P[k][m] = S[a[k]][m] * S[b[k]][m], one convolution per block."""
     r = T.layers.shape[1]
     pa, pb = np.triu_indices(r)
     step = max(1, _PAIR_ENTRIES // r)
-    for k in range(0, len(pa), step):
+    for k in range(np.searchsorted(pa, row), len(pa), step):
         a, b = pa[k : k + step], pb[k : k + step]
         yield a, b, T[a].convolve(T[b], lambda x, Y: x[None] * Y, 1)
 
@@ -179,26 +180,34 @@ def _pair_blocks(T: FieldTensor):
 def verify_modular_data(md: ModularData) -> Verdict:
     """Exact check of all ModularData invariants, the S-matrix ones on md.tensor.
 
+    Valid data takes one convolution, P[a][b][m] = S_am S_bm for a = 0, 1;
+    the later pairs and S^2 are formed only when a condition below fails.
+
     The Verlinde clause is verified through the equivalent identity
     sum_c N_ab^c (S_cm S_0m) = S_am S_bm for all a, b, m: together with the
     S^2 identity and nonzero dimensions it forces the Verlinde sum to
     reproduce N exactly (pair with S_{dual(c'),m}/(S_0m d(C)) and sum over
-    m). It runs over the label pairs a <= b in blocks (_pair_blocks): per
-    block one integer product N[a, b] @ (S_cm S_0m), one convolution for
+    m). The pairs (0, b) and (1, b >= 1) are read off P, whose P[0] is the
+    left factor S_cm S_0m; the pairs a >= 2 run in blocks (_pair_blocks):
+    per block one integer product N[a, b] @ P[0], one convolution for
     S_am S_bm and one comparison, about _PAIR_ENTRIES entries per exponent.
     N's symmetry is one comparison over all pairs. The witness is the first
     failing pair in row-major order, as a scan of a, then b >= a would find.
 
-    The scan stops once the blocks holding rows a = 0 and a = 1 have passed,
-    if no d is zero, N is symmetric and _row_one_generates holds. For a
-    column m let y_c = S_cm / S_0m and M(a)_{cb} = N_ab^c: the identity of a
-    pair (a, b), divided by S_0m^2, reads (y M(a))_b = y_a y_b. Rows 0 and 1
-    with N_10 = N_01 give y M(0) = y and y M(1) = y_1 y, and each generation
-    step M(c) = M(1) M(b) - sum_x n_x M(x) gives y M(c) = (y_1 y_b - sum_x
-    n_x y_x) y = y_c y by the pair (1, b). So y M(a) = y_a y for every a,
-    and every pair holds. The conditions are checked only when a block past
-    row 1 is left; when one fails, the scan goes on to the same row-major
-    witness.
+    The pairs a >= 2 are skipped once rows 0 and 1 have passed, if no d is
+    zero, N is symmetric and _row_one_generates holds. For a column m let
+    y_c = S_cm / S_0m and M(a)_{cb} = N_ab^c: the identity of a pair (a, b),
+    divided by S_0m^2, reads (y M(a))_b = y_a y_b. Rows 0 and 1 with N_10 =
+    N_01 give y M(0) = y and y M(1) = y_1 y, and each generation step M(c) =
+    M(1) M(b) - sum_x n_x M(x) gives y M(c) = (y_1 y_b - sum_x n_x y_x) y =
+    y_c y by the pair (1, b). So y M(a) = y_a y for every a, and every pair
+    holds.
+
+    s-squared needs no S^2 when symmetry and Verlinde have passed, N_ab^{dual
+    0} = delta_{b, dual a}, and row 0 of S^2 (P[0] summed over m) is d(C) =
+    sum_m S_0m^2 at dual(0) and 0 elsewhere: by symmetry and the Verlinde
+    identity summed over m, (S^2)_ab = sum_m S_am S_bm = sum_c N_ab^c
+    (S^2)_{0c} = d(C) N_ab^{dual 0} = d(C) delta_{b, dual a}.
     """
     r, dual = md.rank, md.ring.dual
     checks: list[Check] = []
@@ -225,30 +234,28 @@ def verify_modular_data(md: ModularData) -> Verdict:
         passed("dual-symmetry") if dsym is None else failed("dual-symmetry", f"(I,J)={dsym}")
     )
 
-    square = T.convolve(T, lambda x, Y: x @ Y, r)
-    dc = _global_dim(md)
-    want = np.zeros((len(dc.exps), r, r), dtype=dc.layers.dtype)
-    want[:, np.arange(r), list(dual)] = dc.layers[:, None]
-    ssq_fail = _first(np.triu(square.differs(FieldTensor(dc.order, dc.den, dc.exps, want))))
-    checks.append(
-        passed("s-squared") if ssq_fail is None else failed("s-squared", f"(I,J)={ssq_fail}")
-    )
-
-    ver_fail = None
-    scaled, Nint = T.convolve(T[0], _rows, 1), md.ring.tensor
+    Nint, P = md.ring.tensor, T.convolve(T[:2], lambda x, Y: Y[:, :, None] * x, 1)
     asym = (Nint != Nint.transpose(1, 0, 2)).any(axis=2)
-    for a, b, pairs in _pair_blocks(T):
-        wrong = scaled.apply(lambda L: Nint[a, b] @ L, r).differs(pairs)
+    ver_fail = None
+    for a, b, wrong in _verlinde_blocks(md, P, asym, zero_d):
         hit = _first(wrong.any(axis=1) | asym[a, b])
         if hit is not None:
             k = hit[0]
             m = _first(wrong[k])
             ver_fail = (int(a[k]), int(b[k]), "asymmetric N" if m is None else m[0])
             break
-        # rows 0 and 1 have passed in this block, and a block past row 1 is left
-        if (a[0], b[0]) <= (1, r - 1) <= (a[-1], b[-1]) < (r - 1, r - 1):
-            if zero_d is None and not asym.any() and _row_one_generates(md.ring):
-                break
+
+    # C[a][b] = delta_{b, dual a}; row 0 of S S^T, whose entry 0 is d(C)
+    C, row = np.arange(r) == np.array(dual)[:, None], P[0].apply(lambda L: L.sum(axis=2), r)
+    dc, ssq_fail = row.layers[:, 0], None
+    derived = sym is None and ver_fail is None and np.array_equal(Nint[:, :, dual[0]], C)
+    if not (derived and np.array_equal(row.layers, dc[:, None] * C[0])):
+        square = T.convolve(T, lambda x, Y: x @ Y, r)
+        want = FieldTensor(row.order, row.den, row.exps, dc[:, None, None] * C)
+        ssq_fail = _first(np.triu(square.differs(want)))
+    checks.append(
+        passed("s-squared") if ssq_fail is None else failed("s-squared", f"(I,J)={ssq_fail}")
+    )
     checks.append(
         passed("verlinde-consistency")
         if ver_fail is None
@@ -256,6 +263,17 @@ def verify_modular_data(md: ModularData) -> Verdict:
     )
 
     return Verdict(tuple(checks))
+
+
+def _verlinde_blocks(md: ModularData, P: FieldTensor, asym: np.ndarray, zero_d):
+    """verify_modular_data's Verlinde scan, (a, b, wrong[k][m] at (a[k], b[k], m)) per
+    block: rows 0 and 1 off P, then the later pairs unless the exit holds."""
+    r, T, Nint = md.rank, md.tensor, md.ring.tensor
+    a, b = np.triu_indices(min(r, 2), m=r)
+    yield a, b, (P.apply(lambda L: Nint[:2] @ L[:, :1], r).layers != P.layers).any(axis=0)[a, b]
+    if r > 2 and not (zero_d is None and not asym.any() and _row_one_generates(md.ring)):
+        for a, b, pairs in _pair_blocks(T, 2):
+            yield a, b, P[0].apply(lambda L: Nint[a, b] @ L, r).differs(pairs)
 
 
 def _zero_dimension(T: FieldTensor) -> int | None:

@@ -4,7 +4,8 @@ profiles, and the exact Perron-Frobenius eigenvector.
 
 A NimRep holds its matrices as one read-only exact (rank, size, size) stack
 with inner = max(rank, size), the most products any sum over it takes, so
-the homomorphism, d-eigenvector and phi checks convert nothing.
+the homomorphism, d-eigenvector and phi checks convert nothing; the library's
+own modules (NimRep._trusted) are not checked again.
 
 nimrep_from_graph builds the module of a fusion ring generated by label 1
 from N(x_1) = a graph's adjacency, through the ring's structure constants
@@ -228,6 +229,17 @@ class NimRep:
             )
         object.__setattr__(self, "mats", mats)
 
+    @classmethod
+    def _trusted(cls, ring: FusionRing, boundaryLabels, mats: np.ndarray) -> "NimRep":
+        """A module whose (rank, size, size) integer stack the library built:
+        it skips _module_stack and is made read-only in exact_ints' dtype."""
+        inner = max(ring.rank, mats.shape[1])
+        mats = mats.astype(_int_type(inner, _magnitude(mats)), copy=False)
+        mats.setflags(write=False)
+        self = object.__new__(cls)
+        self.__dict__.update(ring=ring, boundaryLabels=boundaryLabels, mats=mats, _derived={})
+        return self
+
     @property
     def size(self) -> int:
         return len(self.boundaryLabels)
@@ -329,7 +341,7 @@ def _build_module(ring: FusionRing, g: BoundaryGraph) -> NimRep:
         if (differs := got != want).any():
             j, i = _first(differs)
             raise NotANimRep(f"homomorphism: (N(1)N({b}))[{j},{i}] = {got[j, i]} != {want[j, i]}")
-    return NimRep(ring=ring, boundaryLabels=g.vertices, mats=mats)
+    return NimRep._trusted(ring, g.vertices, mats)
 
 
 def su2_nimrep_from_graph(g: BoundaryGraph, level: int) -> NimRep:
@@ -342,7 +354,7 @@ def su2_nimrep_from_graph(g: BoundaryGraph, level: int) -> NimRep:
 
 def regular_nimrep(ring: FusionRing) -> NimRep:
     """The ring acting on itself; boundary labels are the ring labels."""
-    return NimRep(ring=ring, boundaryLabels=ring.labels, mats=regular_matrices(ring))
+    return NimRep._trusted(ring, ring.labels, regular_matrices(ring))
 
 
 @_held

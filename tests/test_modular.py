@@ -680,32 +680,109 @@ def test_verlinde_failures_past_row_one_show_in_row_one():
         assert row_one < last  # blocks past row 1 were left
 
 
-def test_valid_data_contract_only_the_blocks_through_row_one(monkeypatch):
-    blocks, checked = modular._pair_blocks, []
-    contracted = []
+def _with_s(md, S):
+    """md with S replaced (the ring and t kept)."""
+    return ModularData(md.ring, S, [t.value for t in md.t])
 
-    def counted(T):
-        for a, b, pairs in blocks(T):
-            contracted.append((int(a[-1]), int(b[-1])))
-            yield a, b, pairs
+
+def _raised_s(md, i, j):
+    """md with the S pair (i, j), (j, i) raised by 1."""
+    S = [list(row) for row in md.S]
+    S[i][j] = S[j][i] = S[i][j] + 1
+    return _with_s(md, S)
+
+
+def test_valid_data_take_one_product(monkeypatch):
+    # valid data is settled by P[a][b][m] = S_am S_bm for a = 0, 1: no pair
+    # block past row 1 and no dense S^2, the one product whose operands both
+    # hold all of S; the early exit's conditions are checked once at rank > 2
+    convolve, products, checked = FieldTensor.convolve, [], []
+
+    def counted(self, other, op, inner):
+        products.append((self.layers.shape[1:], other.layers.shape[1:]))
+        return convolve(self, other, op, inner)
+
+    def no_blocks(T, row=0):
+        raise AssertionError("a pair block was formed")
 
     def conditions(ring):
         checked.append(ring.rank)
         return generates(ring)
 
     generates = modular._row_one_generates
-    md, small = su2_modular_data(28), su2_modular_data(8)  # built and verified once
-    monkeypatch.setattr(modular, "_pair_blocks", counted)
+    cases = [su2_modular_data(28), su2_modular_data(8), fibonacci_modular_data()]
+    raised = _raised_s(su2_modular_data(16), 2, 5)  # built before the counters
+    monkeypatch.setattr(FieldTensor, "convolve", counted)
+    monkeypatch.setattr(modular, "_pair_blocks", no_blocks)
     monkeypatch.setattr(modular, "_row_one_generates", conditions)
-    assert verify_modular_data(md).ok
-    last = _pair_block(md, 1, md.rank - 1)[0]
-    assert (last, _pair_block(md, md.rank - 1, md.rank - 1)[1]) == (3, 25)
-    assert len(contracted) == last + 1 and contracted[-1] >= (1, md.rank - 1)
-    assert checked == [29]
-    # a rank whose pairs fit in one block checks no condition
-    contracted.clear(), checked.clear()
-    assert verify_modular_data(small).ok
-    assert (len(contracted), checked) == (1, [])
+    for md in cases:
+        products.clear(), checked.clear()
+        assert verify_modular_data(md).ok
+        r = md.rank
+        assert products == [((r, r), (2, r))]
+        assert checked == ([r] if r > 2 else [])
+    # a raised S pair fails row 0 of S^2 and row 1 of the Verlinde identity:
+    # the dense S^2 names the s-squared witness, and no pair block is needed
+    products.clear()
+    v = verify_modular_data(raised)
+    assert v.describe() == "fail: s-squared at (I,J)=(0, 2)"
+    assert v.checks[-1].witness == "(a,b,m)=(1, 1, 5)"
+    assert ((17, 17), (17, 17)) in products
+
+
+def _galois(md, j):
+    """md with sigma_j applied to every S entry (t kept)."""
+    return _with_s(md, [[x.galois(j) for x in row] for row in md.S])
+
+
+def _signed(md, g):
+    """md with S' = G S G for G = diag(g)."""
+    S = md.S
+    return _with_s(md, [[S[a][b] * (g[a] * g[b]) for b in range(md.rank)] for a in range(md.rank)])
+
+
+def test_derived_s_squared_matches_the_scalar_loop():
+    # s-squared passes without S^2 only when symmetry and Verlinde pass, N's
+    # plane dual(0) is the permutation matrix of dual, and row 0 of S^2 is
+    # d(C) at dual(0). Each condition has a case that breaks it alone among
+    # the four and fails s-squared: columns swapped (symmetry), Z_8 P S P
+    # (Verlinde), the identity dual (the N plane), S = d d^T (row 0)
+    rng = random.Random(2627)
+    cases = []
+    for n in (3, 5, 8):  # Z_n's N and S with the identity as dual
+        zn = zn_modular_data(n)
+        ring = FusionRing(labels=zn.ring.labels, dual=tuple(range(n)), N=zn.ring.N)
+        cases.append((ModularData(ring, zn.S, [t.value for t in zn.t]), "s-squared", "(1, 1)"))
+    for name, ells in (("su2:5", (3, 5, 13)), ("su2:8", (3, 7, 11, 19)), ("zn:5", (2, 3, 4))):
+        cases += [(_galois(load_catalog(name), j), None, None) for j in ells]  # valid
+    su4 = su2_modular_data(4)
+    cases.append((_with_s(su4, [[2 * x for x in row] for row in su4.S]), "dimension-row", None))
+    # S = d d^T: symmetric and every column a character, but row 0 of S^2 is d(C) d
+    cases.append((_with_s(su4, [[a * b for b in su4.d] for a in su4.d]), "s-squared", "(0, 1)"))
+    # S Q, columns 1 and 2 swapped: every column a character and S S^T kept
+    swapped = [[row[y] for y in (0, 2, 1, 3, 4)] for row in su4.S]
+    cases.append((_with_s(su4, swapped), "s-squared", "(0, 0)"))
+    for k in range(9, 17):  # P S P and G S G at ranks 10-17, each fixing labels 0 and 1
+        md = su2_modular_data(k)
+        i, j = rng.sample(range(2, md.rank), 2)
+        cases.append((_swapped(md, i, j), "verlinde-consistency", None))
+        g = [1, 1] + [rng.choice([1, -1]) for _ in range(2, md.rank)]
+        cases.append((_signed(md, g), None, None))
+    # on Z_8, P and G that do not commute with dual keep row 0 of S^2 and break the rest
+    zn8 = zn_modular_data(8)
+    cases.append((_swapped(zn8, 1, 2), "s-squared", "(1, 6)"))
+    cases.append((_signed(zn8, [-1 if x == 1 else 1 for x in range(8)]), "s-squared", "(1, 7)"))
+    for md, i, j in ((su4, 1, 3), (su2_modular_data(16), 2, 5), (zn8, 3, 3)):
+        cases.append((_raised_s(md, i, j), "s-squared", None))
+    for md, name, witness in cases:
+        v = verify_modular_data(md)
+        want = _loop_verdict(md, v.checks[:2])
+        assert v.describe() == want.describe() and v.as_dict() == want.as_dict()
+        failing = {c.name: c.witness for c in v.checks if not c.passed}
+        if name is not None:
+            assert name in failing, (name, failing)
+        if witness is not None:
+            assert failing[name] == f"(I,J)={witness}"
 
 
 def test_large_order_entry_rejected_at_s_squared():

@@ -737,6 +737,26 @@ def test_library_graphs_equal_validated_graphs():
         assert union == BoundaryGraph(vertices=union.vertices, adjacency=union.adjacency)
 
 
+def test_library_modules_equal_validated_modules(monkeypatch):
+    # the modules of the 44 C1 cases and the regular modules of the catalog
+    # rings skip _module_stack; each equals the module that the public
+    # constructor makes from its entries given as nested lists
+    cases = [(f"A:{lvl + 1}", lvl) for lvl in range(1, 29)]
+    cases += [(f"D:{n}", 2 * n - 4) for n in range(4, 17)] + [("E:6", 10), ("E:7", 16), ("E:8", 28)]
+    assert len(cases) == 44
+    with monkeypatch.context() as m:
+        m.setattr(nimrep, "_module_stack", None)  # a call would raise TypeError
+        built = [nimrep._build_module(su2_fusion_ring(lvl), ade_graph(tag)) for tag, lvl in cases]
+        built += [regular_nimrep(load_catalog(name).ring) for name in catalog_names()]
+    for nr in built:
+        public = NimRep(ring=nr.ring, boundaryLabels=nr.boundaryLabels, mats=nr.mats.tolist())
+        assert (nr.ring, nr.boundaryLabels, nr._derived) == (public.ring, public.boundaryLabels, {})
+        assert nr.mats.dtype == public.mats.dtype and np.array_equal(nr.mats, public.mats)
+        assert not nr.mats.flags.writeable
+    with pytest.raises(ShapeMismatch, match="2 boundary labels for matrices of size 3"):
+        NimRep(ring=built[1].ring, boundaryLabels=("a", "b"), mats=built[1].mats)
+
+
 # -- the kept stack: exact where its dtype depends on inner, never re-converted
 
 
@@ -787,7 +807,7 @@ def test_built_objects_convert_no_tables(monkeypatch):
     assert [n for n in tables if n > 1] == []  # N is 3-d, a module stack 3-d, a matrix 2-d
     tables.clear()
     assert np.array_equal(nimrep._build_module(nr.ring, ade_graph("D:5")).mats, nr.mats)
-    assert tables == [3]  # one conversion per build, of the whole stack, in NimRep
+    assert tables == []  # a built stack is made read-only as it is, not converted
     for table in (nr.ring.tensor, nr.mats, regular_matrices(nr.ring)):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
