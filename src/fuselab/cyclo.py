@@ -28,7 +28,8 @@ CycloNumber) make canonical tensors, equal exactly when their entries are.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
+from itertools import chain
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -50,6 +51,34 @@ def _budgeted(n: int) -> int:
     return n
 
 
+# The tables of an order hold one entry per expansion term: 128 at order 60,
+# 405,504 at order 31,395. Each kind keeps the tables of the orders it built,
+# the first kept evicted first, while they hold at most _KEPT_TERMS entries
+# in all; an order whose tables alone are larger is built on every call.
+_KEPT_TERMS = 2**16
+
+
+class _Kept(dict):
+    """tables[n], or tables(n): build(n), kept under the _KEPT_TERMS budget,
+    terms(value) the entries of one value and sizes[n] those of each kept n."""
+
+    __call__ = dict.__getitem__
+
+    def __init__(self, build, terms):
+        super().__init__()
+        self.build, self.terms, self.sizes = build, terms, {}
+
+    def __missing__(self, n: int):
+        value = self.build(n)
+        size = self.terms(value)
+        if size <= _KEPT_TERMS:
+            while sum(self.sizes.values()) + size > _KEPT_TERMS:
+                first = next(iter(self))
+                del self[first], self.sizes[first]
+            self[n], self.sizes[n] = value, size
+        return value
+
+
 def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     """Pairs (p, p^v) with p^v exactly dividing n."""
     out = []
@@ -68,7 +97,7 @@ def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@partial(_Kept, terms=lambda value: sum(map(len, value[0])))
 def _expansion(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], frozenset[int]]:
     """(expansion, basis): expansion[e] = ((basis_exponent, coefficient), ...)
     for zeta_n^e, and the basis exponents, whose rows are ((e, 1),)."""
@@ -101,7 +130,7 @@ def _canonical(order: int, num: dict[int, int], den: int) -> tuple[int, dict[int
     """Reduce to basis exponents, descend to the minimal order, strip gcd."""
     acc: dict[int, int] = {}
     while True:
-        table, basis = _expansion(order)
+        table, basis = _expansion[order]
         if basis.issuperset(num):  # the expansion row of a basis exponent is itself
             acc = num
         else:
@@ -166,6 +195,14 @@ class CycloNumber:
         return self
 
     @classmethod
+    def _made(cls, order: int, num: dict[int, int], den: int) -> "CycloNumber":
+        """Wrap integer data already in canonical form."""
+        self = object.__new__(cls)
+        self._order, self._num, self._den = order, num, den
+        self._hash = self._inv = None
+        return self
+
+    @classmethod
     def from_rational(cls, value: Rational) -> "CycloNumber":
         f = Fraction(value)
         return cls._raw(1, {0: f.numerator}, f.denominator)
@@ -219,12 +256,7 @@ class CycloNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(CycloNumber)
-        out._order = self._order
-        out._num = {e: -c for e, c in self._num.items()}
-        out._den = self._den
-        out._hash = out._inv = None
-        return out
+        return CycloNumber._made(self._order, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -498,30 +530,44 @@ def _int_type(inner: int, top: int):
     return np.int64 if inner * top * top < 2**62 else object
 
 
-@lru_cache(maxsize=None)
+@partial(_Kept, terms=lambda value: len(value[0]))
 def _reduction(n: int):
     """_expansion(n) as arrays sorted by basis exponent: source exponents,
     coefficients, the start of each basis exponent's run, the basis
     exponents, and the largest sum of |coefficients| over one run."""
-    terms = sorted((b, e, s) for e, row in enumerate(_expansion(n)[0]) for b, s in row)
-    dst, src, coeff = map(np.array, zip(*terms))
+    table = _expansion[n][0]
+    src = np.repeat(np.arange(n), [len(row) for row in table])
+    terms = chain.from_iterable(chain.from_iterable(table))
+    dst, coeff = np.fromiter(terms, np.int64, 2 * len(src)).reshape(-1, 2).T
+    at = np.lexsort((src, dst))
+    src, dst, coeff = src[at], dst[at], coeff[at]
     basis, starts = np.unique(dst, return_index=True)
     return src, coeff[:, None], starts, basis, int(np.add.reduceat(abs(coeff), starts).max())
 
 
+# _reduced gathers at most this many terms at a time, in chunks of entries,
+# so a reduction's peak stays bounded whatever the number of entries
+_GATHER_TERMS = 2**16
+
+
 def _reduced(n: int, exps, layers: np.ndarray):
     """Basis coordinates at order n of sum_k layers[k] * zeta_n^exps[k] for
-    distinct exps, as (exponents, layers) with at least one layer: one
-    gather through the rows of _expansion(n) and one sum per basis exponent."""
+    distinct exps, as (exponents, layers) with at least one layer: a gather
+    through the rows of _expansion(n) and one sum per basis exponent, over
+    chunks of entries of at most _GATHER_TERMS gathered terms."""
     if n == 1:  # the rational field: nothing to rewrite
         return np.zeros(1, dtype=int), layers
-    src, coeff, starts, basis, inner = _reduction(n)
-    flat = exact_ints(layers.reshape(len(layers), -1), inner)
+    src, coeff, starts, basis, inner = _reduction[n]
+    flat = layers.reshape(len(layers), -1)
+    flat = flat.astype(_int_type(inner, _magnitude(flat)), copy=False)
     if not isinstance(exps, range):
         full = np.zeros((n, flat.shape[1]), dtype=flat.dtype)
         full[np.asarray(exps)] = flat
         flat = full
-    out = np.add.reduceat(coeff * flat[src], starts)
+    step = max(1, _GATHER_TERMS // len(src))
+    out = np.empty((len(basis), flat.shape[1]), dtype=np.result_type(coeff, flat))
+    for k in range(0, flat.shape[1], step):
+        out[:, k : k + step] = np.add.reduceat(coeff * flat[src, k : k + step], starts)
     keep = np.flatnonzero(out.any(axis=1))
     keep = keep if len(keep) else np.zeros(1, dtype=int)
     return basis[keep], out[keep].reshape((len(keep),) + layers.shape[1:])
@@ -675,14 +721,29 @@ class FieldTensor:
 
     def scalars(self):
         """Every entry as a CycloNumber, in tuples nested like the entries
-        (the number itself for a single entry): one pass over the layers as
-        Python ints."""
-        exps, shape = self.exps.tolist(), self.layers.shape[1:]
-        columns = self.layers.reshape(len(exps), -1).T.tolist()
+        (the number itself for a single entry), with no _canonical call. The
+        layers are basis coordinates, so an entry is canonical, once the gcd
+        of its layers and den is divided out, when the gcd g of its support
+        and the order is 1 or the order itself (a rational). The others are
+        reduced at order/g, one _reduced per g, and read back the same way."""
+        n, den, exps, shape = self.order, self.den, self.exps, self.layers.shape[1:]
+        L = self.layers.reshape(len(exps), -1)
+        if den >= 2**62:  # numpy's gcd of int64 layers with den would overflow
+            L = L.astype(object)
+        g = np.gcd.reduce(np.where(L != 0, exps[:, None], n), axis=0, initial=n)
+        h = np.gcd.reduce(L, axis=0, initial=den)
+        exps_l, orders, dens = exps.tolist(), (n // g).tolist(), (den // h).tolist()
         out = [
-            CycloNumber._raw(self.order, {e: c for e, c in zip(exps, col) if c}, self.den)
-            for col in columns
+            None if m not in (1, n)  # descends: read back below
+            else CycloNumber._made(m, num, d) if (num := {e: c for e, c in zip(exps_l, col) if c})
+            else ZERO
+            for col, m, d in zip((L // h).T.tolist(), orders, dens)
         ]
+        for f in set(g.tolist()) - {1, n}:
+            at, rows = np.flatnonzero(g == f), exps % f == 0
+            sub = FieldTensor(n // f, den, *_reduced(n // f, exps[rows] // f, L[rows][:, at]))
+            for k, x in zip(at.tolist(), sub.scalars()):
+                out[k] = x
         for size in reversed(shape[1:]):
             out = [tuple(out[k : k + size]) for k in range(0, len(out), size)]
         return tuple(out) if shape else out[0]

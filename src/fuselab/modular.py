@@ -12,28 +12,26 @@ Conventions:
     gathered from the tensor of its sine ratios). md.S when not given,
     md.d and md.globalDim = d(C) are made on first use and held.
   * T data is a vector of RationalPhase exponents, never a complex matrix.
-  * Values derived from one datum (the points and their norms, spectrum,
-    idempotent family and its tensor, and the commutant in invariants) are
-    computed once and held on that object, so they go away with it. The
-    inverse dimensions need no slot: each d(I) keeps its own inverse.
+  * Values derived from one datum (the spectral layer below, and the
+    commutant in invariants) are computed once and held on that object, so
+    they go away with it.
   * lambda_I(S) = S_{IS} / d(I) is the point of Spec(F) attached to I; the
     pairing is <a, b> = sum_S a(S) * b(dual(S)).
-  * The spectrum and the idempotent family are contractions on md.tensor:
-    the points V = S scaled row by row by the kept 1/d(I), their norms one
-    contraction of V with V[:, dual], and the family V[:, dual] scaled row
-    by row by the inverse norms. Tensors are read back as CycloNumbers in
-    one batch each, and only where scalars are needed: the norms, to be
-    inverted, and the results of spectrum and idempotent_family. A
-    multiplicity profile needs none of them: nimrep holds d(I) S_{I,dual(S)}
-    and d(I)^2 <lambda_I, lambda_I> on the datum and takes no inverse.
+  * The spectral layer is one weighted convolution of md.tensor: row I of
+    V, E and U is S's row I scaled by 1/d(I), d(I)/B[I] and d(I)/d(C), the
+    points and, read at dual(S), the spectral and tube idempotents. B[I] =
+    sum_S S_IS S_{I,dual(S)} = d(I)^2 <lambda_I, lambda_I> is the
+    inverse-free pairing that nimrep's multiplicity profiles share. One
+    inverse batch serves every weight, and each of V, E and U is read back
+    as CycloNumbers once, when first asked for.
   * verify_modular_data settles valid data with one convolution; S^2 and
     the Verlinde pairs past row 1 are formed only to name a failure (its
     docstring has the conditions and the arguments).
 
-The two idempotent routes are deliberately independent: the spectral one
-divides by the norm <lambda, lambda> computed from the pairing, while
-tube_idempotent uses the d(I)^2 / d(C) prefactor. Their coefficient-exact
-agreement is the decategorified content of "e_{lambda_I} = 1_I".
+The two idempotent routes are deliberately independent: E divides by the
+pairing B[I], while U takes d(C) = sum_I d(I)^2 from row 0 of S. Their
+coefficient-exact agreement is exactly the theorem B[I] = d(C), the
+decategorified content of "e_{lambda_I} = 1_I".
 """
 
 from __future__ import annotations
@@ -302,53 +300,63 @@ def _global_dim(md: ModularData) -> FieldTensor:
     return d.convolve(d, lambda x, Y: Y @ x, md.rank)
 
 
-def _inverse_dims(md: ModularData) -> tuple[CycloNumber, ...]:
-    """1/d(I) for every label, inverted once per number and kept on it."""
-    for i, x in enumerate(md.d):
-        if x.is_zero:
-            raise DegenerateScalar(f"quantum dimension d[{i}] is zero")
-    return inverses(md.d)
-
-
-def _scaled_rows(x, Y):
-    """Convolution op for entry [I][S] = x[I][S] * y[I]."""
-    return x[None] * Y[:, :, None]
+def _require_dimensions(md: ModularData) -> None:
+    """DegenerateScalar naming the first label I with d(I) = 0, if any."""
+    if (i := _zero_dimension(md.tensor)) is not None:
+        raise DegenerateScalar(f"quantum dimension d[{i}] is zero")
 
 
 @_held
-def _points(md: ModularData) -> FieldTensor:
-    """V[I][S] = lambda_I(S) = S_{IS} / d(I), each 1/d(I) kept on its d(I)."""
-    return md.tensor.convolve(FieldTensor.of(_inverse_dims(md)), _scaled_rows, 1)
+def _pairing(md: ModularData) -> FieldTensor:
+    """Q[I][S] = d(I) S_{I,dual(S)} for S < rank and Q[I][rank] = B[I] =
+    sum_S S_IS S_{I,dual(S)} = d(I)^2 <lambda_I, lambda_I>: one convolution
+    and no inverse. It raises nothing; its readers name what is zero."""
+    r, T = md.rank, md.tensor
+    # row I of W is (S_I0, ..., S_I(r-1), d(I)); x[I][S] = S_{I,dual(S)}
+    W = FieldTensor(T.order, T.den, T.exps, np.concatenate((T.layers, T.layers[:, 0, :, None]), 2))
+
+    def terms(x, Y):
+        return np.concatenate((x * Y[:, :, r:], (x * Y[:, :, :r]).sum(2, keepdims=True)), 2)
+
+    return T[:, list(md.ring.dual)].convolve(W, terms, r)
 
 
 @_held
-def _norms(md: ModularData) -> tuple[CycloNumber, ...]:
-    """<lambda_I, lambda_I> = sum_S V[I][S] * V[I][dual(S)], the pairing as
-    one contraction, read back in one batch."""
-    V = _points(md)
-    pairing = V.convolve(V[:, list(md.ring.dual)], lambda x, Y: (x * Y).sum(axis=2), md.rank)
-    return pairing.scalars()
+def _weighted(md: ModularData) -> list:
+    """[V, E, U, norms]: rows I of md.tensor scaled by 1/d(I), d(I)/B[I] and
+    d(I)/d(C) (E and U read at dual(S)) in one convolution, and B[I]/d(I)^2.
+    One batch inverts the distinct nonzero d(I), B[I] and d(C), one product
+    is made per distinct pair, and 0 stands for 1/0: its readers raise first."""
+    d, dc, B = md.d, md.globalDim, _pairing(md)[:, md.rank].scalars()
+    pool = dict.fromkeys(x for x in (dc, *d, *B) if not x.is_zero)
+    inv = dict(zip(pool, inverses(pool)))
+    pairs = {*zip(d, B), *((x, dc) for x in d)}  # one per d(I) when every B[I] = d(C)
+    over = {(x, y): x * inv.get(y, ZERO) for x, y in pairs}
+    w = [[inv.get(x, ZERO) for x in d], [over[p] for p in zip(d, B)], [over[x, dc] for x in d]]
+    W = md.tensor.convolve(FieldTensor.of(w), lambda x, Y: x * Y[..., None], 1)
+    sq = {(b, x): b * inv.get(x, ZERO) * inv.get(x, ZERO) for b, x in {*zip(B, d)}}
+    dual = list(md.ring.dual)
+    return [W[0], W[1][:, dual], W[2][:, dual], [sq[p] for p in zip(B, d)]]
 
 
-@_held
-def _idempotents(md: ModularData) -> FieldTensor:
-    """E[I][S] = e_{lambda_I}(S) = V[I][dual(S)] / <lambda_I, lambda_I>, the
-    norms inverted as one batch; the first zero norm is named."""
-    norms = _norms(md)
-    for i, x in enumerate(norms):
-        if x.is_zero:
-            raise DegenerateScalar(f"lambda_{i} has zero norm")
-    V = _points(md)[:, list(md.ring.dual)]
-    return V.convolve(FieldTensor.of(inverses(norms)), _scaled_rows, 1)
+def _read(md: ModularData, k: int) -> tuple[tuple[CycloNumber, ...], ...]:
+    """The rows of V, E or U (k = 0, 1, 2) of _weighted(md), read back once;
+    a zero dimension is named first."""
+    _require_dimensions(md)
+    held = _weighted(md)
+    if isinstance(held[k], FieldTensor):
+        held[k] = held[k].scalars()
+    return held[k]
 
 
 @_held
 def spectrum(md: ModularData) -> tuple[SpectrumPoint, ...]:
-    """One point lambda_I per label; normSq is computed from the pairing."""
-    rows, norms = _points(md).scalars(), _norms(md)
-    return tuple(
-        SpectrumPoint(baseLabel=i, values=rows[i], normSq=norms[i]) for i in range(md.rank)
-    )
+    """One point lambda_I per label, row I of V; normSq is computed from the pairing."""
+    rows, norms = _read(md, 0), _weighted(md)[3]
+    return tuple(SpectrumPoint(i, rows[i], norms[i]) for i in range(md.rank))
+
+
+_spectrum_slot = spectrum.__wrapped__  # the key of spectrum's result in md._derived
 
 
 def inner_product(md: ModularData, a, b) -> CycloNumber:
@@ -364,9 +372,12 @@ def inner_product(md: ModularData, a, b) -> CycloNumber:
 
 
 def spectral_idempotent(md: ModularData, point: SpectrumPoint) -> FusionElement:
-    """e_lambda = (1 / <lambda, lambda>) * sum_S lambda(dual(S)) * S."""
+    """e_lambda = (1 / <lambda, lambda>) * sum_S lambda(dual(S)) * S: row I of
+    E for the point lambda_I of spectrum(md), the formula for any other point."""
     if point.normSq.is_zero:
         raise DegenerateScalar(f"lambda_{point.baseLabel} has zero norm")
+    if any(p is point for p in md._derived.get(_spectrum_slot, ((), ()))[1]):
+        return FusionElement(_read(md, 1)[point.baseLabel])
     inv_norm = point.normSq.inverse()
     dual = md.ring.dual
     return FusionElement(
@@ -375,7 +386,7 @@ def spectral_idempotent(md: ModularData, point: SpectrumPoint) -> FusionElement:
 
 
 def tube_idempotent(md: ModularData, label: int) -> FusionElement:
-    """1_I = (d(I)^2 / d(C)) * sum_S lambda_I(dual(S)) * S.
+    """1_I = (d(I)^2 / d(C)) * sum_S lambda_I(dual(S)) * S, row I of U.
 
     Same shape as the spectral idempotent but with the dimension prefactor;
     the exact agreement of the two is a theorem, not a construction.
@@ -386,17 +397,18 @@ def tube_idempotent(md: ModularData, label: int) -> FusionElement:
         raise ShapeMismatch(f"label {label} out of range")
     if md.globalDim.is_zero:
         raise DegenerateScalar("global dimension is zero")
-    lam = spectrum(md)[label]
-    pref = md.d[label] * md.d[label] * md.globalDim.inverse()
-    dual = md.ring.dual
-    return FusionElement(tuple(lam.values[dual[s]] * pref for s in range(md.rank)))
+    return FusionElement(_read(md, 2)[label])
 
 
 @_held
 def idempotent_family(md: ModularData) -> tuple[FusionElement, ...]:
-    """All spectral idempotents e_{lambda_I}, held on the datum and equal to
-    spectral_idempotent's; a zero norm is named as there."""
-    return tuple(FusionElement(row) for row in _idempotents(md).scalars())
+    """All spectral idempotents e_{lambda_I}, the rows of E, held on the datum;
+    a zero dimension is named before a zero norm."""
+    rows = _read(md, 1)
+    for i, x in enumerate(_weighted(md)[3]):
+        if x.is_zero:
+            raise DegenerateScalar(f"lambda_{i} has zero norm")
+    return tuple(map(FusionElement, rows))
 
 
 def verlinde(md: ModularData) -> tuple:
@@ -414,8 +426,10 @@ def verlinde(md: ModularData) -> tuple:
     T, dual = md.tensor, md.ring.dual
     if md.globalDim.is_zero:
         raise DegenerateScalar("global dimension is zero")
-    inv_dc = md.globalDim.inverse()
-    w = FieldTensor.of([x * inv_dc for x in _inverse_dims(md)])
+    _require_dimensions(md)
+    inv_dc, pool = md.globalDim.inverse(), dict.fromkeys(md.d)  # equal d(I) inverted once
+    inv = dict(zip(pool, inverses(pool)))
+    w = FieldTensor.of([inv[x] * inv_dc for x in md.d])
     U = T[list(dual)].convolve(w, _rows, 1)
     out = [[None] * r for _ in range(r)]
     for a, b, pairs in _pair_blocks(T):

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycloNumber, FieldTensor, _first, _int_type, _magnitude, exact_ints
+from .cyclo import CycloNumber, _first, _int_type, _magnitude, exact_ints
 from .errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -49,7 +49,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fusion import FusionRing, homomorphism_failure, regular_matrices, su2_fusion_ring
-from .modular import ModularData, _decimal, _held, _zero_dimension
+from .modular import ModularData, _decimal, _held, _pairing, _require_dimensions
 from .verdict import Check, Verdict, failed, passed
 
 _ADE_FAMILIES = ("A", "D", "E")
@@ -382,19 +382,11 @@ def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
 def _trace_terms(md: ModularData):
     """(P, B, at, B.take(at), top), held on the datum: the layers of P[I][S] =
     d(I) S_{I,dual(S)} as exact ints for sums of rank products, those of
-    B[I] = sum_S S_IS S_{I,dual(S)} = d(I)^2 <lambda_I, lambda_I> in the same
-    frame (one convolution makes both), each B[I]'s first nonzero layer as a
-    flat index into B, and B's largest |entry|."""
-    r, T = md.rank, md.tensor
-    if (i := _zero_dimension(T)) is not None:
-        raise DegenerateScalar(f"quantum dimension d[{i}] is zero")
-    # row I of W is (S_I0, ..., S_I(r-1), d(I)); x[I][S] = S_{I,dual(S)}
-    W = FieldTensor(T.order, T.den, T.exps, np.concatenate((T.layers, T.layers[:, 0, :, None]), 2))
-
-    def terms(x, Y):
-        return np.concatenate((x * Y[:, :, r:], (x * Y[:, :, :r]).sum(2, keepdims=True)), 2)
-
-    Q = T[:, list(md.ring.dual)].convolve(W, terms, r)
+    B[I] = d(I)^2 <lambda_I, lambda_I> in the same frame (modular._pairing),
+    each B[I]'s first nonzero layer as a flat index into B, and B's largest
+    |entry|."""
+    _require_dimensions(md)
+    r, Q = md.rank, _pairing(md)
     B = Q.layers[:, :, r]
     nonzero = B != 0
     if (zero := _first(~nonzero.any(axis=0))) is not None:

@@ -1,9 +1,9 @@
 """Scalar reference loops for the tensor routes of fusion, modular and
 invariants.
 
-fusion.multiply, modular.spectrum and modular.idempotent_family are
-contractions on FieldTensor read back in one batch. These are the entry by
-entry CycloNumber loops they replaced, kept as independent oracles: they
+fusion.multiply, modular.spectrum, modular.idempotent_family and the tube
+and spectral idempotents are contractions on FieldTensor read back in one
+batch. These are the entry by entry CycloNumber loops they replaced, kept as independent oracles: they
 share no code with the tensor routes beyond CycloNumber itself, and they
 raise the same errors in the same order. scalar_commutant_basis is the
 Fraction elimination that invariants.commutant_basis replaced, and
@@ -24,7 +24,7 @@ from fuselab.errors import DegenerateScalar, NonIntegralMultiplicity, ShapeMisma
 from fuselab.fusion import FusionElement
 from fuselab.invariants import CommutantBasis
 from fuselab.io import cyclo_from_json
-from fuselab.modular import SpectrumPoint, _idempotents
+from fuselab.modular import SpectrumPoint
 
 
 def scalar_s_tensor(S_raw):
@@ -88,26 +88,43 @@ def scalar_spectrum(md):
     return tuple(points)
 
 
+def scalar_spectral_idempotent(md, p):
+    """e_lambda(S) = lambda(dual(S)) / <lambda, lambda> for a point p."""
+    if p.normSq.is_zero:
+        raise DegenerateScalar(f"lambda_{p.baseLabel} has zero norm")
+    inv_norm, dual = p.normSq.inverse(), md.ring.dual
+    return FusionElement(tuple(p.values[dual[s]] * inv_norm for s in range(md.rank)))
+
+
 def scalar_idempotent_family(md):
-    """e_{lambda_I}(S) = lambda_I(dual(S)) / <lambda_I, lambda_I>; the first
-    zero norm in label order is named."""
-    dual, family = md.ring.dual, []
-    for p in scalar_spectrum(md):
-        if p.normSq.is_zero:
-            raise DegenerateScalar(f"lambda_{p.baseLabel} has zero norm")
-        inv_norm = p.normSq.inverse()
-        family.append(FusionElement(tuple(p.values[dual[s]] * inv_norm for s in range(md.rank))))
-    return tuple(family)
+    """e_{lambda_I} for every label; the first zero norm in label order is named."""
+    return tuple(scalar_spectral_idempotent(md, p) for p in scalar_spectrum(md))
+
+
+def scalar_tube_idempotents(md):
+    """1_I(S) = (d(I)^2 / d(C)) lambda_I(dual(S)) for every label, d(C) =
+    sum_I d(I)^2; a zero global dimension is named before a zero d[i]."""
+    dc = ZERO
+    for x in md.d:
+        dc = dc + x * x
+    if dc.is_zero:
+        raise DegenerateScalar("global dimension is zero")
+    inv_dc, dual, r = dc.inverse(), md.ring.dual, md.rank
+    return tuple(
+        FusionElement(tuple(p.values[dual[s]] * md.d[I] * md.d[I] * inv_dc for s in range(r)))
+        for I, p in enumerate(scalar_spectrum(md))
+    )
 
 
 def idempotent_profile(md, chi, size):
     """The multiplicity profile as one integer contraction of chi with the
-    tensor of the idempotent family, whose coefficients take the inverse
+    tensor of scalar_idempotent_family, whose coefficients take the inverse
     dimensions and inverse norms, read off label by label."""
     if md.ring.rank != len(chi):
         raise ShapeMismatch("modular data rank differs from the ring rank")
     v = exact_ints(chi, md.rank)
-    m = _idempotents(md).apply(lambda L: L @ v, md.rank)
+    family = FieldTensor.of([e.coeffs for e in scalar_idempotent_family(md)])
+    m = family.apply(lambda L: L @ v, md.rank)
     irrational = m.layers[m.exps != 0].any(axis=0)
     rational = m.layers[m.exps == 0].sum(axis=0)
     out = []

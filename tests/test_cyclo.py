@@ -441,7 +441,20 @@ def test_scalars_equal_scalar_entrywise():
     assert big.layers.dtype == object and cyclo._magnitude(big.layers) > 2**63
     small = FieldTensor.of([[zeta(12, 5), Fraction(1, 6)], [ZERO, zeta(4) - 1]])
     product = small.convolve(small, lambda u, V: u @ V, 2)  # a den and reduced layers
-    for t in (big, big[1], big[:, [3, 0]], small, product, product[0, 1]):
+    # entries of orders 1, 3, 4, 5 and 12 framed at order 360 and den 6 * 35:
+    # each descends by its own factor, and the layers of 7/6, 5 zeta_3 and
+    # 35 share a gcd greater than 1 with the den; the frame raised twice,
+    # the wide den (past int64) and the object layers take the same readback
+    mixed = [[Fraction(7, 6), 5 * zeta(3), ZERO, zeta(4) + 2], [35, ZERO, zeta(5), zeta(12, 7)]]
+    framed = FieldTensor.of(mixed)._framed(60, 6)._framed(360, 6 * 35)
+    wide = framed._framed(360, framed.den * 2**70)
+    loose = FieldTensor(framed.order, framed.den, framed.exps, framed.layers.astype(object))
+    assert len(set(np.gcd.reduce(np.where(framed.layers != 0, framed.exps[:, None, None], 360),
+                                 axis=0, initial=360).ravel().tolist())) == 5
+    assert framed.scalars() == wide.scalars() == loose.scalars() == tuple(
+        tuple(CycloNumber._raw(1, {0: 0}, 1) + v for v in row) for row in mixed
+    )
+    for t in (big, big[1], big[:, [3, 0]], small, product, product[0, 1], framed, wide, loose):
         got = np.empty(t.layers.shape[1:], dtype=object)
         got[...] = t.scalars()
         if not got.shape:

@@ -555,3 +555,18 @@ def test_over_budget_orders_are_refused_before_any_array_of_that_order(monkeypat
     assert str(info.value) == "modular-data: field order 1113121 exceeds the budget of 32768"
     assert max(orders) <= MAX_FIELD_ORDER and max(orders) == 107
     assert peak < 2**22  # one int64 array of that order for these 4 entries is 35 MB
+
+
+def test_a_refused_file_leaves_no_tables_of_its_order():
+    # 3 * 5 * 7 * 13 * 23 = 31,395: its tables hold 405,504 entries, past the
+    # budget of the kept ones, so they are built for the file and dropped
+    n = 31395
+    doc = data_to_json(fibonacci_modular_data())
+    coeffs = [[0, 1] for _ in range(n)]
+    coeffs[1] = [1, 1]
+    doc["S"][1][1] = {"order": n, "coeffs": coeffs}
+    with pytest.raises(ValidationFailed, match="^modular-data fails s-squared"):
+        parse_data(doc)
+    assert len(cyclo._reduction(n)[0]) > cyclo._KEPT_TERMS
+    for tables in (cyclo._expansion, cyclo._reduction):
+        assert n not in tables and sum(tables.sizes.values()) <= cyclo._KEPT_TERMS

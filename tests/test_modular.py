@@ -6,6 +6,7 @@ import gc
 import json
 import random
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -14,9 +15,15 @@ import pytest
 from fuselab.cli import main
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_oracles import raw, scalar_idempotent_family, scalar_spectrum
+from scalar_oracles import (
+    raw,
+    scalar_idempotent_family,
+    scalar_spectral_idempotent,
+    scalar_spectrum,
+    scalar_tube_idempotents,
+)
 
-from fuselab import modular
+from fuselab import cyclo, modular
 from fuselab.cyclo import ONE, ZERO, CycloNumber, FieldTensor, RationalPhase, sin_ratio, zeta
 from fuselab.errors import (
     DegenerateScalar,
@@ -527,29 +534,50 @@ def _raised(md, *entries):
     return ModularData(ring, md.S, [t.value for t in md.t])
 
 
-def test_verlinde_witness_matches_the_scalar_loop_across_pair_blocks():
-    # S' = P S P, with P fixing the unit but no fusion automorphism, passes
-    # symmetry, dual-symmetry and s-squared; its first failing pair lies in
-    # row 1, in the first block at rank 13 and 20 and in middle ones at rank
-    # 23 and 29. N raised at the top labels of rank 17 fails in the last
-    # block, last of all where N turns asymmetric at (15, 16) and wrong at
-    # the later pair (16, 16) of the same block.
+def test_verlinde_witness_matches_the_scalar_loop_across_pair_blocks(monkeypatch):
+    # N raised at pairs a, b >= 2 keeps rows 0 and 1 of the Verlinde identity
+    # and breaks a condition of the early exit: N turns asymmetric, or, for
+    # a symmetric raise, the homomorphism row of _row_one_generates. So the
+    # scan runs on from row 2 and stops in the block of the first failing
+    # pair. The blocks are those _pair_blocks yields, recorded as it runs:
+    # at rank 17 with the default _PAIR_ENTRIES, and at rank 9 with blocks
+    # of 4 pairs. Last of all, N turns asymmetric at (15, 16) and is wrong
+    # at the later pair (16, 16) of the same block.
+    pair_blocks, scans = modular._pair_blocks, []
+
+    def recorded(T, row=0):
+        scans.append([])
+        for a, b, P in pair_blocks(T, row):
+            scans[-1].append(list(zip(a.tolist(), b.tolist())))
+            yield a, b, P
+
+    monkeypatch.setattr(modular, "_pair_blocks", recorded)
+    top, low = su2_modular_data(16), su2_modular_data(8)
     cases = [
-        _swapped(su2_modular_data(k), i, j)
-        for k, i, j in ((12, 1, 2), (19, 4, 5), (22, 20, 21), (28, 1, 2), (28, 26, 27))
+        (512, _raised(top, (2, 3, 1))),
+        (512, _raised(top, (8, 9, 1), (9, 8, 1))),
+        (512, _raised(top, (15, 16, 0), (16, 15, 0))),
+        (36, _raised(low, (2, 2, 0), (2, 2, 2))),
+        (36, _raised(low, (4, 6, 2), (6, 4, 2))),
+        (36, _raised(low, (8, 8, 1))),
+        (512, _raised(top, (16, 15, 3), (16, 16, 0))),
     ]
-    top = su2_modular_data(16)
-    cases += [_raised(top, (15, 16, 0), (16, 15, 0)), _raised(top, (16, 15, 3), (16, 16, 0))]
-    blocks = set()
-    for md in cases:
+    where = set()
+    for entries, md in cases:
+        monkeypatch.setattr(modular, "_PAIR_ENTRIES", entries)
+        scans.clear()
         v = verify_modular_data(md)
         want = _loop_verdict(md, v.checks[:2])
         assert v.describe() == want.describe() and v.as_dict() == want.as_dict()
         assert [c.name for c in v.checks if not c.passed] == ["verlinde-consistency"]
         a, b, _ = ast.literal_eval(v.checks[-1].witness.split("=", 1)[1])
-        block, last = _pair_block(md, a, b)
-        blocks.add("first" if block == 0 else "last" if block == last else "middle")
-    assert blocks == {"first", "middle", "last"}
+        (scan,) = scans  # one scan, from row 2, ending in the failing block
+        assert a >= 2 and scan[0][0] == (2, 2) and (a, b) in scan[-1]
+        r = md.rank
+        where.add(
+            (r, "first" if len(scan) == 1 else "last" if scan[-1][-1] == (r - 1, r - 1) else "middle")
+        )
+    assert where == {(r, place) for r in (17, 9) for place in ("first", "middle", "last")}
     assert v.checks[-1].witness == "(a,b,m)=(15, 16, 'asymmetric N')"
 
 
@@ -850,6 +878,54 @@ def test_datum_value_ignores_the_tensor_dtype():
         assert twin != ModularData(md.ring, wide, [t.value + Fraction(1, 3) for t in md.t])
 
 
+def test_a_pass_over_the_catalog_evicts_none_of_its_tables(monkeypatch):
+    # every field order the 39 catalog entries use keeps its tables, from
+    # an empty start (the tables are a cache: emptying them changes no value):
+    # each order is built once, and all of them are still kept at the end
+    built = [(cyclo._expansion, []), (cyclo._reduction, [])]
+    for tables, orders in built:
+        tables.clear(), tables.sizes.clear()
+        monkeypatch.setattr(tables, "build", lambda n, b=tables.build, o=orders: o.append(n) or b(n))
+    for name in catalog_names():
+        md = parse_data(data_to_json(load_catalog(name)))
+        verify_modular_data(md), spectrum(md), idempotent_family(md), commutant_basis(md)
+    for tables, orders in built:
+        assert 60 in orders and len(orders) == len(set(orders)) and set(orders) == set(tables)
+
+
+def test_a_fresh_verify_peaks_at_a_bounded_reduction():
+    # the Verlinde product of su2:28 (order 60, 2 * 29 * 29 entries) gathers
+    # 128 expansion terms per entry; in chunks of entries its peak stays far
+    # below the 5.2 MB of one gather over all entries at once
+    md = parse_data(data_to_json(su2_modular_data(28)))
+    tracemalloc.start()
+    try:
+        assert verify_modular_data(md).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+
+
+def test_catalog_ingest_tensors_reduce_in_one_chunk(monkeypatch):
+    # the largest entries the bench's catalog-ingest builds and reads back:
+    # every reduction gathers at most _GATHER_TERMS terms, one chunk
+    reduced, gathered = cyclo._reduced, []
+
+    def spy(n, exps, layers):
+        if n > 1:
+            gathered.append(len(cyclo._reduction(n)[0]) * (layers.size // len(layers)))
+        return reduced(n, exps, layers)
+
+    monkeypatch.setattr(cyclo, "_reduced", spy)
+    for level in (14, 15, 17):
+        md = parse_data(data_to_json(su2_modular_data.__wrapped__(level)))
+        pts = spectrum(md)
+        idempotent_family(md), [spectral_idempotent(md, p) for p in pts]
+        [tube_idempotent(md, label) for label in range(md.rank)]
+    assert max(gathered) <= cyclo._GATHER_TERMS
+
+
 def test_catalog_round_trip_keeps_datum_identity():
     for name in catalog_names():
         source = load_catalog(name)
@@ -873,9 +949,8 @@ def test_derived_values_are_found_without_rehashing(monkeypatch):
         spectrum,
         idempotent_family,
         commutant_basis,
-        modular._points,
-        modular._norms,
-        modular._idempotents,
+        modular._pairing,
+        modular._weighted,
     )
     first = [fn(md) for fn in derived]
 
@@ -900,12 +975,30 @@ def test_degenerate_scalars_keep_their_messages_and_order():
     for fn in (spectrum, idempotent_family, lambda md: tube_idempotent(md, 0), verlinde, profile):
         with pytest.raises(DegenerateScalar, match=r"^quantum dimension d\[1\] is zero$"):
             fn(no_dims)
+    # d(C) = 1 + 0 + i^2 = 0 and d[1] = 0: a bad label is named first, then
+    # the global dimension, then d[1]
+    no_dc = ModularData(ising.ring, ((ONE, ZERO, i), (ZERO, ONE, ONE), (i, ONE, ONE)), t)
+    with pytest.raises(ShapeMismatch, match=r"^label 3 out of range$"):
+        tube_idempotent(no_dc, 3)
+    for fn in (lambda md: tube_idempotent(md, 0), verlinde):
+        with pytest.raises(DegenerateScalar, match=r"^global dimension is zero$"):
+            fn(no_dc)
+    with pytest.raises(DegenerateScalar, match=r"^quantum dimension d\[1\] is zero$"):
+        spectrum(no_dc)
     # lambda_1 = (i, 1, 0) and lambda_2 = (i, 0, 1) both have norm i^2 + 1 = 0
     no_norms = ModularData(ising.ring, ((ONE, ONE, ONE), (i, ONE, ZERO), (i, ZERO, ONE)), t)
-    assert [p.normSq for p in spectrum(no_norms)] == [rat(3), ZERO, ZERO]
-    for fn in (idempotent_family, profile):
+    pts = spectrum(no_norms)
+    assert [p.normSq for p in pts] == [rat(3), ZERO, ZERO]
+    for fn in (idempotent_family, profile, lambda md: spectral_idempotent(md, pts[1])):
         with pytest.raises(DegenerateScalar, match=r"^lambda_1 has zero norm$"):
             fn(no_norms)
+    # the point lambda_0 and the tube idempotents need no other norm: e_0 =
+    # lambda_0(dual(S)) / 3 and 1_I = (d(I)^2 / d(C)) lambda_I(dual(S)), d(C) = 3
+    third = rat(Fraction(1, 3))
+    assert spectral_idempotent(no_norms, pts[0]).coeffs == (third, third, third)
+    assert [tube_idempotent(no_norms, I).coeffs for I in range(3)] == [
+        tuple(x * third for x in row) for row in ((ONE, ONE, ONE), (i, ONE, ZERO), (i, ZERO, ONE))
+    ]
 
 
 def test_ingest_reaches_the_galois_norm_loop_once_per_batch(monkeypatch):
@@ -915,15 +1008,36 @@ def test_ingest_reaches_the_galois_norm_loop_once_per_batch(monkeypatch):
 
     def counted(x):
         if x.order > 1 and len(x._num) > 1:  # the branch with the Galois-norm loop
-            dense.append(x)
+            dense.append(x.order)
         return inverted(x)
 
     monkeypatch.setattr(CycloNumber, "_inverted", counted)
     spectrum(md), idempotent_family(md)
     tubes = [tube_idempotent(md, label) for label in range(md.rank)]
-    # inverse dimensions, norms, global dimension: one batch each
-    assert len(dense) <= 3, len(dense)
+    # d(I), B[I] and d(C) in one batch: at most one dense inverse per field order
+    assert dense and len(dense) == len(set(dense)), dense
     assert tubes == [spectral_idempotent(md, p) for p in spectrum(md)]
+    # the literal Verlinde sum finds every inverse it needs kept on its number
+    dense.clear(), verlinde(md)
+    assert dense == []
+
+
+def test_own_points_read_their_idempotents_with_no_product(monkeypatch):
+    md = parse_data(data_to_json(su2_modular_data(9)))
+    pts = spectrum(md)
+
+    def refused(*args):
+        raise AssertionError("a CycloNumber product was made")
+
+    with monkeypatch.context() as patched:
+        for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            patched.setattr(CycloNumber, name, refused)
+        tubes = [tube_idempotent(md, label) for label in range(md.rank)]
+        spectral = [spectral_idempotent(md, p) for p in pts]
+    assert tubes == spectral == list(scalar_idempotent_family(md))
+    # a point that is not one of spectrum(md)'s takes the scalar formula
+    foreign = [SpectrumPoint(p.baseLabel, p.values, p.normSq) for p in pts]
+    assert [spectral_idempotent(md, p) for p in foreign] == spectral
 
 
 # -- the tensor routes against the scalar loops ----------------------------
@@ -940,13 +1054,25 @@ def outcome(fn, md):
     return [[raw(x) for x in e.coeffs] for e in got]
 
 
+def _same_routes(md):
+    """Every route of the spectral layer against its scalar loop on md."""
+    assert outcome(spectrum, md) == outcome(scalar_spectrum, md)
+    assert outcome(idempotent_family, md) == outcome(scalar_idempotent_family, md)
+    tubes = outcome(lambda md: [tube_idempotent(md, label) for label in range(md.rank)], md)
+    assert tubes == outcome(scalar_tube_idempotents, md)
+    if outcome(spectrum, md)[0] != "error":
+        own = outcome(lambda md: [spectral_idempotent(md, p) for p in spectrum(md)], md)
+        assert own == outcome(
+            lambda md: tuple(scalar_spectral_idempotent(md, p) for p in scalar_spectrum(md)), md
+        )
+
+
 def test_spectrum_and_family_match_the_scalar_loops_on_the_catalog():
-    names = [name for name in catalog_names() if load_catalog(name).rank <= 13]
-    assert len(names) == 23
+    names = catalog_names()
+    assert len(names) == 39
     for name in names:
         md = parse_data(data_to_json(load_catalog(name)))  # numbers with no kept inverses
-        assert outcome(spectrum, md) == outcome(scalar_spectrum, md), name
-        assert outcome(idempotent_family, md) == outcome(scalar_idempotent_family, md), name
+        _same_routes(md)
 
 
 _entries = st.one_of(
@@ -969,9 +1095,7 @@ def test_spectrum_and_family_match_the_scalar_loops_on_arbitrary_entries(S):
     if S[0][0].is_zero:  # d[0] = 0 ends both routes at once; draw other degeneracies
         S[0][0] = ONE
     ring = su2_fusion_ring(r - 1) if r < 3 else zn_modular_data(r).ring
-    md = ModularData(ring, S, [0] * r)
-    assert outcome(spectrum, md) == outcome(scalar_spectrum, md)
-    assert outcome(idempotent_family, md) == outcome(scalar_idempotent_family, md)
+    _same_routes(ModularData(ring, S, [0] * r))
 
 
 @pytest.mark.parametrize("label", [True, False, 1.0, "1", None])

@@ -641,8 +641,7 @@ def test_a_fresh_tm_dimension_report_takes_no_field_inverse(monkeypatch):
     monkeypatch.setattr(CycloNumber, "_inverted", refused)
     monkeypatch.setattr(cyclo, "inverses", refused)
     monkeypatch.setattr(modular, "inverses", refused)
-    for fn in (modular._points, modular._norms, modular._idempotents):
-        monkeypatch.setattr(modular, fn.__name__, refused)
+    monkeypatch.setattr(modular, "_weighted", refused)
     rep = tm_dimension_report(nr, md)
     assert (rep.multOfUnit, rep.indecomposable) == (1, True)
     assert multiplicity_profile(nr, md) == (1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0, 1)
