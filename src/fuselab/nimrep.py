@@ -10,8 +10,9 @@ own modules (NimRep._trusted) are not checked again.
 nimrep_from_graph builds the module of a fusion ring generated by label 1
 from N(x_1) = a graph's adjacency, through the ring's structure constants
 (over su2_fusion_ring(level), the Chebyshev recurrence), and keeps it in one
-LRU cache whichever ring and caller asked; ade_graph keeps one graph per
-tag. verify_nimrep checks modules given as matrices.
+LRU cache whichever ring and caller asked, a union's as the direct sum of
+its parts' (_direct_sum); ade_graph and disjoint_union keep their graphs.
+verify_nimrep checks modules given as matrices.
 
 A module holds what is derived from it, in nr._derived, outside its value
 and freed with it (modular._held): its character and support connectivity
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,9 +58,9 @@ _ADE_FAMILIES = ("A", "D", "E")
 # (the largest catalog graph is A:29)
 _MAX_TAG_RANK = 1024
 # nimrep_from_graph keeps at most _KEPT_MODULES modules, each an int64 stack
-# of at most _KEPT_ENTRIES entries: 128 * 2**16 * 8 bytes = 64 MiB;
-# ade_graph keeps as many graphs of at most _KEPT_ENTRIES adjacency entries,
-# each a pointer per entry, so the same 64 MiB
+# of at most _KEPT_ENTRIES entries: 128 * 2**16 * 8 bytes = 64 MiB; ade_graph
+# and disjoint_union each keep as many graphs of at most _KEPT_ENTRIES adjacency
+# entries, a pointer per entry, so 64 MiB each (a union's parts hold fewer)
 _KEPT_MODULES = 128
 _KEPT_ENTRIES = 2**16
 _kept_modules: dict = {}  # nimrep_from_graph's, least recently used first
@@ -70,8 +71,11 @@ class BoundaryGraph:
     vertices: tuple[str, ...]
     adjacency: tuple[tuple[int, ...], ...]
     family: str = "custom"
+    _parts = ()  # the graphs a disjoint_union was made of, not part of its value
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, self.adjacency)))
         n = len(self.vertices)
         if not n:
             raise ShapeMismatch("a boundary graph needs at least one vertex")
@@ -91,15 +95,20 @@ class BoundaryGraph:
                 )
 
     @classmethod
-    def _trusted(cls, vertices, adjacency, family: str = "custom") -> "BoundaryGraph":
+    def _trusted(cls, vertices, adjacency, family: str = "custom", parts=()) -> "BoundaryGraph":
         """A graph whose adjacency is square, symmetric, non-negative and
         (for a family) the Dynkin graph by construction: the library's own
         graphs skip the entry-by-entry check of __post_init__."""
         self = object.__new__(cls)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "family", family)
+        self.__dict__.update(vertices=vertices, adjacency=adjacency, family=family, _parts=parts)
         return self
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # the hash of the graph's value, taken on first use and held
+        return hash((self.vertices, self.adjacency, self.family))
 
     @property
     def size(self) -> int:
@@ -179,16 +188,26 @@ def e_graph(n: int) -> BoundaryGraph:
 
 
 def disjoint_union(*graphs: BoundaryGraph) -> BoundaryGraph:
-    """Block-diagonal union; vertices prefixed by component index."""
+    """Block-diagonal union; vertices prefixed by component index. It records
+    its parts in _parts, and is kept per tuple of parts as ade_graph keeps a
+    tag's graph, or built on each call if over _KEPT_ENTRIES adjacency entries."""
     if not graphs:
         raise ShapeMismatch("union of zero graphs")
+    n = sum(g.size for g in graphs)
+    return (_kept_union if n * n <= _KEPT_ENTRIES else _build_union)(*graphs)
+
+
+def _build_union(*graphs: BoundaryGraph) -> BoundaryGraph:
     vertices = tuple(f"{k}:{v}" for k, g in enumerate(graphs) for v in g.vertices)
     rows: list[tuple[int, ...]] = []
     for g in graphs:
         before = len(rows)
         after = len(vertices) - before - g.size
         rows += [(0,) * before + row + (0,) * after for row in g.adjacency]
-    return BoundaryGraph._trusted(vertices, tuple(rows))
+    return BoundaryGraph._trusted(vertices, tuple(rows), parts=graphs)
+
+
+_kept_union = lru_cache(maxsize=_KEPT_MODULES)(_build_union)
 
 
 def _module_stack(ring: FusionRing, mats) -> np.ndarray:
@@ -287,11 +306,12 @@ def nimrep_from_graph(ring: FusionRing, g: BoundaryGraph) -> NimRep:
     _KEPT_ENTRIES entries; any other is built on each call, as a failing
     graph raises on each. Equal rings, such as one parsed from a file again,
     share one kept module, which pins the ring it was built over and the
-    data held in its slots until it is evicted."""
+    data held in its slots until it is evicted. A union of parts is built
+    as the direct sum of their modules (_direct_sum)."""
     key = (ring, g.vertices, g.adjacency)
     nr = _kept_modules.pop(key, None)
     if nr is None:
-        nr = _build_module(ring, g)
+        nr = _direct_sum(ring, g) if g._parts else _build_module(ring, g)
         if nr.mats.dtype != np.int64 or nr.mats.size > _KEPT_ENTRIES:
             return nr
         if len(_kept_modules) >= _KEPT_MODULES:
@@ -341,6 +361,23 @@ def _build_module(ring: FusionRing, g: BoundaryGraph) -> NimRep:
         if (differs := got != want).any():
             j, i = _first(differs)
             raise NotANimRep(f"homomorphism: (N(1)N({b}))[{j},{i}] = {got[j, i]} != {want[j, i]}")
+    return NimRep._trusted(ring, g.vertices, mats)
+
+
+def _direct_sum(ring: FusionRing, g: BoundaryGraph) -> NimRep:
+    """The module of a union g: each N(a) is block diagonal with the N(a) of
+    its parts' kept modules as blocks, the stack that the recurrence, blockwise
+    on a block-diagonal A, would give. It needs no check: unit, duality,
+    non-negativity and the homomorphism identity hold blockwise, and each part
+    passed them. If a part raises, the recurrence builds g: its own error."""
+    try:
+        blocks = [nimrep_from_graph(ring, part).mats for part in g._parts]
+    except Exception:
+        return _build_module(ring, g)
+    mats = np.zeros((ring.rank, g.size, g.size), np.result_type(*blocks))
+    at = np.cumsum([0] + [block.shape[1] for block in blocks])
+    for block, i, j in zip(blocks, at, at[1:]):
+        mats[:, i:j, i:j] = block
     return NimRep._trusted(ring, g.vertices, mats)
 
 

@@ -721,6 +721,15 @@ def test_a_reparsed_ring_shares_the_catalog_rings_module():
     assert nimrep_from_graph(parsed.ring, g) is nimrep_from_graph(catalog.ring, g)
 
 
+def module_outcome(build, ring, g):
+    """("ok", dtype, boundary labels, entries) of build(ring, g), or the error's type and text."""
+    try:
+        nr = build(ring, g)
+    except Exception as err:
+        return type(err).__name__, str(err)
+    return "ok", nr.mats.dtype, nr.boundaryLabels, nr.mats.tolist()
+
+
 def test_library_graphs_equal_validated_graphs():
     tags = [f"A:{n}" for n in range(2, 30)] + [f"D:{n}" for n in range(4, 17)]
     tags += ["E:6", "E:7", "E:8"]
@@ -733,7 +742,12 @@ def test_library_graphs_equal_validated_graphs():
         parts = rng.sample(graphs[:24], rng.randint(1, 3)) + [random_multigraph(rng)]
         union = disjoint_union(*parts)
         union = disjoint_union(union, rng.choice(graphs)) if rng.random() < 0.5 else union
-        assert union == BoundaryGraph(vertices=union.vertices, adjacency=union.adjacency)
+        plain = BoundaryGraph(vertices=union.vertices, adjacency=union.adjacency)
+        assert union == plain
+        # the direct sum of the parts' modules is the recurrence's module of the plain graph
+        ring = su2_fusion_ring(rng.randint(0, 6))
+        got = module_outcome(nimrep_from_graph, ring, union)
+        assert got == module_outcome(nimrep._build_module, ring, plain)
 
 
 def test_library_modules_equal_validated_modules(monkeypatch):
@@ -947,6 +961,108 @@ def test_graph_kept_once_per_tag_and_cache_is_bounded():
         assert nimrep._kept_ade_graph.cache_info().currsize <= limit
     assert nimrep._kept_ade_graph.cache_info().currsize == limit
     nimrep._kept_ade_graph.cache_clear()
+
+
+def test_graph_built_from_lists_is_stored_as_tuples():
+    g = BoundaryGraph(["1", "2", "3"], [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    plain = BoundaryGraph(("1", "2", "3"), ((0, 1, 0), (1, 0, 1), (0, 1, 0)))
+    assert (g.vertices, g.adjacency) == (plain.vertices, plain.adjacency)
+    assert g == plain and hash(g) == hash(plain)
+    tagged = BoundaryGraph(["1", "2", "3"], [[0, 1, 0], [1, 0, 1], [0, 1, 0]], family="A:3")
+    assert tagged == ade_graph("A:3") and hash(tagged) == hash(ade_graph("A:3"))
+    assert disjoint_union(g, ade_graph("A:3")) == disjoint_union(plain, ade_graph("A:3"))
+    assert np.array_equal(su2_nimrep_from_graph(g, 2).mats, su2_nimrep_from_graph(plain, 2).mats)
+
+
+def test_union_kept_once_per_parts_and_cache_is_bounded():
+    parts = (ade_graph("A:7"), ade_graph("D:5"), ade_graph("A:7"))
+    union = disjoint_union(*parts)
+    assert disjoint_union(*parts) is union
+    assert disjoint_union(a_graph(7), d_graph(5), a_graph(7)) is union
+    assert union._parts == parts
+    # A:200 + A:100 has 90,000 > 2**16 adjacency entries: built on every call, never kept
+    kept = nimrep._kept_union.cache_info().currsize
+    big = disjoint_union(ade_graph("A:200"), ade_graph("A:100"))
+    again = disjoint_union(ade_graph("A:200"), ade_graph("A:100"))
+    assert again is not big and again == big and again._parts == big._parts
+    assert nimrep._kept_union.cache_info().currsize == kept
+    assert disjoint_union(a_graph(128), a_graph(128)) is disjoint_union(a_graph(128), a_graph(128))
+    nimrep._kept_union.cache_clear()
+    limit = nimrep._kept_union.cache_info().maxsize
+    assert limit == nimrep._KEPT_MODULES
+    for n in range(1, limit + 3):
+        assert disjoint_union(a_graph(n), a_graph(1)).size == n + 1
+        assert nimrep._kept_union.cache_info().currsize <= limit
+    assert nimrep._kept_union.cache_info().currsize == limit
+    nimrep._kept_union.cache_clear()
+
+
+def test_union_parts_are_not_part_of_its_value():
+    union = disjoint_union(ade_graph("A:3"), disjoint_union(ade_graph("D:4")))
+    plain = BoundaryGraph(vertices=union.vertices, adjacency=union.adjacency)
+    assert union._parts and not plain._parts
+    assert union == plain and hash(union) == hash(plain) and repr(union) == repr(plain)
+    assert json.dumps(data_to_json(union)) == json.dumps(data_to_json(plain))
+    parsed = parse_data(json.loads(json.dumps(data_to_json(union))))
+    assert parsed == union and not parsed._parts
+    # the hash is taken once and held on the graph
+    assert union.__dict__["_hash"] == hash((union.vertices, union.adjacency, union.family))
+
+
+def test_union_module_is_the_sum_of_its_parts_kept_modules(monkeypatch):
+    nimrep._kept_modules.clear()
+    parts = [ade_graph("A:7"), ade_graph("D:5")]
+    blocks = [su2_nimrep_from_graph(part, 6) for part in parts]
+    with monkeypatch.context() as m:
+        m.setattr(nimrep, "_build_module", None)  # a call would raise TypeError
+        nr = su2_nimrep_from_graph(disjoint_union(*parts), 6)
+        inner = su2_nimrep_from_graph(disjoint_union(disjoint_union(*parts), parts[0]), 6)
+    assert np.array_equal(nr.mats[:, :7, :7], blocks[0].mats)
+    assert np.array_equal(nr.mats[:, 7:, 7:], blocks[1].mats)
+    assert not nr.mats[:, :7, 7:].any() and not nr.mats[:, 7:, :7].any()
+    assert np.array_equal(inner.mats[:, :12, :12], nr.mats) and nr.mats.dtype == np.int64
+    assert not nr.mats.flags.writeable
+    # a failing part: the union is built by the recurrence, with its own witness
+    failing = disjoint_union(ade_graph("A:5"), ade_graph("A:9"))
+    for g in (failing, BoundaryGraph(failing.vertices, failing.adjacency)):
+        with pytest.raises(NotANimRep, match=r"^homomorphism: \(N\(1\)N\(4\)\)\[5,10\] = 1 != 0$"):
+            su2_nimrep_from_graph(g, 4)
+    nimrep._kept_modules.clear()
+
+
+def test_union_modules_equal_the_recurrence():
+    # unions of 1-3 parts of module-stream's tags at levels 1-16, unions of
+    # unions, and now and then a path of the wrong length (a failing part): the
+    # same stack and dtype as the recurrence on the plain graph, or its error
+    rng = random.Random(2901)
+    nimrep._kept_modules.clear()
+    kinds = Counter()
+    for lvl in range(1, 17):
+        tags = [f"A:{lvl + 1}"] + [f"D:{(lvl + 4) // 2}"] * (lvl >= 4 and lvl % 2 == 0)
+        tags += {10: ["E:6"], 16: ["E:7"]}.get(lvl, [])
+        wrong = [f"A:{lvl + 2}", f"A:{max(lvl - 1, 1)}"]
+
+        def part():
+            return ade_graph(rng.choice(tags if rng.random() < 0.85 else wrong))
+
+        ring = su2_fusion_ring(lvl)
+        for _ in range(10):
+            union = disjoint_union(*(part() for _ in range(rng.randint(1, 3))))
+            if rng.random() < 0.3:
+                union = disjoint_union(union, disjoint_union(part()))
+            plain = BoundaryGraph(vertices=union.vertices, adjacency=union.adjacency)
+            got = module_outcome(nimrep_from_graph, ring, union)
+            assert got == module_outcome(nimrep._build_module, ring, plain), (lvl, union.vertices)
+            kinds[got[0] if got[0] != "NotANimRep" else got[1].split(" ")[0]] += 1
+    assert set(kinds) == {"ok", "recurrence", "homomorphism:"} and kinds["ok"] >= 40
+    # x * x = 1 + 2**40 x acting on itself twice: a Python-int stack
+    wide = FusionRing(("1", "x"), (0, 1), (((1, 0), (0, 1)), ((0, 1), (1, 2**40))))
+    g = BoundaryGraph(("1", "x"), ((0, 1), (1, 2**40)))
+    two = disjoint_union(g, disjoint_union(g))
+    got = module_outcome(nimrep_from_graph, wide, two)
+    assert got == module_outcome(nimrep._build_module, wide, BoundaryGraph(two.vertices, two.adjacency))
+    assert got[:2] == ("ok", object)
+    nimrep._kept_modules.clear()
 
 
 # -- one builder over every ring that label 1 generates ---------------------
