@@ -12,7 +12,9 @@ p - 1.  Exponents outside the basis are rewritten through the vanishing sums
 sum_{j=0}^{p-1} zeta_n^(e + j*n/p) = 0.  A rewrite at p leaves residues
 modulo the other prime powers untouched, so the reduction terminates and the
 canonical support of an element of Q(zeta_{n/g}) is contained in g*Z; the
-order descent below relies on exactly that.
+order descent below relies on exactly that. At one p^v, rewriting a top digit
+p - 1 reaches each basis digit 0..p-2 once, with coefficient -1: each basis
+exponent has two sources per prime, 2^omega(n) by CRT, each coefficient +-1.
 
 A dense inverse is the product of the Galois conjugates over the rational
 norm, about phi(n) products, so each number keeps its inverse once taken,
@@ -20,9 +22,10 @@ and inverses(xs) pays that cost once per order for a whole batch.
 
 A FieldTensor holds an array of field elements as integer layers in basis
 coordinates. Each product picks int64 or Python ints from the largest layer
-entry of its operands, as exact_ints does. FieldTensor.of (from numbers)
-and FieldTensor.decode (from a file's dense coefficients, with no
-CycloNumber) make canonical tensors, equal exactly when their entries are.
+entry of its operands, as exact_ints does. FieldTensor.of (from numbers),
+FieldTensor.decode (from a file's dense coefficients) and root_sums (from
+integer sums of roots), the last two with no CycloNumber, make canonical
+tensors, equal exactly when their entries are.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ class CycloNumber:
     __slots__ = ("_order", "_num", "_den", "_hash", "_inv")
 
     def __init__(self, order: int, coeffs):
-        if not isinstance(order, int) or order < 1:
+        if isinstance(order, bool) or not isinstance(order, int) or order < 1:
             raise ValueError(f"order must be a positive integer, got {order!r}")
         if isinstance(coeffs, dict):
             items = coeffs.items()
@@ -172,8 +175,10 @@ class CycloNumber:
         den = 1
         pairs: list[tuple[int, Fraction]] = []
         for e, c in items:
-            if not isinstance(e, int):
+            if isinstance(e, bool) or not isinstance(e, int):
                 raise ValueError(f"exponent must be an integer, got {e!r}")
+            if isinstance(c, bool):
+                raise ValueError(f"coefficient must be rational, not a bool: {c!r}")
             f = Fraction(c)
             if f:
                 pairs.append((e, f))
@@ -473,7 +478,7 @@ def sin_ratio(k: int, h: int) -> CycloNumber:
     so the result lives in Q(zeta_{2h}) (a subfield of Q(zeta_{4h})).
     sin_ratio(0, h) = 0, sin_ratio(1, h) = 1, sin_ratio(2, h) = 2cos(pi/h).
     """
-    if not isinstance(k, int) or not isinstance(h, int):
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (k, h)):
         raise ValueError("sin_ratio expects integer arguments")
     if h < 2:
         raise ValueError(f"h must be at least 2, got {h}")
@@ -533,16 +538,19 @@ def _int_type(inner: int, top: int):
 @partial(_Kept, terms=lambda value: len(value[0]))
 def _reduction(n: int):
     """_expansion(n) as arrays sorted by basis exponent: source exponents,
-    coefficients, the start of each basis exponent's run, the basis
-    exponents, and the largest sum of |coefficients| over one run."""
+    coefficients, the basis exponents and the length of each basis
+    exponent's run of sources, 2^omega(n) terms of coefficient +-1 (module
+    docstring); tables that break this raise AssertionError."""
     table = _expansion[n][0]
     src = np.repeat(np.arange(n), [len(row) for row in table])
     terms = chain.from_iterable(chain.from_iterable(table))
     dst, coeff = np.fromiter(terms, np.int64, 2 * len(src)).reshape(-1, 2).T
     at = np.lexsort((src, dst))
-    src, dst, coeff = src[at], dst[at], coeff[at]
-    basis, starts = np.unique(dst, return_index=True)
-    return src, coeff[:, None], starts, basis, int(np.add.reduceat(abs(coeff), starts).max())
+    runs = np.bincount(dst)  # sources per exponent, 0 off the basis; 0 is a basis exponent
+    basis = np.flatnonzero(runs)
+    if (runs[basis] != runs[0]).any() or (abs(coeff) != 1).any():  # kept under python -O
+        raise AssertionError(f"the runs of order {n} are not of one length with unit coefficients")
+    return src[at], coeff[at, None], basis, int(runs[0])
 
 
 # _reduced gathers at most this many terms at a time, in chunks of entries,
@@ -553,13 +561,13 @@ _GATHER_TERMS = 2**16
 def _reduced(n: int, exps, layers: np.ndarray):
     """Basis coordinates at order n of sum_k layers[k] * zeta_n^exps[k] for
     distinct exps, as (exponents, layers) with at least one layer: a gather
-    through the rows of _expansion(n) and one sum per basis exponent, over
-    chunks of entries of at most _GATHER_TERMS gathered terms."""
+    through the rows of _expansion(n) and one reshape-sum over the runs of
+    _reduction, in chunks of entries of at most _GATHER_TERMS gathered terms."""
     if n == 1:  # the rational field: nothing to rewrite
         return np.zeros(1, dtype=int), layers
-    src, coeff, starts, basis, inner = _reduction[n]
+    src, coeff, basis, runs = _reduction[n]
     flat = layers.reshape(len(layers), -1)
-    flat = flat.astype(_int_type(inner, _magnitude(flat)), copy=False)
+    flat = flat.astype(_int_type(runs, _magnitude(flat)), copy=False)
     if not isinstance(exps, range):
         full = np.zeros((n, flat.shape[1]), dtype=flat.dtype)
         full[np.asarray(exps)] = flat
@@ -567,20 +575,11 @@ def _reduced(n: int, exps, layers: np.ndarray):
     step = max(1, _GATHER_TERMS // len(src))
     out = np.empty((len(basis), flat.shape[1]), dtype=np.result_type(coeff, flat))
     for k in range(0, flat.shape[1], step):
-        out[:, k : k + step] = np.add.reduceat(coeff * flat[src, k : k + step], starts)
+        terms = coeff * flat[src, k : k + step]
+        out[:, k : k + step] = terms.reshape(len(basis), runs, -1).sum(axis=1)
     keep = np.flatnonzero(out.any(axis=1))
     keep = keep if len(keep) else np.zeros(1, dtype=int)
     return basis[keep], out[keep].reshape((len(keep),) + layers.shape[1:])
-
-
-def _least_order(n: int, exps, layers: np.ndarray):
-    """_reduced's (exps, layers) at order n brought down to the least order
-    holding every entry, the lcm of their canonical orders, by _canonical's
-    descent: while the exponents share a factor g with n, divide by g."""
-    while (g := gcd(n, *exps.tolist())) > 1:
-        n //= g
-        exps, layers = _reduced(n, exps // g, layers)
-    return n, exps, layers
 
 
 def _value_key(arr: np.ndarray) -> tuple:
@@ -620,6 +619,18 @@ class FieldTensor:
         return cls(n, den, exps, coords[:, index].reshape((len(exps),) + grid.shape))
 
     @classmethod
+    def root_sums(cls, n: int, layers: np.ndarray) -> "FieldTensor":
+        """The tensor of entries sum_e layers[e] * zeta_n^e, e < n, for integer
+        layers (den 1): reduced at n, then brought down to the least order
+        holding every entry, the lcm of their canonical orders, dividing n and
+        the exponents by their gcd g while g > 1 (_canonical's descent)."""
+        exps, layers = _reduced(n, range(n), layers)
+        while (g := gcd(n, *exps.tolist())) > 1:
+            n //= g
+            exps, layers = _reduced(n, exps // g, layers)
+        return cls(n, 1, exps, layers)
+
+    @classmethod
     def decode(cls, shape, groups) -> "FieldTensor":
         """The tensor FieldTensor.of makes of entries given as dense rational
         coefficients, with no CycloNumber made: groups holds (n, at, num,
@@ -638,12 +649,11 @@ class FieldTensor:
         for n, at, num, den in groups:
             if max(D, _magnitude(num), _magnitude(den)) >= 2**31:
                 num, den = num.astype(object), den.astype(object)
-            parts.append((at, *_least_order(n, *_reduced(n, range(n), (num * (D // den)).T))))
-        order = _budgeted(lcm(*(n for _, n, _, _ in parts)))
-        dtype = np.result_type(*(layers for *_, layers in parts))
-        full = np.zeros((order, prod(shape)), dtype=dtype)
-        for at, n, exps, layers in parts:
-            full[exps[:, None] * (order // n), at] = layers
+            parts.append((at, cls.root_sums(n, (num * (D // den)).T)))
+        order = _budgeted(lcm(*(part.order for _, part in parts)))
+        full = np.zeros((order, prod(shape)), np.result_type(*(part.layers for _, part in parts)))
+        for at, part in parts:
+            full[part.exps[:, None] * (order // part.order), at] = part.layers
         exps, layers = _reduced(order, range(order), full)
         g = gcd(D, int(np.gcd.reduce(layers, axis=None)))
         return cls(order, D // g, exps, (layers // g).reshape((len(exps), *shape)))

@@ -465,3 +465,96 @@ def test_scalars_equal_scalar_entrywise():
                 one._order, one._num, one._den
             )
     assert big.scalars() == tuple(tuple(CycloNumber._raw(1, {0: 0}, 1) + v for v in row) for row in grid)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (zeta, (True,)),
+        (CycloNumber, (True, [1])),
+        (zeta, (4, True)),
+        (CycloNumber, (4, [True, 0])),
+        (CycloNumber, (4, {1: False})),
+        (sin_ratio, (True, 3)),
+        (sin_ratio, (2, True)),
+    ],
+)
+def test_bools_are_not_orders_exponents_coefficients_or_sine_ratio_arguments(make, args):
+    # the rest of the library refuses bools too (S and t entries, levels, bounds)
+    with pytest.raises(ValueError):
+        make(*args)
+
+
+# -- the reduction's runs ----------------------------------------------------
+
+
+def test_every_basis_exponent_has_two_to_the_omega_unit_sources():
+    # the module docstring's CRT argument, checked on each order's tables:
+    # run i of the reduction arrays holds exactly the (source, coefficient)
+    # pairs whose expansion row names basis exponent i
+    for n in [*range(1, 721), 30030]:
+        table, basis = cyclo._expansion(n)
+        src, coeff, exps, runs = cyclo._reduction(n)
+        assert runs == 2 ** len(cyclo._prime_powers(n)) and len(src) == len(exps) * runs, n
+        assert exps.tolist() == sorted(basis) and set(coeff.ravel().tolist()) <= {-1, 1}, n
+        if n <= 240 or n == 30030:
+            want = {b: [] for b in basis}
+            for e, row in enumerate(table):
+                for b, s in row:
+                    want[b].append((e, s))
+            got = zip(src.reshape(-1, runs).tolist(), coeff.reshape(-1, runs).tolist())
+            assert [list(zip(*pair)) for pair in got] == [want[b] for b in exps.tolist()], n
+
+
+@pytest.mark.parametrize("break_row", ["drop a term", "double a coefficient"])
+def test_tables_with_uneven_runs_are_refused(monkeypatch, break_row):
+    # a reduction that relied on the run length would be wrong on such a table;
+    # the check is an explicit raise, so it holds under python -O too
+    n = 36
+    table, basis = cyclo._expansion(n)
+    cyclo._reduction(n)  # both kinds keep order 36, so the patch replaces kept entries
+    e = next(e for e in range(n) if e not in basis)
+    row = table[e][1:] if break_row == "drop a term" else tuple((b, 2 * s) for b, s in table[e])
+    monkeypatch.setitem(cyclo._expansion, n, (table[:e] + (row,) + table[e + 1 :], basis))
+    monkeypatch.delitem(cyclo._reduction, n)
+    with pytest.raises(AssertionError, match="^the runs of order 36 are not of one length"):
+        cyclo._reduced(n, range(n), np.eye(n, dtype=np.int64))
+    assert n not in cyclo._reduction
+
+
+def _dict_reduced(n, exps, rows):
+    """The reference reduction: each exponent's expansion row, one dict entry
+    per basis exponent."""
+    table, out = cyclo._expansion(n)[0], {}
+    for e, row in zip(exps, rows):
+        for b, s in table[e]:
+            acc = out.setdefault(b, [0] * len(row))
+            for k, c in enumerate(row):
+                acc[k] += s * c
+    return {b: acc for b, acc in out.items() if any(acc)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 420), st.data())
+def test_reduced_matches_a_dict_reduction_through_the_expansion(n, data):
+    full = data.draw(st.booleans(), "every exponent")
+    exps = range(n) if full else sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    cols = data.draw(st.integers(1, 6), "entries")
+    top = data.draw(st.sampled_from([3, 2**40, 2**70]), "largest entry")
+    entries = st.lists(st.integers(-top, top), min_size=cols, max_size=cols)
+    rows = data.draw(st.lists(entries, min_size=len(exps), max_size=len(exps)), "layers")
+    layers = np.array(rows, dtype=np.int64 if top < 2**63 else object).reshape(len(exps), 1, cols)
+    # a budget of one to three entries per chunk puts chunk boundaries inside the entries
+    per_chunk = data.draw(st.sampled_from([1, 2, 3, None]), "entries per chunk")
+    terms = cyclo._GATHER_TERMS if per_chunk is None else len(cyclo._reduction(n)[0]) * per_chunk
+    saved, cyclo._GATHER_TERMS = cyclo._GATHER_TERMS, terms
+    try:
+        got_exps, got = cyclo._reduced(n, exps, layers)
+    finally:
+        cyclo._GATHER_TERMS = saved
+    assert got.shape == (len(got_exps), 1, cols) and got_exps.tolist() == sorted(got_exps.tolist())
+    flat = got.reshape(len(got_exps), cols).tolist()
+    assert len(got_exps) == 1 or all(map(any, flat))
+    assert {b: row for b, row in zip(got_exps.tolist(), flat) if any(row)} == _dict_reduced(
+        n, exps, rows
+    )

@@ -9,10 +9,12 @@ import time
 import tracemalloc
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from fuselab.cli import main
+from fuselab.cli import JobSpec, main, run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_oracles import (
@@ -865,6 +867,56 @@ def test_gathered_catalog_tensors_are_the_tensors_of_their_entries():
             want.order, want.den, want.exps.tolist(), want.layers.tolist()
         ), name
         assert md.globalDim == sum((x * x for x in md.d), ZERO), name
+
+
+def _scalar_catalog_s(name):
+    """S of an su(2) or Z_n catalog id from scalar sin_ratio / zeta values,
+    gathered by the index the constructors use."""
+    head, k = name.split(":")
+    k = int(k)
+    if head == "su2":
+        at, n = np.arange(1, k + 2), 2 * (k + 2)
+        values = [sin_ratio(j, k + 2) for j in range(n)]
+        index = (at[:, None] * at) % n
+    else:
+        x = np.arange(k)
+        values = [zeta(k, j) for j in range(k)]
+        index = (x[:, None] * x * (2 if k % 2 else 1)) % k
+    return tuple(tuple(values[j] for j in row) for row in index.tolist())
+
+
+def test_catalog_tensors_from_integer_tables_equal_the_scalar_route(monkeypatch):
+    # the su(2) and Z_n tensors come from integer tables of root exponents;
+    # they equal the pooled tensor of the scalar values gathered the same way,
+    # and md.S, made on first use, equals that gather. A fresh cache, so no
+    # earlier test has read md.S of the data loaded here
+    monkeypatch.setattr(modular, "su2_modular_data", lru_cache(su2_modular_data.__wrapped__))
+    monkeypatch.setattr(modular, "zn_modular_data", lru_cache(zn_modular_data.__wrapped__))
+    for name in [f"su2:{k}" for k in range(29)] + [f"zn:{n}" for n in range(1, 9)]:
+        md = load_catalog(name)
+        assert "S" not in md.__dict__ and "d" not in md.__dict__, name
+        S = _scalar_catalog_s(name)
+        T, want = md.tensor, FieldTensor.of(S)
+        assert (T.order, T.den, T.exps.tolist(), T.layers.tolist()) == (
+            want.order, want.den, want.exps.tolist(), want.layers.tolist()
+        ), name
+        assert md.S == S and md.d == S[0], name
+
+
+def test_a_diag_theorem_job_never_makes_the_catalog_scalars(monkeypatch):
+    monkeypatch.setattr(modular, "su2_modular_data", lru_cache(su2_modular_data.__wrapped__))
+    code, report = run(JobSpec(command="diag-theorem", data="su2:10", graph="E:6"))
+    assert code == 0, report
+    assert "S" not in modular.su2_modular_data(10).__dict__
+
+
+@pytest.mark.parametrize("make", [su2_modular_data, zn_modular_data])
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_catalog_constructors_refuse_what_is_not_an_int_even_after_a_build(make, bad):
+    # the entry for 1 is built first, so the refusal does not rest on an empty cache
+    make(1)
+    with pytest.raises(ValueError, match="must be a (non-negative|positive) integer"):
+        make(bad)
 
 
 def test_datum_value_ignores_the_tensor_dtype():
