@@ -55,31 +55,42 @@ def _budgeted(n: int) -> int:
 
 
 # The tables of an order hold one entry per expansion term: 128 at order 60,
-# 405,504 at order 31,395. Each kind keeps the tables of the orders it built,
-# the first kept evicted first, while they hold at most _KEPT_TERMS entries
-# in all; an order whose tables alone are larger is built on every call.
+# 405,504 at order 31,395; each kind keeps at most _KEPT_TERMS in all.
 _KEPT_TERMS = 2**16
 
 
 class _Kept(dict):
-    """tables[n], or tables(n): build(n), kept under the _KEPT_TERMS budget,
-    terms(value) the entries of one value and sizes[n] those of each kept n."""
+    """keeper[key], or keeper(key): build(key), kept while the terms(value)
+    of the kept values sum to at most budget, the first kept evicted first;
+    a value over the whole budget is built on every call, and a build that
+    raises keeps nothing. sizes[key] is the charge of each kept key."""
 
     __call__ = dict.__getitem__
 
-    def __init__(self, build, terms):
+    def __init__(self, build, terms, budget=_KEPT_TERMS):
         super().__init__()
-        self.build, self.terms, self.sizes = build, terms, {}
+        self.build, self.terms, self.budget, self.sizes = build, terms, budget, {}
 
-    def __missing__(self, n: int):
-        value = self.build(n)
+    def __missing__(self, key):
+        value = self.build(key)
         size = self.terms(value)
-        if size <= _KEPT_TERMS:
-            while sum(self.sizes.values()) + size > _KEPT_TERMS:
+        if size <= self.budget:
+            while sum(self.sizes.values()) + size > self.budget:
                 first = next(iter(self))
                 del self[first], self.sizes[first]
-            self[n], self.sizes[n] = value, size
+            self[key], self.sizes[key] = value, size
         return value
+
+    def clear(self):
+        super().clear()
+        self.sizes.clear()
+
+
+def _kept_entries(entries):
+    """A decorator that keeps build's values in a _Kept of 2**23 terms, each
+    value charged entries(value) + 2**16: at most 128 values and 64 MiB of
+    int64 or pointers (graphs, unions, modules and su(2) rings)."""
+    return partial(_Kept, terms=lambda value: entries(value) + 2**16, budget=2**23)
 
 
 def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
@@ -454,22 +465,6 @@ def zeta(n: int, k: int = 1) -> CycloNumber:
     return CycloNumber(n, {k: 1})
 
 
-def cyclo_arith(a: CycloNumber, b: CycloNumber, op: str) -> CycloNumber:
-    """Dispatch one exact field operation; op in {add, sub, mul, div}."""
-    ca, cb = _coerce(a), _coerce(b)
-    if ca is None or cb is None:
-        raise TypeError("cyclo_arith expects cyclotomic or rational operands")
-    if op == "add":
-        return ca + cb
-    if op == "sub":
-        return ca - cb
-    if op == "mul":
-        return ca * cb
-    if op == "div":
-        return ca / cb
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def sin_ratio(k: int, h: int) -> CycloNumber:
     """Exact value of sin(k*pi/h) / sin(pi/h).
 
@@ -490,19 +485,6 @@ def sin_ratio(k: int, h: int) -> CycloNumber:
         e = (k - 1 - 2 * j) % n
         num[e] = num.get(e, 0) + 1
     return CycloNumber._raw(n, num, 1)
-
-
-def basis_coordinates(x: CycloNumber, order: int) -> dict[int, Fraction]:
-    """Coordinates of x over the canonical basis of the order-`order` field.
-
-    `order` must be a multiple of x.order. The map is linear and injective,
-    so rational row reduction over these coordinates decides cyclotomic
-    linear identities exactly.
-    """
-    if not isinstance(order, int) or order < 1 or order % x._order:
-        raise ValueError(f"order must be a positive multiple of {x._order}, got {order!r}")
-    t = FieldTensor.of([x])._framed(order, x._den)
-    return {int(b): Fraction(int(c), x._den) for b, c in zip(t.exps, t.layers[:, 0]) if c}
 
 
 def exact_ints(values, inner: int = 1) -> np.ndarray:

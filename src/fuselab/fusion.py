@@ -15,13 +15,13 @@ from the tensor on first use and held, for callers that want scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .cyclo import ZERO, CycloNumber, FieldTensor, _coerce, _first, _magnitude, _value_key
-from .cyclo import exact_ints
+from .cyclo import _kept_entries, exact_ints
 from .errors import ShapeMismatch
 from .verdict import Check, Verdict, failed, passed
 
@@ -211,17 +211,20 @@ def verify_axioms(ring: FusionRing) -> Verdict:
     return Verdict(tuple(checks))
 
 
-@lru_cache(maxsize=None, typed=True)
 def su2_fusion_ring(level: int) -> FusionRing:
     """Truncated Clebsch-Gordan rules at height h = level + 2.
 
     N_{ab}^c = 1 iff |a-b| <= c <= min(a+b, 2*level-a-b) and c = a+b mod 2,
-    one mask over the (a, b, c) grid. Built once per level and shared by
-    every caller. The cache is typed, so 1.0 never reaches the entry of
-    level 1: a bad level always raises.
+    one mask over the (a, b, c) grid. Kept per level (cyclo._Kept); the
+    level is checked first, so 1.0 and True raise once level 1 is kept.
     """
     if not isinstance(level, int) or isinstance(level, bool) or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level!r}")
+    return _su2_rings[level]
+
+
+@_kept_entries(lambda ring: ring.tensor.size)
+def _su2_rings(level: int) -> FusionRing:
     r = level + 1
     a, b, c = np.ogrid[:r, :r, :r]
     rule = (abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * level - a - b))

@@ -9,10 +9,10 @@ own modules (NimRep._trusted) are not checked again.
 
 nimrep_from_graph builds the module of a fusion ring generated by label 1
 from N(x_1) = a graph's adjacency, through the ring's structure constants
-(over su2_fusion_ring(level), the Chebyshev recurrence), and keeps it in one
-LRU cache whichever ring and caller asked, a union's as the direct sum of
-its parts' (_direct_sum); ade_graph and disjoint_union keep their graphs.
-verify_nimrep checks modules given as matrices.
+(over su2_fusion_ring(level), the Chebyshev recurrence), a union's as the
+direct sum of its parts' (_direct_sum). Modules, ade_graph's graphs and
+disjoint_union's are kept by cyclo._Kept. verify_nimrep checks modules given
+as matrices.
 
 A module holds what is derived from it, in nr._derived, outside its value
 and freed with it (modular._held): its character and support connectivity
@@ -37,11 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from math import inf
 
 import numpy as np
 
-from .cyclo import CycloNumber, _first, _int_type, _magnitude, exact_ints
+from .cyclo import CycloNumber, _first, _int_type, _kept_entries, _magnitude, exact_ints
 from .errors import (
     DegenerateScalar,
     MultiplicityNotOne,
@@ -57,13 +58,6 @@ _ADE_FAMILIES = ("A", "D", "E")
 # the largest n a graph tag may name, as its adjacency has n * n entries
 # (the largest catalog graph is A:29)
 _MAX_TAG_RANK = 1024
-# nimrep_from_graph keeps at most _KEPT_MODULES modules, each an int64 stack
-# of at most _KEPT_ENTRIES entries: 128 * 2**16 * 8 bytes = 64 MiB; ade_graph
-# and disjoint_union each keep as many graphs of at most _KEPT_ENTRIES adjacency
-# entries, a pointer per entry, so 64 MiB each (a union's parts hold fewer)
-_KEPT_MODULES = 128
-_KEPT_ENTRIES = 2**16
-_kept_modules: dict = {}  # nimrep_from_graph's, least recently used first
 
 
 @dataclass(frozen=True)
@@ -156,20 +150,15 @@ def _ade_adjacency(tag: str) -> tuple[tuple[int, ...], ...]:
 def ade_graph(tag: str) -> BoundaryGraph:
     """Resolve a family tag like 'A:11', 'D:7', 'E:6' (Bourbaki numbering:
     A_n and the D_n tail are paths from vertex 1; D_n forks at n-2; E_n
-    branches at vertex 4 with the short leg 2-4). A graph of at most
-    _KEPT_ENTRIES adjacency entries is kept, frozen and shared, one per tag,
-    in a cache of _KEPT_MODULES graphs; a larger one is built on each call."""
-    n = _ade_rank(tag)[1]
-    return (_kept_ade_graph if n * n <= _KEPT_ENTRIES else _build_ade_graph)(tag)
+    branches at vertex 4 with the short leg 2-4). Kept per tag (cyclo._Kept)."""
+    return _graphs[tag]
 
 
-def _build_ade_graph(tag: str) -> BoundaryGraph:
+@_kept_entries(lambda g: g.size**2)
+def _graphs(tag: str) -> BoundaryGraph:
     adjacency = _ade_adjacency(tag)
     vertices = tuple(str(i) for i in range(1, len(adjacency) + 1))
     return BoundaryGraph._trusted(vertices, adjacency, tag)
-
-
-_kept_ade_graph = lru_cache(maxsize=_KEPT_MODULES)(_build_ade_graph)
 
 
 def a_graph(n: int) -> BoundaryGraph:
@@ -189,15 +178,14 @@ def e_graph(n: int) -> BoundaryGraph:
 
 def disjoint_union(*graphs: BoundaryGraph) -> BoundaryGraph:
     """Block-diagonal union; vertices prefixed by component index. It records
-    its parts in _parts, and is kept per tuple of parts as ade_graph keeps a
-    tag's graph, or built on each call if over _KEPT_ENTRIES adjacency entries."""
+    its parts in _parts, and is kept per tuple of parts (cyclo._Kept)."""
     if not graphs:
         raise ShapeMismatch("union of zero graphs")
-    n = sum(g.size for g in graphs)
-    return (_kept_union if n * n <= _KEPT_ENTRIES else _build_union)(*graphs)
+    return _unions[graphs]
 
 
-def _build_union(*graphs: BoundaryGraph) -> BoundaryGraph:
+@_kept_entries(lambda g: g.size**2)
+def _unions(graphs: tuple[BoundaryGraph, ...]) -> BoundaryGraph:
     vertices = tuple(f"{k}:{v}" for k, g in enumerate(graphs) for v in g.vertices)
     rows: list[tuple[int, ...]] = []
     for g in graphs:
@@ -205,9 +193,6 @@ def _build_union(*graphs: BoundaryGraph) -> BoundaryGraph:
         after = len(vertices) - before - g.size
         rows += [(0,) * before + row + (0,) * after for row in g.adjacency]
     return BoundaryGraph._trusted(vertices, tuple(rows), parts=graphs)
-
-
-_kept_union = lru_cache(maxsize=_KEPT_MODULES)(_build_union)
 
 
 def _module_stack(ring: FusionRing, mats) -> np.ndarray:
@@ -301,23 +286,15 @@ def _duality_failure(ring: FusionRing, M: np.ndarray) -> str | None:
 
 def nimrep_from_graph(ring: FusionRing, g: BoundaryGraph) -> NimRep:
     """The module of ring with N(x_0) = I and N(x_1) = the adjacency of g,
-    kept, frozen and shared, in an LRU cache of _KEPT_MODULES keyed on
-    (ring, g.vertices, g.adjacency) when its stack is int64 with at most
-    _KEPT_ENTRIES entries; any other is built on each call, as a failing
-    graph raises on each. Equal rings, such as one parsed from a file again,
-    share one kept module, which pins the ring it was built over and the
-    data held in its slots until it is evicted. A union of parts is built
-    as the direct sum of their modules (_direct_sum)."""
-    key = (ring, g.vertices, g.adjacency)
-    nr = _kept_modules.pop(key, None)
-    if nr is None:
-        nr = _direct_sum(ring, g) if g._parts else _build_module(ring, g)
-        if nr.mats.dtype != np.int64 or nr.mats.size > _KEPT_ENTRIES:
-            return nr
-        if len(_kept_modules) >= _KEPT_MODULES:
-            del _kept_modules[next(iter(_kept_modules))]
-    _kept_modules[key] = nr
-    return nr
+    kept per (ring, g) (cyclo._Kept), unless its stack holds Python ints. A
+    union of parts is built as the direct sum of their modules (_direct_sum)."""
+    return _modules[ring, g]
+
+
+@_kept_entries(lambda nr: nr.mats.size if nr.mats.dtype == np.int64 else inf)
+def _modules(key: tuple[FusionRing, BoundaryGraph]) -> NimRep:
+    ring, g = key
+    return _direct_sum(ring, g) if g._parts else _build_module(ring, g)
 
 
 def _build_module(ring: FusionRing, g: BoundaryGraph) -> NimRep:

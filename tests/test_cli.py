@@ -464,7 +464,7 @@ def test_graph_commands_build_each_module_once(tmp_path, monkeypatch):
                     out.append((code, render_report(report, job)))
         return out
 
-    nimrep._kept_modules.clear()
+    nimrep._modules.clear()
     first = reports()
     assert len(set(built)) == len(built) == 46
     codes = Counter(code for code, _ in first)

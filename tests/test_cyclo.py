@@ -22,8 +22,6 @@ from fuselab.cyclo import (
     CycloNumber,
     FieldTensor,
     RationalPhase,
-    basis_coordinates,
-    cyclo_arith,
     embed_complex,
     exact_ints,
     inverses,
@@ -44,12 +42,12 @@ def test_two_cos_quarter_pi_squares_to_two():
 
 def test_add_zero_is_identity():
     x = zeta(12, 5) - 3 * zeta(12, 2) + Fraction(1, 7)
-    assert cyclo_arith(x, ZERO, "add") == x
+    assert x + ZERO == x
 
 
 def test_inverse_of_two_cos_pi_fifth():
     c = zeta(10) + zeta(10, 9)  # 2cos(pi/5)
-    inv = cyclo_arith(ONE, c, "div")
+    inv = ONE / c
     assert inv * c == ONE
     # golden ratio minus one: phi - 1 = 1/phi and phi = 2cos(pi/5)
     with mpmath.workdps(40):
@@ -59,7 +57,7 @@ def test_inverse_of_two_cos_pi_fifth():
 
 def test_division_by_zero_signals():
     with pytest.raises(DegenerateScalar):
-        cyclo_arith(ONE, ZERO, "div")
+        ONE / ZERO
 
 
 def test_sin_ratio_pinned_values():
@@ -159,27 +157,6 @@ def test_embed_respects_multiplication(a, b):
     assert abs(zab - za * zb) < mpmath.mpf("1e-14") * (1 + abs(za)) * (1 + abs(zb))
 
 
-@settings(max_examples=60, deadline=None)
-@given(cyclos(), cyclos())
-def test_basis_coordinates_linear_and_injective(a, b):
-    import math
-
-    n = math.lcm(a.order, b.order)
-    ca, cb = basis_coordinates(a, n), basis_coordinates(b, n)
-    cs = basis_coordinates(a + b, n)
-    combined: dict[int, Fraction] = dict(ca)
-    for k, v in cb.items():
-        combined[k] = combined.get(k, Fraction(0)) + v
-    assert cs == {k: v for k, v in combined.items() if v}
-    if ca == cb:
-        assert a == b
-
-
-def test_basis_coordinates_rejects_non_multiple():
-    with pytest.raises(ValueError):
-        basis_coordinates(zeta(8), 12)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(cyclos(), min_size=4, max_size=4), st.lists(cyclos(), min_size=4, max_size=4),
        st.sampled_from([1, 2**40, 2**70]))
@@ -266,6 +243,47 @@ def test_batch_inverse_of_zero_signals():
     with pytest.raises(DegenerateScalar, match="division by zero in a cyclotomic field"):
         inverses([zeta(5) + 2, ZERO, zeta(5)])
     assert inverses([]) == ()
+
+
+# -- the keeper of process-wide values ---------------------------------------
+
+
+def test_keeper_evicts_first_in_first_out_under_its_budget():
+    built = []
+
+    def build(key):
+        built.append(key)
+        if key < 0:
+            raise ValueError(f"no value for {key}")
+        return [key] * key
+
+    kept = cyclo._Kept(build, len, budget=10)
+    four = kept[4]
+    assert kept(4) is four and kept[4] is four and built == [4]
+    kept[5]
+    assert kept[4] is four  # a hit does not move 4 behind 5
+    kept[3]  # 4 + 5 + 3 > 10: 4, the first kept, is the first evicted
+    assert list(kept) == [5, 3] and kept.sizes == {5: 5, 3: 3} and built == [4, 5, 3]
+    # a value over the whole budget is built on every call and never kept
+    big = kept[11]
+    assert kept[11] == big and kept[11] is not big and built[-3:] == [11, 11, 11]
+    assert list(kept) == [5, 3] and kept.sizes == {5: 5, 3: 3}
+    # a build that raises leaves the keeper as it was
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no value for -1"):
+            kept[-1]
+    assert list(kept) == [5, 3] and kept.sizes == {5: 5, 3: 3}
+    kept.clear()
+    assert not kept and not kept.sizes
+    # the graph, union, module and ring keepers charge each value its entries
+    # plus 2**16 against 2**23: one-entry values never fill more than 128 slots
+    many = cyclo._kept_entries(len)(lambda key: [key])
+    first = many[0]
+    for key in range(1, 300):
+        many[key]
+        assert len(many) <= 128
+    assert list(many) == list(range(300 - len(many), 300)) and 0 not in many
+    assert many[0] == first and many[0] is not first
 
 
 # -- the integer type a FieldTensor's products take -------------------------

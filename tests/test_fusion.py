@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from scalar_oracles import raw, scalar_multiply, scalar_su2_table
 
+from fuselab import fusion
 from fuselab.cyclo import ONE, ZERO, CycloNumber, exact_ints, zeta
 from fuselab.errors import ShapeMismatch
 from fuselab.fusion import (
@@ -214,10 +215,24 @@ def test_su2_fusion_ring_built_once_per_level():
     for k in range(29):
         ring = su2_fusion_ring(k)
         assert su2_fusion_ring(k) is ring
-        assert ring == su2_fusion_ring.__wrapped__(k)
+        assert ring == fusion._su2_rings.build(k)
     for bad in (-1, 1.0, "1", None, True):  # the cache is warm for 1 by now
         with pytest.raises(ValueError, match="level must be a non-negative integer"):
             su2_fusion_ring(bad)
+
+
+def test_su2_fusion_ring_keeps_a_bounded_number_of_levels(monkeypatch):
+    # a budget that the rings of levels 31-34 fill: asking for 30-34 in
+    # order evicts 30, the first kept, and asking again rebuilds it equal
+    rings, levels = fusion._su2_rings, range(30, 35)
+    monkeypatch.setattr(rings, "budget", sum(rings.terms(rings.build(k)) for k in levels[1:]))
+    first = su2_fusion_ring(levels[0])
+    for k in levels[1:]:
+        assert su2_fusion_ring(k) is su2_fusion_ring(k)
+    assert list(rings) == list(levels[1:])
+    again = su2_fusion_ring(levels[0])
+    assert again == first and again is not first
+    assert list(rings) == [*levels[2:], levels[0]]
 
 
 def test_su2_small_products():
@@ -241,7 +256,7 @@ def test_su2_selection_rule():
 
 def test_su2_mask_matches_the_entrywise_rule_at_every_catalog_level():
     for level in range(29):
-        ring = su2_fusion_ring.__wrapped__(level)
+        ring = fusion._su2_rings.build(level)
         assert ring.N == scalar_su2_table(level), level
         assert ring.tensor.dtype == np.int64 and not ring.tensor.flags.writeable, level
 

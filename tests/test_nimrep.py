@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scalar_oracles import idempotent_profile, scalar_idempotent_family
 
-from fuselab import cyclo, modular, nimrep
+from fuselab import cyclo, fusion, modular, nimrep
 from fuselab.cyclo import ONE, ZERO, CycloNumber, exact_ints, sin_ratio, zeta
 from fuselab.errors import (
     DegenerateScalar,
@@ -662,7 +662,7 @@ def generic_nimrep_from_graph(g, level):
             j, k = next(zip(*np.nonzero(nxt < 0)))
             raise NotANimRep(f"recurrence for N(x_{i + 1}) gives entry {nxt[j, k]} at ({j},{k})")
         mats.append(nxt)
-    v = verify_nimrep(su2_fusion_ring.__wrapped__(level), mats)
+    v = verify_nimrep(fusion._su2_rings.build(level), mats)
     if not v.ok:
         raise NotANimRep(f"{v.first_failure.name}: {v.first_failure.witness}")
     return mats
@@ -831,6 +831,14 @@ def test_module_built_once_per_graph_and_level():
     first = su2_nimrep_from_graph(disjoint_union(ade_graph("A:5"), ade_graph("D:4")), 4)
     assert su2_nimrep_from_graph(disjoint_union(a_graph(5), d_graph(4)), 4) is first
     assert su2_nimrep_from_graph(ade_graph("A:5"), 4) is not first
+    # a custom graph with a tagged graph's adjacency is another key (family is
+    # part of a graph's value), and its module has the same matrices
+    tagged = ade_graph("E:6")
+    custom = BoundaryGraph(tagged.vertices, tagged.adjacency)
+    assert custom != tagged
+    mine, theirs = su2_nimrep_from_graph(custom, 10), su2_nimrep_from_graph(tagged, 10)
+    assert mine is not theirs and su2_nimrep_from_graph(custom, 10) is mine
+    assert mine.mats.dtype == theirs.mats.dtype and np.array_equal(mine.mats, theirs.mats)
 
 
 def test_bool_level_refused_after_its_int_is_kept():
@@ -845,37 +853,28 @@ def test_bool_level_refused_after_its_int_is_kept():
 def test_failing_graph_raises_the_same_witness_and_is_not_kept():
     from fuselab import nimrep
 
-    kept = dict(nimrep._kept_modules)
+    kept = dict(nimrep._modules)
     texts = set()
     for _ in range(3):
         with pytest.raises(NotANimRep) as info:
             su2_nimrep_from_graph(a_graph(3), 4)
         texts.add(str(info.value))
     assert texts == {"recurrence for N(x_4) gives entry -1 at (0,2)"}
-    assert nimrep._kept_modules == kept
+    assert nimrep._modules == kept
 
 
 def test_module_cache_is_bounded():
     from fuselab import nimrep
 
-    nimrep._kept_modules.clear()
-    limit = nimrep._KEPT_MODULES
     first = su2_nimrep_from_graph(a_graph(1), 0)
-    for n in range(2, limit + 3):  # level 0 needs no Coxeter match: every graph passes
-        assert su2_nimrep_from_graph(a_graph(n), 0).size == n
-        assert su2_nimrep_from_graph(a_graph(1), 0) is first  # the most recently used
-        assert len(nimrep._kept_modules) <= limit
-    assert len(nimrep._kept_modules) == limit
-    # the least recently used go first: A:2 and A:3, never the A:1 asked for each round
-    assert su2_nimrep_from_graph(a_graph(1), 0) is first
-    held = {key[1] for key in nimrep._kept_modules}
-    assert a_graph(2).vertices not in held and a_graph(3).vertices not in held
-    # A:41 at level 40 is a stack of 41**3 > 2**16 entries: built on every call, never kept
-    nimrep._kept_modules.clear()
+    for n in range(2, 6):  # level 0 needs no Coxeter match: every graph passes
+        assert su2_nimrep_from_graph(a_graph(n), 0) is su2_nimrep_from_graph(a_graph(n), 0)
+        assert su2_nimrep_from_graph(a_graph(1), 0) is first
     big = su2_nimrep_from_graph(a_graph(41), 40)
-    assert big.mats.size > nimrep._KEPT_ENTRIES and big.mats.dtype == np.int64
-    assert su2_nimrep_from_graph(a_graph(41), 40) is not big
-    assert not nimrep._kept_modules
+    assert su2_nimrep_from_graph(a_graph(41), 40) is big and big.mats.dtype == np.int64
+    # each module is charged its entries plus 2**16 against 2**23 (the bound
+    # itself: tests/test_cyclo.py::test_keeper_evicts_first_in_first_out_under_its_budget)
+    assert nimrep._modules.budget == 2**23 and nimrep._modules.terms(big) == 41**3 + 2**16
 
 
 def test_one_module_cache_for_every_ring():
@@ -887,29 +886,27 @@ def test_one_module_cache_for_every_ring():
         ring = load_catalog(name).ring
         nr = nimrep_from_graph(ring, g)
         assert nimrep_from_graph(ring, BoundaryGraph(g.vertices, g.adjacency)) is nr, name
-        assert nimrep._kept_modules[(ring, g.vertices, g.adjacency)] is nr, name
+        assert nimrep._modules[ring, g] is nr, name
     # x * x = 1 + 2**40 x acting on itself: entries past exact_ints' int64 range
     big = 2**40
     wide = FusionRing(("1", "x"), (0, 1), (((1, 0), (0, 1)), ((0, 1), (1, big))))
     assert verify_axioms(wide).ok
     g = BoundaryGraph(("1", "x"), ((0, 1), (1, big)))
-    kept = dict(nimrep._kept_modules)
+    kept = dict(nimrep._modules)
     nr = nimrep_from_graph(wide, g)
     assert nr.mats.dtype == object and nr.mats[1].tolist() == [[0, 1], [1, big]]
     assert nimrep_from_graph(wide, g) is not nr
-    # 41**3 > 2**16 entries, int64: too large to keep
-    assert su2_nimrep_from_graph(a_graph(41), 40) is not su2_nimrep_from_graph(a_graph(41), 40)
-    assert nimrep._kept_modules == kept
+    assert nimrep._modules == kept
     # equal rings share one entry, as a ring parsed from a file again does:
     # more rings than the cache holds, asked about in two rounds, add none
     fib = load_catalog("fibonacci").ring
     shared = nimrep_from_graph(fib, tadpole)
-    rings = [parse_data(data_to_json(fib)) for _ in range(nimrep._KEPT_MODULES + 8)]
+    rings = [parse_data(data_to_json(fib)) for _ in range(128 + 8)]
     for _ in range(2):
         for ring in rings:
             assert ring is not fib and nimrep_from_graph(ring, tadpole) is shared
-    assert shared.ring is fib and nimrep._kept_modules == kept
-    nimrep._kept_modules.clear()
+    assert shared.ring is fib and nimrep._modules == kept
+    nimrep._modules.clear()
 
 
 def test_graph_tags_and_catalog_ids_are_spelled_canonically(capsys, tmp_path):
@@ -917,11 +914,11 @@ def test_graph_tags_and_catalog_ids_are_spelled_canonically(capsys, tmp_path):
     from fuselab import cli, nimrep
     from fuselab.errors import SchemaError
 
-    kept = nimrep._kept_ade_graph.cache_info().currsize
+    kept = dict(nimrep._graphs)
     for tag in ("A:1_0", "A: 5", "A:5 ", "A:+5", "A:05", "A:٣", "A:-0", "A:"):
         with pytest.raises(ShapeMismatch, match="does not write its rank in plain decimal"):
             ade_graph(tag)
-    assert nimrep._kept_ade_graph.cache_info().currsize == kept
+    assert nimrep._graphs == kept
     with pytest.raises(ShapeMismatch, match="A_n needs n >= 1"):
         ade_graph("A:-5")
     for name in ("su2:1_0", "su2: 5", "su2:+5", "su2:05", "su2:٣", "zn:٣", "zn:03", "su2:-0"):
@@ -947,20 +944,10 @@ def test_graph_kept_once_per_tag_and_cache_is_bounded():
 
     assert ade_graph("E:6") is ade_graph("E:6")
     assert e_graph(6) is ade_graph("E:6")
-    # A:300 has 90,000 > 2**16 adjacency entries: built on every call, never kept
-    kept = nimrep._kept_ade_graph.cache_info().currsize
     big = ade_graph("A:300")
-    assert ade_graph("A:300") is not big and ade_graph("A:300") == big
-    assert nimrep._kept_ade_graph.cache_info().currsize == kept
-    assert ade_graph("A:256") is ade_graph("A:256")  # exactly 2**16 entries
-    nimrep._kept_ade_graph.cache_clear()
-    limit = nimrep._kept_ade_graph.cache_info().maxsize
-    assert limit == nimrep._KEPT_MODULES
-    for n in range(1, limit + 3):
-        assert ade_graph(f"A:{n}").size == n
-        assert nimrep._kept_ade_graph.cache_info().currsize <= limit
-    assert nimrep._kept_ade_graph.cache_info().currsize == limit
-    nimrep._kept_ade_graph.cache_clear()
+    assert ade_graph("A:300") is big and ade_graph("A:256") is ade_graph("A:256")
+    # each graph is charged its adjacency entries plus 2**16 against 2**23
+    assert nimrep._graphs.budget == 2**23 and nimrep._graphs.terms(big) == 300**2 + 2**16
 
 
 def test_graph_built_from_lists_is_stored_as_tuples():
@@ -980,21 +967,11 @@ def test_union_kept_once_per_parts_and_cache_is_bounded():
     assert disjoint_union(*parts) is union
     assert disjoint_union(a_graph(7), d_graph(5), a_graph(7)) is union
     assert union._parts == parts
-    # A:200 + A:100 has 90,000 > 2**16 adjacency entries: built on every call, never kept
-    kept = nimrep._kept_union.cache_info().currsize
     big = disjoint_union(ade_graph("A:200"), ade_graph("A:100"))
-    again = disjoint_union(ade_graph("A:200"), ade_graph("A:100"))
-    assert again is not big and again == big and again._parts == big._parts
-    assert nimrep._kept_union.cache_info().currsize == kept
+    assert disjoint_union(ade_graph("A:200"), ade_graph("A:100")) is big
     assert disjoint_union(a_graph(128), a_graph(128)) is disjoint_union(a_graph(128), a_graph(128))
-    nimrep._kept_union.cache_clear()
-    limit = nimrep._kept_union.cache_info().maxsize
-    assert limit == nimrep._KEPT_MODULES
-    for n in range(1, limit + 3):
-        assert disjoint_union(a_graph(n), a_graph(1)).size == n + 1
-        assert nimrep._kept_union.cache_info().currsize <= limit
-    assert nimrep._kept_union.cache_info().currsize == limit
-    nimrep._kept_union.cache_clear()
+    # each union is charged its adjacency entries plus 2**16 against 2**23
+    assert nimrep._unions.budget == 2**23 and nimrep._unions.terms(big) == 300**2 + 2**16
 
 
 def test_union_parts_are_not_part_of_its_value():
@@ -1010,7 +987,7 @@ def test_union_parts_are_not_part_of_its_value():
 
 
 def test_union_module_is_the_sum_of_its_parts_kept_modules(monkeypatch):
-    nimrep._kept_modules.clear()
+    nimrep._modules.clear()
     parts = [ade_graph("A:7"), ade_graph("D:5")]
     blocks = [su2_nimrep_from_graph(part, 6) for part in parts]
     with monkeypatch.context() as m:
@@ -1027,7 +1004,7 @@ def test_union_module_is_the_sum_of_its_parts_kept_modules(monkeypatch):
     for g in (failing, BoundaryGraph(failing.vertices, failing.adjacency)):
         with pytest.raises(NotANimRep, match=r"^homomorphism: \(N\(1\)N\(4\)\)\[5,10\] = 1 != 0$"):
             su2_nimrep_from_graph(g, 4)
-    nimrep._kept_modules.clear()
+    nimrep._modules.clear()
 
 
 def test_union_modules_equal_the_recurrence():
@@ -1035,7 +1012,7 @@ def test_union_modules_equal_the_recurrence():
     # unions, and now and then a path of the wrong length (a failing part): the
     # same stack and dtype as the recurrence on the plain graph, or its error
     rng = random.Random(2901)
-    nimrep._kept_modules.clear()
+    nimrep._modules.clear()
     kinds = Counter()
     for lvl in range(1, 17):
         tags = [f"A:{lvl + 1}"] + [f"D:{(lvl + 4) // 2}"] * (lvl >= 4 and lvl % 2 == 0)
@@ -1062,7 +1039,7 @@ def test_union_modules_equal_the_recurrence():
     got = module_outcome(nimrep_from_graph, wide, two)
     assert got == module_outcome(nimrep._build_module, wide, BoundaryGraph(two.vertices, two.adjacency))
     assert got[:2] == ("ok", object)
-    nimrep._kept_modules.clear()
+    nimrep._modules.clear()
 
 
 # -- one builder over every ring that label 1 generates ---------------------
