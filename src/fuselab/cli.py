@@ -391,9 +391,6 @@ def _render_human(report: dict, digits: int) -> str:
                     f"  lambda[{p['label']}]: ({vals})  normSq = "
                     + _approx(p["normSq"], digits)
                 )
-        elif key == "lambda":
-            vals = ", ".join(_approx(v, digits) for v in value)
-            lines.append(f"  lambda: ({vals})")
         elif key == "catalogs":
             lines.append("  catalogs:")
             for name in value:

@@ -7,14 +7,16 @@ and the coefficients share one positive denominator with overall gcd 1.
 Because the form is unique, equality is plain component comparison.
 
 The basis at order n consists of the exponents e such that for every prime
-power p^v exactly dividing n, the top base-p digit of (e mod p^v) is not
+power q = p^v exactly dividing n, the top base-p digit of (e mod q) is not
 p - 1.  Exponents outside the basis are rewritten through the vanishing sums
 sum_{j=0}^{p-1} zeta_n^(e + j*n/p) = 0.  A rewrite at p leaves residues
-modulo the other prime powers untouched, so the reduction terminates and the
-canonical support of an element of Q(zeta_{n/g}) is contained in g*Z; the
-order descent below relies on exactly that. At one p^v, rewriting a top digit
-p - 1 reaches each basis digit 0..p-2 once, with coefficient -1: each basis
-exponent has two sources per prime, 2^omega(n) by CRT, each coefficient +-1.
+modulo the other prime powers untouched, so the canonical support of an
+element of Q(zeta_{n/g}) is contained in g*Z; the order descent below relies
+on exactly that. At one q, the rewrite reaches each basis residue r from r,
+with coefficient +1, and from r with its top digit raised to p - 1, with
+coefficient -1. Joined by CRT, each basis exponent has 2^omega(n) sources of
+coefficient +-1. One table per order (_tables) holds this closed form, read
+per exponent by CycloNumber and per basis exponent by FieldTensor.
 
 A dense inverse is the product of the Galois conjugates over the rational
 norm, about phi(n) products, so each number keeps its inverse once taken,
@@ -54,8 +56,9 @@ def _budgeted(n: int) -> int:
     return n
 
 
-# The tables of an order hold one entry per expansion term: 128 at order 60,
-# 405,504 at order 31,395; each kind keeps at most _KEPT_TERMS in all.
+# The table of an order holds one entry per reduction term, 2^omega(n) per
+# basis exponent: 128 at order 60, 405,504 at order 31,395. The kept tables
+# hold at most _KEPT_TERMS in all.
 _KEPT_TERMS = 2**16
 
 
@@ -111,46 +114,47 @@ def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@partial(_Kept, terms=lambda value: sum(map(len, value[0])))
-def _expansion(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], frozenset[int]]:
-    """(expansion, basis): expansion[e] = ((basis_exponent, coefficient), ...)
-    for zeta_n^e, and the basis exponents, whose rows are ((e, 1),)."""
-    pps = _prime_powers(_budgeted(n))
-    memo: dict[int, tuple[tuple[int, int], ...]] = {}
-
-    def expand(e: int) -> tuple[tuple[int, int], ...]:
-        got = memo.get(e)
-        if got is not None:
-            return got
-        for p, q in pps:
-            if (e % q) // (q // p) == p - 1:
-                acc: dict[int, int] = {}
-                step = n // p
-                for j in range(1, p):
-                    for b, s in expand((e + j * step) % n):
-                        acc[b] = acc.get(b, 0) - s
-                result = tuple(sorted((b, s) for b, s in acc.items() if s))
-                break
-        else:
-            result = ((e, 1),)
-        memo[e] = result
-        return result
-
-    table = tuple(expand(e) for e in range(n))
-    return table, frozenset(e for e in range(n) if table[e] == ((e, 1),))
+@partial(_Kept, terms=lambda table: len(table[2][0]))
+def _tables(n: int):
+    """The reduction to the basis at order n in closed form (module
+    docstring): (rows, basis set, (src, coeff, basis, runs)). rows[e] =
+    ((b, s), ...) writes zeta_n^e by basis exponents b in increasing order,
+    ((e, 1),) when e is one. The arrays hold the runs = 2^omega(n) sources
+    of each basis exponent b in increasing order: source k of b is b with
+    its top digit raised to p - 1 at the i-th prime power of n for each bit
+    i set in k, of coefficient (-1)^popcount(k)."""
+    sources, signs = [[0]], [1]
+    for p, q in _prime_powers(_budgeted(n)):
+        unit, top = n // q * pow(n // q, -1, q), q // p  # unit is 1 mod q and 0 mod n/q
+        sources = [  # basis residue r at q, then r with its top digit raised
+            [(e + d) % n for d in (r * unit, (r % top + q - top) * unit) for e in run]
+            for run in sources
+            for r in range(q - top)
+        ]
+        signs += [-s for s in signs]
+    sources.sort()
+    rows = [[] for _ in range(n)]
+    for run in sources:
+        b = run[0]
+        for e, s in zip(run, signs):
+            rows[e].append((b, s))
+    basis = [run[0] for run in sources]
+    src = np.fromiter(chain.from_iterable(sources), np.int64, len(basis) * len(signs))
+    arrays = src, np.array(signs * len(basis))[:, None], np.array(basis), len(signs)
+    return tuple(map(tuple, rows)), frozenset(basis), arrays
 
 
 def _canonical(order: int, num: dict[int, int], den: int) -> tuple[int, dict[int, int], int]:
     """Reduce to basis exponents, descend to the minimal order, strip gcd."""
     acc: dict[int, int] = {}
     while True:
-        table, basis = _expansion[order]
-        if basis.issuperset(num):  # the expansion row of a basis exponent is itself
+        rows, basis, _ = _tables[order]
+        if basis.issuperset(num):  # the row of a basis exponent is itself
             acc = num
         else:
             acc = {}
             for e, c in num.items():
-                for b, s in table[e % order]:
+                for b, s in rows[e % order]:
                     acc[b] = acc.get(b, 0) + s * c
         acc = {e: c for e, c in acc.items() if c}
         if not acc:
@@ -517,24 +521,6 @@ def _int_type(inner: int, top: int):
     return np.int64 if inner * top * top < 2**62 else object
 
 
-@partial(_Kept, terms=lambda value: len(value[0]))
-def _reduction(n: int):
-    """_expansion(n) as arrays sorted by basis exponent: source exponents,
-    coefficients, the basis exponents and the length of each basis
-    exponent's run of sources, 2^omega(n) terms of coefficient +-1 (module
-    docstring); tables that break this raise AssertionError."""
-    table = _expansion[n][0]
-    src = np.repeat(np.arange(n), [len(row) for row in table])
-    terms = chain.from_iterable(chain.from_iterable(table))
-    dst, coeff = np.fromiter(terms, np.int64, 2 * len(src)).reshape(-1, 2).T
-    at = np.lexsort((src, dst))
-    runs = np.bincount(dst)  # sources per exponent, 0 off the basis; 0 is a basis exponent
-    basis = np.flatnonzero(runs)
-    if (runs[basis] != runs[0]).any() or (abs(coeff) != 1).any():  # kept under python -O
-        raise AssertionError(f"the runs of order {n} are not of one length with unit coefficients")
-    return src[at], coeff[at, None], basis, int(runs[0])
-
-
 # _reduced gathers at most this many terms at a time, in chunks of entries,
 # so a reduction's peak stays bounded whatever the number of entries
 _GATHER_TERMS = 2**16
@@ -543,11 +529,11 @@ _GATHER_TERMS = 2**16
 def _reduced(n: int, exps, layers: np.ndarray):
     """Basis coordinates at order n of sum_k layers[k] * zeta_n^exps[k] for
     distinct exps, as (exponents, layers) with at least one layer: a gather
-    through the rows of _expansion(n) and one reshape-sum over the runs of
-    _reduction, in chunks of entries of at most _GATHER_TERMS gathered terms."""
+    of the sources of _tables(n) and one reshape-sum over their runs, in
+    chunks of entries of at most _GATHER_TERMS gathered terms."""
     if n == 1:  # the rational field: nothing to rewrite
         return np.zeros(1, dtype=int), layers
-    src, coeff, basis, runs = _reduction[n]
+    src, coeff, basis, runs = _tables[n][2]
     flat = layers.reshape(len(layers), -1)
     flat = flat.astype(_int_type(runs, _magnitude(flat)), copy=False)
     if not isinstance(exps, range):

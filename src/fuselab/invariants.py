@@ -32,7 +32,7 @@ import numpy as np
 from .cyclo import CycloNumber, _first, _int_type, _magnitude, exact_ints
 from .errors import SearchBudgetExceeded, ShapeMismatch
 from .modular import ModularData, _decimal, _held
-from .nimrep import NimRep, _character_ints, _profile, multiplicity_profile
+from .nimrep import NimRep, _character, _profile, multiplicity_profile
 from .verdict import Check, Verdict, failed, passed
 
 DEFAULT_ENTRY_BOUND = 3
@@ -115,7 +115,6 @@ class TMDimensionReport:
     routes: tuple[tuple[str, bool], ...]
 
 
-@_held
 def _support_connected(nr: NimRep) -> bool:
     size = nr.size
     reach = [False] * size
@@ -139,10 +138,10 @@ def tm_dimension_report(nr: NimRep, md: ModularData) -> TMDimensionReport:
     dTM = d(C). Also enforces the chain dTM = multOfUnit * d(C).
 
     Both checks run when the report is first computed for a datum object.
-    The report is then held on nr, for that datum object only, as are its
-    character and support connectivity for good: a repeated (nr, md) pair
-    returns the same report, and another datum replaces it."""
-    chi = _character_ints(nr)
+    The report is then held on nr, for that datum object only, as is its
+    character for good: a repeated (nr, md) pair returns the same report,
+    and another datum replaces it."""
+    chi = _character(nr)[1]
     dTM = rep_dimension(chi, md)
     mult = _profile(md, chi, nr.size)[0]
     routes = (

@@ -95,7 +95,9 @@ class ModularData:
 
     @cached_property
     def globalDim(self) -> CycloNumber:
-        return _global_dim(self).scalar(())
+        """d(C) = sum_I d(I)^2, one contraction of row 0 of the tensor with itself."""
+        d = self.tensor[0]
+        return d.convolve(d, lambda x, Y: Y @ x, self.rank).scalar(())
 
     @property
     def rank(self) -> int:
@@ -292,13 +294,6 @@ def _row_one_generates(ring: FusionRing) -> bool:
     return np.array_equal(M[1] @ M, (N[1] @ M.reshape(ring.rank, -1)).reshape(M.shape))
 
 
-@_held
-def _global_dim(md: ModularData) -> FieldTensor:
-    """d(C) = sum_I d(I)^2 as a tensor, one contraction of row 0 of md.tensor with itself."""
-    d = md.tensor[0]
-    return d.convolve(d, lambda x, Y: Y @ x, md.rank)
-
-
 def _require_dimensions(md: ModularData) -> None:
     """DegenerateScalar naming the first label I with d(I) = 0, if any."""
     if (i := _zero_dimension(md.tensor)) is not None:
@@ -456,6 +451,13 @@ SU2_CATALOG_MAX_LEVEL = 28
 ZN_CATALOG_MAX_N = 8
 
 
+def _in_catalog(family: str, k, low: int, top: int) -> None:
+    """SchemaError naming the catalog id when an int k lies outside low..top:
+    past the catalog a build grows with k and would be kept for good."""
+    if type(k) is int and not low <= k <= top:
+        raise SchemaError(f"catalog id {f'{family}:{k}'!r}: parameter must be in {low}..{top}")
+
+
 def _checked(md: ModularData, name: str) -> ModularData:
     v = verify_modular_data(md)
     if not v.ok:
@@ -469,7 +471,9 @@ def su2_modular_data(level: int) -> ModularData:
     (a+1)(b+1) of the 2h ones, h = level + 2 (row 0 holds every one up to
     sign), t from conformal weights shifted by the central charge. Column k
     of one integer table counts the exponents of sin_ratio(k, h) = sum_{j<k}
-    zeta_2h^(k-1-2j), and S is gathered from the tensor of the table."""
+    zeta_2h^(k-1-2j), and S is gathered from the tensor of the table. An
+    int level outside 0..SU2_CATALOG_MAX_LEVEL raises SchemaError."""
+    _in_catalog("su2", level, 0, SU2_CATALOG_MAX_LEVEL)
     ring = su2_fusion_ring(level)
     n = 2 * (level + 2)  # 2h: the ratios lie in Q(zeta_n)
     at = np.arange(1, level + 2)
@@ -515,8 +519,10 @@ def ising_modular_data() -> ModularData:
 @lru_cache(maxsize=None)
 def zn_modular_data(n: int) -> ModularData:
     """Cyclic anyons: pointed fusion j + k mod n, quadratic T-phases, S[j][k]
-    = zeta_n^(2jk) (odd n) or zeta_n^(jk) (even n) from root_sums of the identity."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    = zeta_n^(2jk) (odd n) or zeta_n^(jk) (even n) from root_sums of the
+    identity. An int n outside 1..ZN_CATALOG_MAX_N raises SchemaError."""
+    _in_catalog("zn", n, 1, ZN_CATALOG_MAX_N)
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     x = np.arange(n)
     ring = FusionRing(
@@ -543,9 +549,10 @@ def _decimal(text: str) -> int | None:
 
 def load_catalog(name: str) -> ModularData:
     """Resolve a catalog id like 'su2:10', 'fibonacci', 'ising', 'zn:5'.
-    Levels above SU2_CATALOG_MAX_LEVEL and n above ZN_CATALOG_MAX_N are
-    refused: a fresh build and verify costs about rank^2 (su2:10 2.6 ms,
-    su2:28 12 ms, median of 11 on 2 cores) and the field order grows with the level."""
+    The constructors refuse levels above SU2_CATALOG_MAX_LEVEL and n above
+    ZN_CATALOG_MAX_N: a fresh build and verify costs about rank^2 (su2:10
+    2.6 ms, su2:28 12 ms, median of 11 on 2 cores) and the field order grows
+    with the level."""
     if name == "fibonacci":
         return fibonacci_modular_data()
     if name == "ising":
@@ -554,8 +561,5 @@ def load_catalog(name: str) -> ModularData:
     if sep and head in ("su2", "zn"):
         if (k := _decimal(tail)) is None:
             raise SchemaError(f"catalog id {name!r} does not write its parameter in plain decimal")
-        low, top = (0, SU2_CATALOG_MAX_LEVEL) if head == "su2" else (1, ZN_CATALOG_MAX_N)
-        if not low <= k <= top:
-            raise SchemaError(f"catalog id {name!r}: parameter must be in {low}..{top}")
         return su2_modular_data(k) if head == "su2" else zn_modular_data(k)
     raise SchemaError(f"unknown catalog id {name!r}")

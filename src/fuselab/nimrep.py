@@ -15,14 +15,14 @@ disjoint_union's are kept by cyclo._Kept. verify_nimrep checks modules given
 as matrices.
 
 A module holds what is derived from it, in nr._derived, outside its value
-and freed with it (modular._held): its character and support connectivity
-once, its multiplicity profile, TM dimension report and d-eigenvector each
-for the last datum object they were asked of, and its phi verdict
-(gauge.verify_phi_isomorphism) for the last (lambda, datum) objects, one
-slot per function, so a module pins at most one argument set per function.
-A repeated (module, datum) pair, as from the kept modules and catalog data,
-recomputes nothing; every check runs on a value's first computation, and a
-call that raises holds nothing.
+and freed with it (modular._held): its character once, as a tuple and an
+integer array, its multiplicity profile, TM dimension report and
+d-eigenvector each for the last datum object they were asked of, and its
+phi verdict (gauge.verify_phi_isomorphism) for the last (lambda, datum)
+objects, one slot per function, so a module pins at most one argument set
+per function. A repeated (module, datum) pair, as from the kept modules and
+catalog data, recomputes nothing; every check runs on a value's first
+computation, and a call that raises holds nothing.
 
 Profiles are exact: m[I] is the trace of the spectral projector for
 lambda_I pushed through the representation, which by linearity of the trace
@@ -371,17 +371,17 @@ def regular_nimrep(ring: FusionRing) -> NimRep:
     return NimRep._trusted(ring, ring.labels, regular_matrices(ring))
 
 
-@_held
 def character(nr: NimRep) -> tuple[int, ...]:
     """chi[a] = trace N(a); chi[0] = number of boundary labels."""
-    return tuple(int(x) for x in nr.mats.trace(axis1=1, axis2=2))
+    return _character(nr)[0]
 
 
 @_held
-def _character_ints(nr: NimRep) -> np.ndarray:
-    """character(nr) as the exact integer array that _profile reads."""
-    chi = character(nr)
-    return exact_ints(chi, len(chi))
+def _character(nr: NimRep) -> tuple[tuple[int, ...], np.ndarray]:
+    """The character, held once as a tuple of ints and as the exact integer
+    array that _profile reads."""
+    chi = tuple(int(x) for x in nr.mats.trace(axis1=1, axis2=2))
+    return chi, exact_ints(chi, len(chi))
 
 
 @_held
@@ -389,7 +389,7 @@ def multiplicity_profile(nr: NimRep, md: ModularData) -> tuple[int, ...]:
     """m[I] = trace of the lambda_I spectral projector inside the rep, as
     _profile computes it from the module's character. A zero quantum
     dimension is named before a zero norm."""
-    return _profile(md, _character_ints(nr), nr.size)
+    return _profile(md, _character(nr)[1], nr.size)
 
 
 @_held
@@ -411,7 +411,7 @@ def _trace_terms(md: ModularData):
 
 def _profile(md: ModularData, chi, size: int) -> tuple[int, ...]:
     """multiplicity_profile of a module with character chi (a tuple of ints,
-    or the array _character_ints holds) and size boundary labels:
+    or the array _character holds) and size boundary labels:
     e_{lambda_I}(S) = P[I][S] / B[I] (_trace_terms), so m[I] = A[I] / B[I]
     for A = P chi, one integer contraction. m[I] is rational exactly when
     the layers of A[I] and B[I] are proportional (cross multiplied at B[I]'s

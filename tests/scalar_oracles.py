@@ -12,19 +12,50 @@ nimrep._profile replaced. scalar_s_tensor is the decode that
 FieldTensor.decode replaced in io, one CycloNumber per S entry pooled by
 FieldTensor.of, and scalar_su2_table the generator-expression truncated
 Clebsch-Gordan table that su2_fusion_ring's mask replaced.
+expansion_rows is the recursive rewrite that cyclo._tables' closed form
+replaced: each exponent outside the basis is rewritten at its first prime
+by the vanishing sum, and the terms it reaches are rewritten in turn.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
 
-from fuselab.cyclo import ZERO, FieldTensor, _first, exact_ints
+from fuselab.cyclo import ZERO, FieldTensor, _first, _prime_powers, exact_ints
 from fuselab.errors import DegenerateScalar, NonIntegralMultiplicity, ShapeMismatch
 from fuselab.fusion import FusionElement
 from fuselab.invariants import CommutantBasis
 from fuselab.io import cyclo_from_json
 from fuselab.modular import SpectrumPoint
+
+
+@lru_cache(maxsize=None)
+def expansion_rows(n):
+    """(rows, basis): rows[e] = ((b, s), ...) for zeta_n^e over basis
+    exponents b in increasing order, and the exponents whose row is
+    ((e, 1),). An exponent whose top base-p digit at p^v is p - 1 is
+    -sum_{j=1}^{p-1} zeta_n^(e + j*n/p), each term expanded again."""
+    pps = _prime_powers(n)
+    memo = {}
+
+    def expand(e):
+        if e not in memo:
+            for p, q in pps:
+                if (e % q) // (q // p) == p - 1:
+                    acc = {}
+                    for j in range(1, p):
+                        for b, s in expand((e + j * (n // p)) % n):
+                            acc[b] = acc.get(b, 0) - s
+                    memo[e] = tuple(sorted((b, s) for b, s in acc.items() if s))
+                    break
+            else:
+                memo[e] = ((e, 1),)
+        return memo[e]
+
+    rows = tuple(expand(e) for e in range(n))
+    return rows, frozenset(e for e in range(n) if rows[e] == ((e, 1),))
 
 
 def scalar_s_tensor(S_raw):

@@ -153,6 +153,30 @@ def test_gauge_solve_report_bytes_pinned(capsys, tmp_path, monkeypatch):
     )
 
 
+def test_gauge_solve_human_report_pinned(capsys, tmp_path, monkeypatch):
+    # the CI's mu.json: mu_ij = lambda_i / lambda_j on one 3-clique; lambda
+    # prints through the generic list rendering
+    from fuselab.cyclo import ONE, zeta
+    from fuselab.gauge import GaugeProblem
+
+    lam = [ONE, zeta(8), 3 * zeta(12, 5) + 1]
+    mu = {(i, j): lam[i] / lam[j] for i in range(3) for j in range(3)}
+    monkeypatch.chdir(tmp_path)
+    write_data_file("mu.json", GaugeProblem.build(("a", "b", "c"), mu))
+    assert main(["gauge", "solve", "--data", "mu.json"]) == 0
+    assert capsys.readouterr().out == (
+        "fuselab gauge solve\n"
+        "  inputs: data=mu.json\n"
+        "  check PASS diagonal-units\n"
+        "  check PASS inverse-pairs\n"
+        "  check PASS cocycle\n"
+        "  nodes: (a, b, c)\n"
+        "  components: ((0, 1, 2))\n"
+        "  lambda: (1.0, (0.707107 + 0.707107j), (-1.59808 + 1.5j))\n"
+        "  result: PASS\n"
+    )
+
+
 def test_gauge_solve_bad_triangle(capsys, tmp_path):
     from fuselab.cyclo import CycloNumber
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
@@ -29,6 +30,7 @@ from fuselab.cyclo import (
     zeta,
 )
 from fuselab.errors import DegenerateScalar, ShapeMismatch
+from scalar_oracles import expansion_rows
 
 
 def approx(x: CycloNumber, digits: int = 30) -> mpmath.mpc:
@@ -189,6 +191,41 @@ def test_rational_phase_normalizes_mod_one():
     assert RationalPhase(Fraction(5, 4)) == RationalPhase(Fraction(1, 4))
     assert RationalPhase(Fraction(-1, 24)) == RationalPhase(Fraction(23, 24))
     assert RationalPhase(Fraction(1, 3)) != RationalPhase(Fraction(2, 3))
+
+
+def test_rational_phase_arithmetic_is_mod_one():
+    a, b = RationalPhase(Fraction(3, 4)), RationalPhase(Fraction(1, 2))
+    assert a + b == RationalPhase(Fraction(1, 4)) and (a + b).value == Fraction(1, 4)
+    assert a + 1 == a and 1 + a == a and a + Fraction(1, 4) == 0
+    assert a - b == Fraction(1, 4) and b - a == Fraction(3, 4) and a - Fraction(7, 4) == 0
+    assert -a == Fraction(1, 4) and -RationalPhase(0) == 0
+    assert a == Fraction(-1, 4) and a == Fraction(7, 4) and RationalPhase(2) == 0 and a != 1
+    assert str(a) == "3/4" and str(RationalPhase(-3)) == "0" and repr(b) == "RationalPhase(1/2)"
+    for other in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            a - other
+        assert (a == other) is False
+
+
+def test_powers_and_reflected_operators():
+    x = zeta(5) + 2
+    assert x**0 == ONE and x**1 == x and x**3 == x * x * x and x**5 == x * x * x * x * x
+    assert x**-2 == ONE / (x * x) and (x**-1) * x == ONE and zeta(12) ** -1 == zeta(12, 11)
+    assert 1 - x == -(x - 1) and Fraction(1, 2) - zeta(4) == CycloNumber(4, {0: Fraction(1, 2), 1: -1})
+    assert 3 / zeta(8) == 3 * zeta(8, 7) and Fraction(1, 3) / x == (3 * x).inverse()
+    with pytest.raises(DegenerateScalar):
+        ZERO**-1
+    with pytest.raises(DegenerateScalar):
+        1 / ZERO
+    for other in (0.5, "x"):
+        with pytest.raises(TypeError):
+            x**other
+        with pytest.raises(TypeError):
+            other - x
+        with pytest.raises(TypeError):
+            other / x
 
 
 def test_galois_fixes_rationals():
@@ -403,12 +440,13 @@ def test_field_tensor_names_the_first_bad_entry(bad):
 
 
 def _reference_canonical(order, num, den):
-    """_canonical without the basis fast path: every exponent re-expanded."""
+    """_canonical without the basis fast path or the closed-form table: every
+    exponent expanded by the recursive rule."""
     while True:
-        table = cyclo._expansion(order)[0]
+        rows = expansion_rows(order)[0]
         acc = {}
         for e, c in num.items():
-            for b, s in table[e % order]:
+            for b, s in rows[e % order]:
                 acc[b] = acc.get(b, 0) + s * c
         acc = {e: c for e, c in acc.items() if c}
         if not acc:
@@ -430,8 +468,8 @@ def test_basis_exponents_are_the_zumbroich_basis():
     for n in (1, 2, 4, 9, 12, 30, 40, 60, 64, 105, 240):
         pps = cyclo._prime_powers(n)
         want = {e for e in range(n) if all((e % q) // (q // p) != p - 1 for p, q in pps)}
-        table, basis = cyclo._expansion(n)
-        assert basis == want and all(table[e] == ((e, 1),) for e in basis), n
+        rows, basis, _ = cyclo._tables(n)
+        assert basis == want and all(rows[e] == ((e, 1),) for e in basis), n
 
 
 @settings(max_examples=200, deadline=None)
@@ -445,7 +483,7 @@ def test_canonical_fast_path_matches_full_reexpansion(n, on_basis, coeffs, den):
     # on_basis keeps only basis exponents (the fast path), zeros included
     num = {e % n: c for e, c in coeffs.items()}
     if on_basis:
-        num = {e: c for e, c in num.items() if e in cyclo._expansion(n)[1]}
+        num = {e: c for e, c in num.items() if e in cyclo._tables(n)[1]}
     assert cyclo._canonical(n, dict(num), den) == _reference_canonical(n, dict(num), den)
 
 
@@ -507,43 +545,26 @@ def test_bools_are_not_orders_exponents_coefficients_or_sine_ratio_arguments(mak
 
 
 def test_every_basis_exponent_has_two_to_the_omega_unit_sources():
-    # the module docstring's CRT argument, checked on each order's tables:
-    # run i of the reduction arrays holds exactly the (source, coefficient)
-    # pairs whose expansion row names basis exponent i
-    for n in [*range(1, 721), 30030]:
-        table, basis = cyclo._expansion(n)
-        src, coeff, exps, runs = cyclo._reduction(n)
+    # each order's one table against the recursive rule of scalar_oracles:
+    # the same basis and rows, and run i of the arrays holds exactly the
+    # (source, coefficient) pairs whose row names basis exponent i, source k
+    # of coefficient (-1)^popcount(k)
+    for n in [*range(1, 721), 30030, 31395]:
+        want_rows, want_basis = expansion_rows.__wrapped__(n)  # not kept: 31,395 is large
+        rows, basis, (src, coeff, exps, runs) = cyclo._tables(n)
+        assert rows == want_rows and basis == want_basis, n
         assert runs == 2 ** len(cyclo._prime_powers(n)) and len(src) == len(exps) * runs, n
-        assert exps.tolist() == sorted(basis) and set(coeff.ravel().tolist()) <= {-1, 1}, n
-        if n <= 240 or n == 30030:
-            want = {b: [] for b in basis}
-            for e, row in enumerate(table):
-                for b, s in row:
-                    want[b].append((e, s))
-            got = zip(src.reshape(-1, runs).tolist(), coeff.reshape(-1, runs).tolist())
-            assert [list(zip(*pair)) for pair in got] == [want[b] for b in exps.tolist()], n
-
-
-@pytest.mark.parametrize("break_row", ["drop a term", "double a coefficient"])
-def test_tables_with_uneven_runs_are_refused(monkeypatch, break_row):
-    # a reduction that relied on the run length would be wrong on such a table;
-    # the check is an explicit raise, so it holds under python -O too
-    n = 36
-    table, basis = cyclo._expansion(n)
-    cyclo._reduction(n)  # both kinds keep order 36, so the patch replaces kept entries
-    e = next(e for e in range(n) if e not in basis)
-    row = table[e][1:] if break_row == "drop a term" else tuple((b, 2 * s) for b, s in table[e])
-    monkeypatch.setitem(cyclo._expansion, n, (table[:e] + (row,) + table[e + 1 :], basis))
-    monkeypatch.delitem(cyclo._reduction, n)
-    with pytest.raises(AssertionError, match="^the runs of order 36 are not of one length"):
-        cyclo._reduced(n, range(n), np.eye(n, dtype=np.int64))
-    assert n not in cyclo._reduction
+        assert exps.tolist() == sorted(basis), n
+        signs = [(-1) ** bin(k).count("1") for k in range(runs)]
+        assert (coeff.reshape(-1, runs) == signs).all(), n
+        want = Counter((b, e, s) for e, row in enumerate(want_rows) for b, s in row)
+        assert Counter(zip(np.repeat(exps, runs).tolist(), src.tolist(), coeff.ravel().tolist())) == want, n
 
 
 def _dict_reduced(n, exps, rows):
-    """The reference reduction: each exponent's expansion row, one dict entry
-    per basis exponent."""
-    table, out = cyclo._expansion(n)[0], {}
+    """The reference reduction: each exponent's row by the recursive rule,
+    one dict entry per basis exponent."""
+    table, out = expansion_rows(n)[0], {}
     for e, row in zip(exps, rows):
         for b, s in table[e]:
             acc = out.setdefault(b, [0] * len(row))
@@ -564,7 +585,7 @@ def test_reduced_matches_a_dict_reduction_through_the_expansion(n, data):
     layers = np.array(rows, dtype=np.int64 if top < 2**63 else object).reshape(len(exps), 1, cols)
     # a budget of one to three entries per chunk puts chunk boundaries inside the entries
     per_chunk = data.draw(st.sampled_from([1, 2, 3, None]), "entries per chunk")
-    terms = cyclo._GATHER_TERMS if per_chunk is None else len(cyclo._reduction(n)[0]) * per_chunk
+    terms = cyclo._GATHER_TERMS if per_chunk is None else len(cyclo._tables(n)[2][0]) * per_chunk
     saved, cyclo._GATHER_TERMS = cyclo._GATHER_TERMS, terms
     try:
         got_exps, got = cyclo._reduced(n, exps, layers)

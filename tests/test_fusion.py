@@ -3,6 +3,7 @@ representation."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -209,6 +210,43 @@ def test_broken_pairing_fails_duality():
     assert not v.ok
     assert v.first_failure.name == "duality"
     assert v.first_failure.witness
+
+
+def _group_ring(elements, mul, dual):
+    """N[a][b][c] = 1 iff elements[a] * elements[b] = elements[c]."""
+    index = {x: k for k, x in enumerate(elements)}
+    r = len(elements)
+    N = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for a, x in enumerate(elements):
+        for b, y in enumerate(elements):
+            N[a][b][index[mul(x, y)]] = 1
+    return FusionRing(labels=[str(x) for x in elements], dual=dual, N=N)
+
+
+def test_duality_and_commutativity_witnesses():
+    # Z_2 with dual(0) = 1; Z_4 with the 3-cycle 1 -> 2 -> 3 as its dual; the
+    # group ring of S_3, associative with inverses as duals but not commutative
+    s3 = sorted(permutations(range(3)))
+    cases = [
+        (_group_ring(range(2), lambda x, y: (x + y) % 2, (1, 0)), "duality", "dual(0) != 0"),
+        (_group_ring(range(4), lambda x, y: (x + y) % 4, (0, 2, 3, 1)), "duality", "dual(dual(1)) = 3"),
+        (
+            _group_ring(s3, lambda x, y: tuple(x[i] for i in y), (0, 1, 2, 4, 3, 5)),
+            "commutativity",
+            "(a,b,c)=(1,2,3)",
+        ),
+    ]
+    for ring, name, witness in cases:
+        v = verify_axioms(ring)
+        assert v == _loop_verify_axioms(ring) and v.checks[-1] == failed(name, witness)
+
+
+def test_tables_with_a_wrong_count_of_planes_or_rows_are_named():
+    unit = ((1, 0), (0, 1))
+    with pytest.raises(ShapeMismatch, match=r"^N has 1 planes, expected 2$"):
+        FusionRing(labels=("1", "x"), dual=(0, 1), N=(unit,))
+    with pytest.raises(ShapeMismatch, match=r"^N\[1\] has 1 rows, expected 2$"):
+        FusionRing(labels=("1", "x"), dual=(0, 1), N=(unit, ((0, 1),)))
 
 
 def test_su2_fusion_ring_built_once_per_level():

@@ -171,9 +171,9 @@ def test_tm_dim_computes_one_character_per_report(monkeypatch):
 
     def counted(nr):
         calls.append(nr)
-        return character(nr)
+        return nimrep._character(nr)
 
-    monkeypatch.setattr(nimrep, "character", counted)
+    monkeypatch.setattr(invariants, "_character", counted)
     md = su2_modular_data(4)
     # modules built afresh, not the kept ones, so no earlier test has asked about them
     for nr in (
@@ -214,7 +214,6 @@ def _count_pieces(monkeypatch, calls):
 def _held_values(nr, md):
     return (
         character(nr),
-        invariants._support_connected(nr),
         multiplicity_profile(nr, md),
         tm_dimension_report(nr, md),
         nimrep.d_eigenvector(nr, md),
@@ -250,11 +249,11 @@ def test_an_equal_datum_is_recomputed_and_replaces_the_held_one(monkeypatch):
     # one _d_image for the d-eigenvector, one for the phi verdict
     assert calls.count("_profile") == 2 and "rep_dimension" in calls and calls.count("_d_image") == 2
     assert second[0] is first[0]  # the character is the module's alone
-    assert second[2:] == first[2:] and all(a is not b for a, b in zip(second[2:], first[2:]))
+    assert second[1:] == first[1:] and all(a is not b for a, b in zip(second[1:], first[1:]))
     slots = [nr._derived[fn.__wrapped__] for fn in (multiplicity_profile, tm_dimension_report)]
     assert all(args[0] is new for args, _ in slots)
     args, _ = nr._derived[gauge._phi_verdict.__wrapped__]
-    assert args[0] is second[4] and args[1] is new
+    assert args[0] is second[3] and args[1] is new
     # the replaced datum is pinned by no slot of the module
     ref = weakref.ref(old)
     del old, first
@@ -285,14 +284,13 @@ def test_held_values_equal_a_cold_computation_on_the_C1_cases():
         assert not cold._derived
         lam = nimrep.d_eigenvector.__wrapped__(cold, md)
         want = (
-            character.__wrapped__(cold),
-            invariants._support_connected.__wrapped__(cold),
+            nimrep._character.__wrapped__(cold)[0],
             multiplicity_profile.__wrapped__(cold, md),
             tm_dimension_report.__wrapped__(cold, md),
             lam,
             gauge._phi_verdict.__wrapped__(cold, lam, md),
         )
-        assert held[0] == want and want[5].ok, tag
+        assert held[0] == want and want[4].ok, tag
 
 def test_diagonal_profile_path_graphs():
     for lev in (1, 3, 6):
@@ -373,6 +371,16 @@ def test_verify_s_commutation_witness():
     assert checks["integrality"].passed and checks["t-compatibility"].passed
     assert not checks["s-commutation"].passed
     assert checks["s-commutation"].witness == "(Z*S - S*Z) nonzero at (0,2)"
+
+
+def test_verify_negative_entry_witness():
+    # the first negative entry in row-major order; an unknown entry would be named the same way
+    md = su2_modular_data(2)
+    rows = [[1, 0, 0], [0, 1, -1], [0, -2, 1]]
+    checks = {c.name: c for c in verify_invariant(InvariantMatrix.from_rows(rows), md).checks}
+    assert not checks["integrality"].passed
+    assert checks["integrality"].witness == "entry (1,2) = -1 is negative"
+    assert checks["unit-normalization"].passed
 
 
 def test_verify_t_compatibility_witness():

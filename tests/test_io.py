@@ -557,16 +557,19 @@ def test_over_budget_orders_are_refused_before_any_array_of_that_order(monkeypat
     assert peak < 2**22  # one int64 array of that order for these 4 entries is 35 MB
 
 
-def test_a_refused_file_leaves_no_tables_of_its_order():
-    # 3 * 5 * 7 * 13 * 23 = 31,395: its tables hold 405,504 entries, past the
-    # budget of the kept ones, so they are built for the file and dropped
-    n = 31395
+def test_a_refused_file_leaves_no_tables_of_its_order(monkeypatch):
+    # 3 * 5 * 7 * 13 * 23 = 31,395: its table holds 405,504 entries, past the
+    # budget of the kept ones, so it is built for the file and dropped: once
+    # per reduction at that order (4) and once for the witness's scalars
+    n, built = 31395, []
+    build = cyclo._tables.build
+    monkeypatch.setattr(cyclo._tables, "build", lambda m: built.append(m) or build(m))
     doc = data_to_json(fibonacci_modular_data())
     coeffs = [[0, 1] for _ in range(n)]
     coeffs[1] = [1, 1]
     doc["S"][1][1] = {"order": n, "coeffs": coeffs}
     with pytest.raises(ValidationFailed, match="^modular-data fails s-squared"):
         parse_data(doc)
-    assert len(cyclo._reduction(n)[0]) > cyclo._KEPT_TERMS
-    for tables in (cyclo._expansion, cyclo._reduction):
-        assert n not in tables and sum(tables.sizes.values()) <= cyclo._KEPT_TERMS
+    assert built.count(n) <= 5
+    assert len(cyclo._tables(n)[2][0]) > cyclo._KEPT_TERMS
+    assert n not in cyclo._tables and sum(cyclo._tables.sizes.values()) <= cyclo._KEPT_TERMS

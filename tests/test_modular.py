@@ -910,6 +910,24 @@ def test_a_diag_theorem_job_never_makes_the_catalog_scalars(monkeypatch):
     assert "S" not in modular.su2_modular_data(10).__dict__
 
 
+@pytest.mark.parametrize(
+    "make, k",
+    [(su2_modular_data, 29), (su2_modular_data, 40), (su2_modular_data, -1),
+     (zn_modular_data, 9), (zn_modular_data, 60), (zn_modular_data, 0)],
+)
+def test_catalog_constructors_refuse_parameters_past_the_catalog_and_keep_nothing(make, k):
+    # the range check lives in the constructors: load_catalog reports the
+    # same text, and a refused call leaves the cache as it was
+    make(1)
+    size = make.cache_info().currsize
+    family, low, top = ("su2", 0, 28) if make is su2_modular_data else ("zn", 1, 8)
+    text = f"catalog id '{family}:{k}': parameter must be in {low}..{top}"
+    for call in (lambda: make(k), lambda: load_catalog(f"{family}:{k}")):
+        with pytest.raises(SchemaError) as info:
+            call()
+        assert str(info.value) == text and make.cache_info().currsize == size
+
+
 @pytest.mark.parametrize("make", [su2_modular_data, zn_modular_data])
 @pytest.mark.parametrize("bad", [True, 1.0])
 def test_catalog_constructors_refuse_what_is_not_an_int_even_after_a_build(make, bad):
@@ -931,18 +949,16 @@ def test_datum_value_ignores_the_tensor_dtype():
 
 
 def test_a_pass_over_the_catalog_evicts_none_of_its_tables(monkeypatch):
-    # every field order the 39 catalog entries use keeps its tables, from
-    # an empty start (the tables are a cache: emptying them changes no value):
+    # every field order the 39 catalog entries use keeps its table, from an
+    # empty start (the tables are a cache: emptying them changes no value):
     # each order is built once, and all of them are still kept at the end
-    built = [(cyclo._expansion, []), (cyclo._reduction, [])]
-    for tables, orders in built:
-        tables.clear(), tables.sizes.clear()
-        monkeypatch.setattr(tables, "build", lambda n, b=tables.build, o=orders: o.append(n) or b(n))
+    tables, orders = cyclo._tables, []
+    tables.clear()
+    monkeypatch.setattr(tables, "build", lambda n, b=tables.build: orders.append(n) or b(n))
     for name in catalog_names():
         md = parse_data(data_to_json(load_catalog(name)))
         verify_modular_data(md), spectrum(md), idempotent_family(md), commutant_basis(md)
-    for tables, orders in built:
-        assert 60 in orders and len(orders) == len(set(orders)) and set(orders) == set(tables)
+    assert 60 in orders and len(orders) == len(set(orders)) and set(orders) == set(tables)
 
 
 def test_a_fresh_verify_peaks_at_a_bounded_reduction():
@@ -966,7 +982,7 @@ def test_catalog_ingest_tensors_reduce_in_one_chunk(monkeypatch):
 
     def spy(n, exps, layers):
         if n > 1:
-            gathered.append(len(cyclo._reduction(n)[0]) * (layers.size // len(layers)))
+            gathered.append(len(cyclo._tables(n)[2][0]) * (layers.size // len(layers)))
         return reduced(n, exps, layers)
 
     monkeypatch.setattr(cyclo, "_reduced", spy)

@@ -49,6 +49,7 @@ from fuselab.nimrep import (
     su2_nimrep_from_graph,
     verify_nimrep,
 )
+from fuselab.verdict import failed, passed
 
 
 def eigen_oracle_profile(adjacency, level: int) -> list[int]:
@@ -136,6 +137,14 @@ def test_tadpole_fails_homomorphism():
     v = verify_nimrep(ring, mats)
     assert not v.ok
     assert v.first_failure.name == "homomorphism"
+
+
+def test_a_module_whose_unit_is_not_the_identity_fails_unit():
+    # non-negative, so unit is the first check to fail
+    ring = su2_fusion_ring(1)
+    swap = [[0, 1], [1, 0]]
+    v = verify_nimrep(ring, (swap, swap))
+    assert v.checks == (passed("non-negativity"), failed("unit", "N(0) is not the identity"))
 
 
 def test_regular_nimrep_passes_on_builtins():
