@@ -224,10 +224,16 @@ def _group_ring(elements, mul, dual):
 
 
 def test_duality_and_commutativity_witnesses():
-    # Z_2 with dual(0) = 1; Z_4 with the 3-cycle 1 -> 2 -> 3 as its dual; the
-    # group ring of S_3, associative with inverses as duals but not commutative
+    # Z_2 with dual(0) = 1; Z_4 with the 3-cycle 1 -> 2 -> 3 as its dual; a
+    # unit column that pairs each a with that 3-cycle's dual(a), so only the
+    # involution fails; the group ring of S_3, associative with inverses as
+    # duals but not commutative
     s3 = sorted(permutations(range(3)))
+    paired = np.zeros((4, 4, 4), dtype=np.int64)
+    for a, d in enumerate((0, 2, 3, 1)):
+        paired[0, a, a] = paired[a, 0, a] = paired[a, d, 0] = 1
     cases = [
+        (FusionRing("1xyz", (0, 2, 3, 1), paired), "duality", "dual(dual(1)) = 3"),
         (_group_ring(range(2), lambda x, y: (x + y) % 2, (1, 0)), "duality", "dual(0) != 0"),
         (_group_ring(range(4), lambda x, y: (x + y) % 4, (0, 2, 3, 1)), "duality", "dual(dual(1)) = 3"),
         (
@@ -239,6 +245,82 @@ def test_duality_and_commutativity_witnesses():
     for ring, name, witness in cases:
         v = verify_axioms(ring)
         assert v == _loop_verify_axioms(ring) and v.checks[-1] == failed(name, witness)
+
+
+def test_row_one_certificate_holds_on_every_catalog_ring_with_a_label_one():
+    # su2:0 and zn:1 have rank 1: there is no label 1, and their scan is one 1x1 product
+    for name in catalog_names():
+        ring = load_catalog(name).ring
+        assert ring._row_one_generates == (ring.rank > 1), name
+        assert verify_axioms(ring).ok, name
+
+
+def _flipped(ring, *entries):
+    """ring with each N[a][b][c] in entries flipped between 0 and 1."""
+
+    def edit(N):
+        for a, b, c in entries:
+            N[a][b][c] = 1 - N[a][b][c]
+
+    return _retabled(ring, edit)
+
+
+def test_rings_without_the_certificate_take_the_full_scan():
+    # label 1 generates neither Z2 x Z2 (x_1 reaches {0, 1}) nor S_3 (label 1
+    # is a transposition), and a rank-1 ring has no label 1
+    xor = _group_ring(range(4), lambda x, y: x ^ y, (0, 1, 2, 3))
+    s3 = sorted(permutations(range(3)))
+    fixed = [
+        FusionRing(labels=("1",), dual=(0,), N=(((1,),),)),
+        xor,
+        _flipped(xor, (2, 3, 2), (3, 2, 2)),
+        _group_ring(s3, lambda x, y: tuple(x[i] for i in y), (0, 1, 2, 4, 3, 5)),
+    ]
+    # su(2) rings with N flipped off the unit row and column, symmetrically or
+    # not: a flip that leaves a fusion ring may keep the certificate, one that
+    # breaks associativity or commutativity never does
+    rng = random.Random(20261022)
+    flipped = []
+    for level in range(2, 9):
+        ring, r = su2_fusion_ring(level), level + 1
+        for _ in range(6):
+            a, b, c = (rng.randrange(1, r) for _ in range(3))
+            flipped += [_flipped(ring, *{(a, b, c), (b, a, c)}), _flipped(ring, (a, b, c))]
+    outcomes = set()
+    for ring in fixed + flipped:
+        v = verify_axioms(ring)
+        assert v == _loop_verify_axioms(ring), ring
+        assert not ring._row_one_generates or v.ok, ring
+        if not ring._row_one_generates:
+            outcomes.add(v.describe().split(" at ")[0])
+    assert not any(ring._row_one_generates for ring in fixed)
+    assert sum(not ring._row_one_generates for ring in flipped) > len(flipped) // 2
+    assert {"fail: associativity", "fail: commutativity"} <= outcomes
+    assert any(o.startswith("pass") for o in outcomes)
+
+
+def test_verify_axioms_matches_the_full_scan_up_to_rank_18(monkeypatch):
+    # the seeded differential test above, on catalog rings up to rank 18:
+    # each verdict against verify_axioms with the certificate switched off,
+    # so that associativity always takes homomorphism_failure's scan
+    rng = random.Random(20261022)
+    rings = [r for r in (load_catalog(n).ring for n in catalog_names()) if r.rank <= 18]
+    assert max(ring.rank for ring in rings) == 18
+    tampered = []
+    for trial in range(240):
+        ring = rings[trial % len(rings)]
+        r = ring.rank
+        a, b, c = (rng.randrange(1 if r > 1 else 0, r) for _ in range(3))
+        flips = {(a, b, c), (b, a, c)} if rng.random() < 0.5 else {(a, b, c)}
+        tampered.append(ring if trial % 4 == 0 else _flipped(ring, *flips))
+    got = [verify_axioms(ring) for ring in tampered]
+    certified = sum(ring._row_one_generates for ring in tampered)
+    monkeypatch.setattr(FusionRing, "_row_one_generates", property(lambda ring: False))
+    scanned = [verify_axioms(ring) for ring in tampered]  # the property hides the held value
+    assert got == scanned
+    outcomes = {v.describe().split(" at ")[0] for v in got}
+    assert "fail: associativity" in outcomes and any(o.startswith("pass") for o in outcomes)
+    assert certified >= len(tampered) // 4
 
 
 def test_tables_with_a_wrong_count_of_planes_or_rows_are_named():

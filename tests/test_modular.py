@@ -25,7 +25,7 @@ from scalar_oracles import (
     scalar_tube_idempotents,
 )
 
-from fuselab import cyclo, modular
+from fuselab import cyclo, fusion, modular
 from fuselab.cyclo import ONE, ZERO, CycloNumber, FieldTensor, RationalPhase, sin_ratio, zeta
 from fuselab.errors import (
     DegenerateScalar,
@@ -758,6 +758,28 @@ def test_valid_data_take_one_product(monkeypatch):
     assert v.describe() == "fail: s-squared at (I,J)=(0, 2)"
     assert v.checks[-1].witness == "(a,b,m)=(1, 1, 5)"
     assert ((17, 17), (17, 17)) in products
+
+
+def test_a_parsed_document_forms_the_row_one_product_once(monkeypatch):
+    # verify_axioms certifies associativity from the ring's held row-1 check,
+    # and verify_modular_data's Verlinde exit reads the same held value: one
+    # regular_matrices product for both, and no scan over all pairs
+    doc, calls = data_to_json(su2_modular_data(15)), []
+    regular = fusion.regular_matrices
+
+    def counted(ring):
+        calls.append(ring)
+        return regular(ring)
+
+    def no_scan(ring, M):
+        raise AssertionError("homomorphism_failure was called")
+
+    monkeypatch.setattr(fusion, "regular_matrices", counted)
+    monkeypatch.setattr(fusion, "homomorphism_failure", no_scan)
+    md = parse_data(doc)
+    assert md.rank == 16 and len(calls) == 1 and calls[0] is md.ring
+    assert md.ring._row_one_generates and modular._row_one_generates(md.ring)
+    assert verify_modular_data(md).ok and len(calls) == 1
 
 
 def _galois(md, j):
