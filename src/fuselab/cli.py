@@ -54,7 +54,7 @@ from .nimrep import (
     nimrep_from_graph,
     verify_nimrep,
 )
-from .verdict import Check, passed
+from .verdict import check, passed
 
 REPORT_SCHEMA = "fuselab-report/1"
 EXIT_OK = 0
@@ -263,10 +263,9 @@ def _cmd_diag_theorem(job: JobSpec):
     bound = max((low, *m))
     candidates = enumerate_invariants(md, bound, cap=job.cap)
     matches = [z for z in candidates if match_diagonal(z, nr, md).ok]
-    realized = Check(
+    realized = check(
         "diagonal-realized",
-        bool(matches),
-        "" if matches else f"no enumerated invariant at bound {bound} matches",
+        None if matches else f"no enumerated invariant at bound {bound} matches",
     )
     payload = {
         "level": level,

@@ -28,7 +28,7 @@ import numpy as np
 from .cyclo import ZERO, CycloNumber, FieldTensor, _coerce, _first, _magnitude, _value_key
 from .cyclo import _kept_entries, exact_ints
 from .errors import ShapeMismatch
-from .verdict import Check, Verdict, failed, passed
+from .verdict import until_failure
 
 
 class FusionRing:
@@ -126,8 +126,13 @@ class FusionRing:
             self._generation
         except ShapeMismatch:
             return False
-        r, N, M = self.rank, self.tensor, regular_matrices(self)
-        return r > 1 and np.array_equal(M[1] @ M, (N[1] @ M.reshape(r, -1)).reshape(M.shape))
+        return self.rank > 1 and self._row_one_failure is None
+
+    @cached_property
+    def _row_one_failure(self):
+        """Row 1 of homomorphism_failure on the regular matrices, None at rank 1;
+        held, so M(1) M is formed once for the certificate and the witness."""
+        return _row_failure(self, regular_matrices(self), 1) if self.rank > 1 else None
 
     def basis_element(self, a: int) -> "FusionElement":
         coeffs = [ZERO] * self.rank
@@ -180,55 +185,48 @@ class FusionElement:
         return all(x.is_zero for x in self.coeffs)
 
 
-def verify_axioms(ring: FusionRing) -> Verdict:
+@until_failure
+def verify_axioms(ring: FusionRing):
     """Check unit law, duality, associativity, commutativity.
 
     Stops at the first violated identity and names its first witness index
     tuple in row-major order; the entrywise laws are searches on ring.tensor.
     Associativity passes if ring._row_one_generates (see the module docstring);
-    other rings, all non-commutative ones too, take homomorphism_failure's scan.
+    other rings, all non-commutative ones too, take the held row 1 and
+    homomorphism_failure's scan from row 2.
     """
-    r = ring.rank
-    T, dual = ring.tensor, ring.dual
-    checks: list[Check] = []
-
-    if (bad := _first(T < 0)) is not None:
-        a, b, c = bad
-        return Verdict((*checks, failed("non-negativity", f"N[{a}][{b}][{c}] = {T[bad]}")))
-    checks.append(passed("non-negativity"))
-
-    eye = np.eye(r, dtype=bool)
-    if (bad := _first((T[0] != eye) | (T[:, 0] != eye))) is not None:
-        return Verdict((*checks, failed("unit", "(b,c)=({},{})".format(*bad))))
-    checks.append(passed("unit"))
-
-    if dual[0] != 0:
-        return Verdict((*checks, failed("duality", "dual(0) != 0")))
-    P = eye[list(dual)]  # P[a][b] = [b == dual(a)], symmetric iff dual is an involution
-    if (T[:, :, 0] != P).any() or (P != P.T).any():
-        unit = T[:, :, 0].tolist()  # name the first failure in row-major order
-        for a in range(r):
-            if dual[dual[a]] != a:
-                return Verdict((*checks, failed("duality", f"dual(dual({a})) = {dual[dual[a]]}")))
-            for b in range(r):
-                want = 1 if b == dual[a] else 0
-                if unit[a][b] != want:
-                    witness = f"N[{a}][{b}][0] = {unit[a][b]}, expected {want}"
-                    return Verdict((*checks, failed("duality", witness)))
-    checks.append(passed("duality"))
-
-    if not ring._row_one_generates and (bad := homomorphism_failure(ring, regular_matrices(ring))):
+    T, eye = ring.tensor, np.eye(ring.rank, dtype=bool)
+    bad = _first(T < 0)
+    yield "non-negativity", None if bad is None else "N[{}][{}][{}] = {}".format(*bad, T[bad])
+    bad = _first((T[0] != eye) | (T[:, 0] != eye))
+    yield "unit", None if bad is None else "(b,c)=({},{})".format(*bad)
+    yield "duality", _duality_failure(T, ring.dual)
+    bad = ring._row_one_failure  # row 0 holds with the unit law
+    if bad is None and not ring._row_one_generates:
+        bad = homomorphism_failure(ring, regular_matrices(ring), 2)
+    if bad is not None:
         a, b, got, want = bad
         c, d = np.argwhere((got != want).T)[0]  # got[d, c] is x_d in a(bc), want[d, c] in (ab)c
-        return Verdict((*checks, failed("associativity", f"(a,b,c,d)=({a},{b},{c},{d})")))
-    checks.append(passed("associativity"))
+        bad = f"(a,b,c,d)=({a},{b},{c},{d})"
+    yield "associativity", bad
+    bad = _first(np.triu(~eye)[:, :, None] & (T != T.transpose(1, 0, 2)))  # a < b
+    yield "commutativity", None if bad is None else "(a,b,c)=({},{},{})".format(*bad)
 
-    upper = np.triu(~eye)[:, :, None]  # a < b
-    if (bad := _first(upper & (T != T.transpose(1, 0, 2)))) is not None:
-        return Verdict((*checks, failed("commutativity", "(a,b,c)=({},{},{})".format(*bad))))
-    checks.append(passed("commutativity"))
 
-    return Verdict(tuple(checks))
+def _duality_failure(T: np.ndarray, dual) -> str | None:
+    """The witness of the first duality failure, or None: dual(0) = 0, then
+    in row-major order dual(dual(a)) = a and N_ab^0 = [b == dual(a)]."""
+    if dual[0] != 0:
+        return "dual(0) != 0"
+    P = np.eye(len(dual), dtype=bool)[list(dual)]  # symmetric iff dual is an involution
+    if (T[:, :, 0] == P).all() and (P == P.T).all():
+        return None
+    for a, row in enumerate(T[:, :, 0].tolist()):
+        if dual[dual[a]] != a:
+            return f"dual(dual({a})) = {dual[dual[a]]}"
+        for b, n in enumerate(row):
+            if n != (b == dual[a]):
+                return f"N[{a}][{b}][0] = {n}, expected {int(b == dual[a])}"
 
 
 def su2_fusion_ring(level: int) -> FusionRing:
@@ -268,17 +266,22 @@ def multiply(ring: FusionRing, x: FusionElement, y: FusionElement) -> FusionElem
     return FusionElement(product.scalars())
 
 
-def homomorphism_failure(ring: FusionRing, M: np.ndarray):
-    """First (a, b) in row-major order with M(a) M(b) != sum_c N_ab^c M(c), as
-    (a, b, left, right), or None. M is an exact_ints stack taken with inner
-    at least max(size, rank), the most products an entry sums."""
-    flat = M.reshape(len(M), -1)
-    for a, T in enumerate(ring.tensor):
-        got, want = M[a] @ M, (T @ flat).reshape(M.shape)
-        bad = np.flatnonzero((got != want).any(axis=(1, 2)))
-        if len(bad):
-            return a, bad[0], got[bad[0]], want[bad[0]]
+def homomorphism_failure(ring: FusionRing, M: np.ndarray, start: int = 0):
+    """First (a, b) in row-major order, from row start, with M(a) M(b) !=
+    sum_c N_ab^c M(c), as (a, b, left, right), or None. M is an exact_ints
+    stack taken with inner at least max(size, rank), the most products an
+    entry sums."""
+    for a in range(start, len(M)):
+        if bad := _row_failure(ring, M, a):
+            return bad
     return None
+
+
+def _row_failure(ring: FusionRing, M: np.ndarray, a: int):
+    """Row a of homomorphism_failure: (a, b, left, right) for the first b, or None."""
+    got, want = M[a] @ M, (ring.tensor[a] @ M.reshape(len(M), -1)).reshape(M.shape)
+    bad = np.flatnonzero((got != want).any(axis=(1, 2)))
+    return (a, bad[0], got[bad[0]], want[bad[0]]) if len(bad) else None
 
 
 def regular_matrices(ring: FusionRing) -> np.ndarray:

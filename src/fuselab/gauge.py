@@ -51,7 +51,7 @@ from .cyclo import ONE, CycloNumber, FieldTensor, _budgeted, _coerce, inverses
 from .errors import DegenerateScalar, GaugeInconsistent, MissingPair, ShapeMismatch
 from .modular import _held
 from .nimrep import _d_image
-from .verdict import Check, Verdict, failed, passed
+from .verdict import Verdict, check, passed, until_failure
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,8 @@ def _star_holds(gp: GaugeProblem, mu: dict) -> bool:
 
 
 @_held
-def validate_mu(gp: GaugeProblem) -> Verdict:
+@until_failure
+def validate_mu(gp: GaugeProblem):
     """The value identities, on a pair set that gp's constructor holds
     closed (GaugeProblem.build raises MissingPair on an open one).
 
@@ -148,30 +149,26 @@ def validate_mu(gp: GaugeProblem) -> Verdict:
     scan run, to find the witness.
     """
     mu = gp.mu_map()
-    checks: list[Check] = []
-    for i in range(len(gp.nodes)):
-        if mu[(i, i)] != ONE:
-            return Verdict((*checks, failed("diagonal-units", f"mu[{i},{i}] != 1")))
-    checks.append(passed("diagonal-units"))
-
-    for i, j in gp.pairs:
-        if i < j and mu[(i, j)] * mu[(j, i)] != ONE:
-            return Verdict(
-                (*checks, failed("inverse-pairs", f"mu[{i},{j}] * mu[{j},{i}] != 1"))
-            )
-    checks.append(passed("inverse-pairs"))
-
-    if not _star_holds(gp, mu):
-        comp = {c[0]: c for c in gp.components}
-        for i, r in enumerate(gp.root):
-            for j in comp[r]:
-                for k in comp[r]:
-                    if j != i and k not in (i, j) and mu[(i, j)] * mu[(j, k)] != mu[(i, k)]:
-                        return Verdict(
-                            (*checks, failed("cocycle", f"triangle ({i},{j},{k})"))
-                        )
-    checks.append(passed("cocycle"))
-    return Verdict(tuple(checks))
+    yield "diagonal-units", next(
+        (f"mu[{i},{i}] != 1" for i in range(len(gp.nodes)) if mu[(i, i)] != ONE), None
+    )
+    yield "inverse-pairs", next(
+        (
+            f"mu[{i},{j}] * mu[{j},{i}] != 1"
+            for i, j in gp.pairs
+            if i < j and mu[(i, j)] * mu[(j, i)] != ONE
+        ),
+        None,
+    )
+    comp = {c[0]: c for c in gp.components}
+    triangles = (
+        f"triangle ({i},{j},{k})"
+        for i, r in enumerate(gp.root)
+        for j in comp[r]
+        for k in comp[r]
+        if j != i and k not in (i, j) and mu[(i, j)] * mu[(j, k)] != mu[(i, k)]
+    )
+    yield "cocycle", None if _star_holds(gp, mu) else next(triangles, None)
 
 
 def solve_gauge(gp: GaugeProblem) -> GaugeSolution:
@@ -234,9 +231,8 @@ def _phi_verdict(nr, lam, md) -> Verdict:
     if md.rank != nr.ring.rank:
         raise ShapeMismatch("modular data rank differs from the ring rank")
     image, bad = _d_image(nr.mats, md.tensor[0], FieldTensor.of(lam))
-    check = passed("d-eigenvector")
     if bad is not None:
         a, j = bad
         total = image.scalar(bad) * lam[j].inverse()
-        check = failed("d-eigenvector", f"row {j} of E({a}) sums to {total}, not d({a})")
-    return Verdict((passed("intertwiner"), check))
+        bad = f"row {j} of E({a}) sums to {total}, not d({a})"
+    return Verdict((passed("intertwiner"), check("d-eigenvector", bad)))

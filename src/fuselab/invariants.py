@@ -33,7 +33,7 @@ from .cyclo import CycloNumber, _first, _int_type, _magnitude, exact_ints
 from .errors import SearchBudgetExceeded, ShapeMismatch
 from .modular import ModularData, _decimal, _held
 from .nimrep import NimRep, _character, _profile, multiplicity_profile
-from .verdict import Check, Verdict, failed, passed
+from .verdict import Verdict, check
 
 DEFAULT_ENTRY_BOUND = 3
 DEFAULT_SEARCH_CAP = 10_000_000
@@ -207,40 +207,21 @@ def verify_invariant(Z, md: ModularData) -> Verdict:
     r = md.rank
     if len(entries) != r:
         raise ShapeMismatch(f"matrix is {len(entries)}x{len(entries)}, rank is {r}")
-    checks: list[Check] = []
-
-    witness = None
-    for i in range(r):
-        for j in range(r):
-            x = entries[i][j]
-            if x is None:
-                witness = f"entry ({i},{j}) is unknown"
-            elif x < 0:
-                witness = f"entry ({i},{j}) = {x} is negative"
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(passed("integrality") if witness is None else failed("integrality", witness))
-
-    z00 = entries[0][0]
-    checks.append(
-        passed("unit-normalization")
-        if z00 == 1
-        else failed("unit-normalization", f"Z[0,0] = {z00}")
+    bad_entry = next(
+        (
+            f"entry ({i},{j}) is unknown" if x is None else f"entry ({i},{j}) = {x} is negative"
+            for i, row in enumerate(entries)
+            for j, x in enumerate(row)
+            if x is None or x < 0
+        ),
+        None,
     )
-
+    noncommuting = "matrix has unknown entries"
     if all(x is not None for row in entries for x in row):
         at = _first(_commutator_support(exact_ints(entries)[None], md))
-        witness = None if at is None else f"(Z*S - S*Z) nonzero at ({at[0]},{at[1]})"
-        checks.append(
-            passed("s-commutation") if witness is None else failed("s-commutation", witness)
-        )
-    else:
-        checks.append(failed("s-commutation", "matrix has unknown entries"))
-
+        noncommuting = None if at is None else f"(Z*S - S*Z) nonzero at ({at[0]},{at[1]})"
     t = _t_classes(md)
-    witness = next(
+    t_mismatch = next(
         (
             f"Z[{i},{j}] != 0 but t[{i}] != t[{j}]"
             for i in range(r)
@@ -249,10 +230,12 @@ def verify_invariant(Z, md: ModularData) -> Verdict:
         ),
         None,
     )
-    checks.append(
-        passed("t-compatibility") if witness is None else failed("t-compatibility", witness)
-    )
-    return Verdict(tuple(checks))
+    return Verdict((
+        check("integrality", bad_entry),
+        check("unit-normalization", None if entries[0][0] == 1 else f"Z[0,0] = {entries[0][0]}"),
+        check("s-commutation", noncommuting),
+        check("t-compatibility", t_mismatch),
+    ))
 
 
 def _constraint_rows(L: np.ndarray, a: np.ndarray, b: np.ndarray, i: int):
@@ -447,6 +430,4 @@ def match_diagonal(Z, nr: NimRep, md: ModularData) -> Verdict:
         ),
         None,
     )
-    if witness is None:
-        return Verdict((passed("diagonal-match"),))
-    return Verdict((failed("diagonal-match", witness),))
+    return Verdict((check("diagonal-match", witness),))

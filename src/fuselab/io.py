@@ -207,12 +207,12 @@ def _ring_from_fields(doc: dict, where: str) -> FusionRing:
     return ring
 
 
-def _validated_ring(ring: FusionRing) -> FusionRing:
-    v = verify_axioms(ring)
-    if not v.ok:
+def _validated(kind: str, obj, verify):
+    """obj once verify(obj) passes; ValidationFailed naming kind and the first failure otherwise."""
+    if not (v := verify(obj)).ok:
         bad = v.first_failure
-        raise ValidationFailed(f"fusion-ring fails {bad.name}: {bad.witness}", v)
-    return ring
+        raise ValidationFailed(f"{kind} fails {bad.name}: {bad.witness}", v)
+    return obj
 
 
 def data_to_json(obj) -> dict:
@@ -255,11 +255,10 @@ def parse_data(doc):
     """Typed object from a JSON document; validates on load."""
     kind = _require(doc, "kind", "document")
     if kind == "fusion-ring":
-        return _validated_ring(_ring_from_fields(doc, "fusion-ring"))
+        return _validated("fusion-ring", _ring_from_fields(doc, "fusion-ring"), verify_axioms)
     if kind == "modular-data":
-        ring = _validated_ring(
-            _ring_from_fields(_require(doc, "ring", "modular-data"), "modular-data.ring")
-        )
+        ring = _ring_from_fields(_require(doc, "ring", "modular-data"), "modular-data.ring")
+        ring = _validated("fusion-ring", ring, verify_axioms)
         S_raw = _require(doc, "S", "modular-data")
         if not isinstance(S_raw, list) or not all(isinstance(r, list) for r in S_raw):
             raise SchemaError("modular-data.S: expected a matrix")
@@ -274,11 +273,7 @@ def parse_data(doc):
             md = ModularData(ring, FieldTensor.decode((r, r), groups), t)
         except ShapeMismatch as err:
             raise SchemaError(f"modular-data: {err}") from None
-        v = verify_modular_data(md)
-        if not v.ok:
-            bad = v.first_failure
-            raise ValidationFailed(f"modular-data fails {bad.name}: {bad.witness}", v)
-        return md
+        return _validated("modular-data", md, verify_modular_data)
     if kind == "graph":
         vertices = _str_list(_require(doc, "vertices", "graph"), "graph.vertices")
         adjacency_raw = _require(doc, "adjacency", "graph")

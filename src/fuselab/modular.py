@@ -56,7 +56,7 @@ from .cyclo import (
 )
 from .errors import DegenerateScalar, NonIntegralVerlinde, SchemaError, ShapeMismatch
 from .fusion import FusionElement, FusionRing, su2_fusion_ring
-from .verdict import Check, Verdict, failed, passed
+from .verdict import Verdict, check
 
 
 @dataclass(frozen=True, init=False)
@@ -209,32 +209,13 @@ def verify_modular_data(md: ModularData) -> Verdict:
     identity summed over m, (S^2)_ab = sum_m S_am S_bm = sum_c N_ab^c
     (S^2)_{0c} = d(C) N_ab^{dual 0} = d(C) delta_{b, dual a}.
     """
-    r, dual = md.rank, md.ring.dual
-    checks: list[Check] = []
-
-    T = md.tensor
-    checks.append(
-        passed("dimension-row")
-        if T.scalar((0, 0)) == ONE
-        else failed("dimension-row", "d[0] != 1")
-    )
-
+    r, dual, T = md.rank, md.ring.dual, md.tensor
     zero_d = _zero_dimension(T)
-    checks.append(
-        passed("nonzero-dimensions")
-        if zero_d is None
-        else failed("nonzero-dimensions", f"d[{zero_d}] = 0")
-    )
 
     # S, S^T and S dual-permuted share order, den and exps: compare layers alone
     L, p = T.layers, list(dual)
     sym = _first(np.triu((L != L.transpose(0, 2, 1)).any(axis=0), 1))
-    checks.append(passed("symmetry") if sym is None else failed("symmetry", f"(I,J)={sym}"))
-
     dsym = None if dual == tuple(range(r)) else _first((L != L[:, p][:, :, p]).any(axis=0))
-    checks.append(
-        passed("dual-symmetry") if dsym is None else failed("dual-symmetry", f"(I,J)={dsym}")
-    )
 
     Nint, P = md.ring.tensor, T.convolve(T[:2], lambda x, Y: Y[:, :, None] * x, 1)
     asym = (Nint != Nint.transpose(1, 0, 2)).any(axis=2)
@@ -255,16 +236,15 @@ def verify_modular_data(md: ModularData) -> Verdict:
         square = T.convolve(T, lambda x, Y: x @ Y, r)
         want = FieldTensor(row.order, row.den, row.exps, dc[:, None, None] * C)
         ssq_fail = _first(np.triu(square.differs(want)))
-    checks.append(
-        passed("s-squared") if ssq_fail is None else failed("s-squared", f"(I,J)={ssq_fail}")
-    )
-    checks.append(
-        passed("verlinde-consistency")
-        if ver_fail is None
-        else failed("verlinde-consistency", f"(a,b,m)={ver_fail}")
-    )
 
-    return Verdict(tuple(checks))
+    return Verdict((
+        check("dimension-row", None if T.scalar((0, 0)) == ONE else "d[0] != 1"),
+        check("nonzero-dimensions", None if zero_d is None else f"d[{zero_d}] = 0"),
+        check("symmetry", None if sym is None else f"(I,J)={sym}"),
+        check("dual-symmetry", None if dsym is None else f"(I,J)={dsym}"),
+        check("s-squared", None if ssq_fail is None else f"(I,J)={ssq_fail}"),
+        check("verlinde-consistency", None if ver_fail is None else f"(a,b,m)={ver_fail}"),
+    ))
 
 
 def _verlinde_blocks(md: ModularData, P: FieldTensor, asym: np.ndarray, zero_d):

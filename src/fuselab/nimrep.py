@@ -52,7 +52,7 @@ from .errors import (
 )
 from .fusion import FusionRing, homomorphism_failure, regular_matrices, su2_fusion_ring
 from .modular import ModularData, _decimal, _held, _pairing, _require_dimensions
-from .verdict import Check, Verdict, failed, passed
+from .verdict import until_failure
 
 _ADE_FAMILIES = ("A", "D", "E")
 # the largest n a graph tag may name, as its adjacency has n * n entries
@@ -249,33 +249,23 @@ class NimRep:
         return len(self.boundaryLabels)
 
 
-def verify_nimrep(ring: FusionRing, mats) -> Verdict:
+@until_failure
+def verify_nimrep(ring: FusionRing, mats):
     """Exact NIM-rep axioms: non-negative integer entries, N(0) = identity,
     duality N(dual(a)) = N(a) transposed, and the homomorphism identity
     against the ring's N-tensor. Stops at the first failed axiom, naming
     its first witness in row-major order."""
     M = _module_stack(ring, mats)
-    checks: list[Check] = []
-    if (bad := _first(M < 0)) is not None:
-        a, j, i = bad
-        return Verdict((*checks, failed("non-negativity", f"N({a})[{j},{i}] = {M[bad]}")))
-    checks.append(passed("non-negativity"))
-
-    if not np.array_equal(M[0], np.eye(M.shape[1], dtype=np.int64)):
-        return Verdict((*checks, failed("unit", "N(0) is not the identity")))
-    checks.append(passed("unit"))
-
-    if (witness := _duality_failure(ring, M)) is not None:
-        return Verdict((*checks, failed("duality", witness)))
-    checks.append(passed("duality"))
-
+    bad = _first(M < 0)
+    yield "non-negativity", None if bad is None else "N({})[{},{}] = {}".format(*bad, M[bad])
+    identity = np.array_equal(M[0], np.eye(M.shape[1], dtype=np.int64))
+    yield "unit", None if identity else "N(0) is not the identity"
+    yield "duality", _duality_failure(ring, M)
     if bad := homomorphism_failure(ring, M):
         a, b, got, want = bad
         j, i = next(zip(*np.nonzero(got != want)))
-        witness = f"(N({a})N({b}))[{j},{i}] = {got[j, i]} != {want[j, i]}"
-        return Verdict((*checks, failed("homomorphism", witness)))
-    checks.append(passed("homomorphism"))
-    return Verdict(tuple(checks))
+        bad = f"(N({a})N({b}))[{j},{i}] = {got[j, i]} != {want[j, i]}"
+    yield "homomorphism", bad
 
 
 def _duality_failure(ring: FusionRing, M: np.ndarray) -> str | None:

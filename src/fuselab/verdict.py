@@ -2,12 +2,19 @@
 
 A Verdict is an ordered tuple of named checks; it is truthy iff every check
 passed. Failing checks carry a human-readable witness (index tuple, entry
-value, ...) naming the violation.
+value, ...) naming the violation. A verifier states each check once, as
+check(name, witness) with witness None when it holds, under one of two rules.
+Rings, modules and gauges (verify_axioms, verify_nimrep, validate_mu) stop at
+the first failure (until_failure): a later check is undefined or wasted once
+an earlier one fails, so none is computed. Modular data and invariants
+(verify_modular_data, verify_invariant, match_diagonal, the phi verdict)
+report every check, as each is independent and names its own witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 
 
 @dataclass(frozen=True)
@@ -36,10 +43,7 @@ class Verdict:
 
     @property
     def first_failure(self) -> Check | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
+        return next((c for c in self.checks if not c.passed), None)
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
@@ -61,3 +65,25 @@ def passed(name: str) -> Check:
 
 def failed(name: str, witness: str) -> Check:
     return Check(name, False, witness)
+
+
+def check(name: str, witness: str | None) -> Check:
+    """The check name, passed when witness is None and failed with it otherwise."""
+    return passed(name) if witness is None else failed(name, witness)
+
+
+def until_failure(checks):
+    """A verifier from a generator function of (name, witness) pairs: its
+    Verdict holds the checks up to and including the first failure, and the
+    generator is never resumed after it, so no later check is computed."""
+
+    @wraps(checks)
+    def verdict(*args, **kwargs) -> Verdict:
+        out = []
+        for name, witness in checks(*args, **kwargs):
+            out.append(check(name, witness))
+            if witness is not None:
+                break
+        return Verdict(tuple(out))
+
+    return verdict

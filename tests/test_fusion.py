@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scalar_oracles import raw, scalar_multiply, scalar_su2_table
 
 from fuselab import fusion
-from fuselab.cyclo import ONE, ZERO, CycloNumber, exact_ints, zeta
+from fuselab.cyclo import ONE, ZERO, CycloNumber, _Kept, exact_ints, zeta
 from fuselab.errors import ShapeMismatch
 from fuselab.fusion import (
     FusionElement,
@@ -323,6 +323,67 @@ def test_verify_axioms_matches_the_full_scan_up_to_rank_18(monkeypatch):
     assert certified >= len(tampered) // 4
 
 
+def _raising(what):
+    def computed(*args):
+        raise AssertionError(f"{what} was computed after a failed check")
+
+    return computed
+
+
+def test_a_failed_unit_law_computes_no_later_check(monkeypatch):
+    # verify_axioms stops at the first failure: once unit fails, neither
+    # duality, the held row-1 check nor any scan is computed
+    ring = _flipped(su2_fusion_ring(4), (0, 1, 1))
+    for name in ("_row_one_generates", "_row_one_failure"):
+        monkeypatch.setattr(FusionRing, name, property(_raising(name)))
+    monkeypatch.setattr(fusion, "_duality_failure", _raising("duality"))
+    monkeypatch.setattr(fusion, "homomorphism_failure", _raising("the scan"))
+    v = verify_axioms(ring)
+    assert v == _loop_verify_axioms(ring) and v.checks[-1] == failed("unit", "(b,c)=(1,1)")
+
+
+def _rows_formed(monkeypatch):
+    """The rows a whose products M(a) M fusion forms from now on, in order."""
+    rows, row_failure = [], fusion._row_failure
+
+    def counted(ring, M, a):
+        rows.append(a)
+        return row_failure(ring, M, a)
+
+    monkeypatch.setattr(fusion, "_row_failure", counted)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "level, entry, witness",
+    [
+        (13, (1, 2, 1), "(a,b,c,d)=(1,1,1,1)"),
+        (17, (1, 2, 1), "(a,b,c,d)=(1,1,1,1)"),
+        (13, (1, 2, 5), "(a,b,c,d)=(1,1,1,5)"),  # label 1 no longer generates
+    ],
+)
+def test_a_broken_row_one_forms_the_row_one_product_once(monkeypatch, level, entry, witness):
+    # the witness is the row-1 failure held next to the certificate: no scan
+    # forms row 0's products, which the unit law settles, or row 1's again
+    rows = _rows_formed(monkeypatch)
+    ring = _flipped(su2_fusion_ring(level), entry)
+    v = verify_axioms(ring)
+    assert v == _loop_verify_axioms(ring) and v.checks[-1] == failed("associativity", witness)
+    assert rows == [1] and not ring._row_one_generates
+
+
+def test_a_scan_without_the_certificate_starts_at_row_two(monkeypatch):
+    # label 1 reaches only {e, x} in Z2 x Z2: row 1 is the held check, and
+    # the scan goes on from row 2, forming each row's products once; the
+    # broken ring fails in row 1, and no scan runs
+    xor = _group_ring(range(4), lambda x, y: x ^ y, (0, 1, 2, 3))
+    rows = _rows_formed(monkeypatch)
+    for ring, want in ((xor, [1, 2, 3]), (_flipped(xor, (2, 3, 2), (3, 2, 2)), [1])):
+        rows.clear()
+        v = verify_axioms(ring)
+        assert v == _loop_verify_axioms(ring) and rows == want
+
+
 def test_tables_with_a_wrong_count_of_planes_or_rows_are_named():
     unit = ((1, 0), (0, 1))
     with pytest.raises(ShapeMismatch, match=r"^N has 1 planes, expected 2$"):
@@ -343,9 +404,14 @@ def test_su2_fusion_ring_built_once_per_level():
 
 def test_su2_fusion_ring_keeps_a_bounded_number_of_levels(monkeypatch):
     # a budget that the rings of levels 31-34 fill: asking for 30-34 in
-    # order evicts 30, the first kept, and asking again rebuilds it equal
-    rings, levels = fusion._su2_rings, range(30, 35)
-    monkeypatch.setattr(rings, "budget", sum(rings.terms(rings.build(k)) for k in levels[1:]))
+    # order evicts 30, the first kept, and asking again rebuilds it equal.
+    # A fresh keeper with the same build and terms stands in for the shared
+    # one, whose evictions would part su2_fusion_ring(k) from the ring that
+    # the lru-cached su2_modular_data(k) holds
+    shared, levels = fusion._su2_rings, range(30, 35)
+    budget = sum(shared.terms(shared.build(k)) for k in levels[1:])
+    rings = _Kept(shared.build, shared.terms, budget)
+    monkeypatch.setattr(fusion, "_su2_rings", rings)
     first = su2_fusion_ring(levels[0])
     for k in levels[1:]:
         assert su2_fusion_ring(k) is su2_fusion_ring(k)

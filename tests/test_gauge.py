@@ -512,6 +512,28 @@ def test_star_cocycle_takes_at_most_n_squared_products(monkeypatch):
     assert len(calls) <= 6 * 6
 
 
+def test_a_failed_diagonal_forms_no_product(monkeypatch):
+    # validate_mu stops at the first failure: a diagonal entry other than 1
+    # fails diagonal-units, and neither inverse pairs nor the cocycle is checked
+    mu = clique_mu([ONE, rat(2), zeta(5)], [range(3)])
+    mu[(1, 1)] = rat(3)
+    gp = GaugeProblem.build(tuple("abc"), mu)
+    calls = count_products(monkeypatch)
+    monkeypatch.setattr(gauge, "_star_holds", lambda gp, mu: calls.append("star"))
+    assert validate_mu(gp).checks == (failed("diagonal-units", "mu[1,1] != 1"),)
+    assert calls == []
+
+
+def test_a_triangle_scan_without_a_witness_passes_the_cocycle(monkeypatch):
+    # the triangle scan runs only to name the witness of a failed star
+    # identity; if it finds none, cocycle passes and the verdict is complete
+    lam = [ONE, rat(2), zeta(5), zeta(8, 3) + 2]
+    gp = GaugeProblem.build(tuple("abcd"), clique_mu(lam, [range(4)]))
+    monkeypatch.setattr(gauge, "_star_holds", lambda gp, mu: False)
+    want = (passed("diagonal-units"), passed("inverse-pairs"), passed("cocycle"))
+    assert validate_mu(gp).checks == want == triangle_scan_mu(gp).checks
+
+
 @pytest.mark.parametrize(
     "drop, message",
     [

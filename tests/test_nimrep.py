@@ -147,6 +147,20 @@ def test_a_module_whose_unit_is_not_the_identity_fails_unit():
     assert v.checks == (passed("non-negativity"), failed("unit", "N(0) is not the identity"))
 
 
+def test_a_negative_entry_computes_no_later_check(monkeypatch):
+    # verify_nimrep stops at the first failure: after non-negativity fails,
+    # neither duality nor the homomorphism scan is computed
+    def computed(*args):
+        raise AssertionError("a check was computed after non-negativity failed")
+
+    monkeypatch.setattr(nimrep, "_duality_failure", computed)
+    monkeypatch.setattr(nimrep, "homomorphism_failure", computed)
+    nr = su2_nimrep_from_graph(a_graph(4), 3)
+    mats = nr.mats.copy()
+    mats[2, 1, 3] = -1
+    assert verify_nimrep(nr.ring, mats).checks == (failed("non-negativity", "N(2)[1,3] = -1"),)
+
+
 def test_regular_nimrep_passes_on_builtins():
     for name in ("su2:0", "su2:3", "fibonacci", "ising", "zn:4", "zn:5"):
         md = load_catalog(name)
